@@ -30,16 +30,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionPoint, secular_leading, solve_rayleigh
+from .dispersion import (BRACKET_HI, DispersionPoint, bisect, secular_leading,
+                         solve_rayleigh)
 from .kernel import SurfaceTrace
 from .material import MaterialParams, derive_scales
+from .specfun import QuadratureSpec
 from .wavefield import (
     Amplitudes,
     ModeParams,
     ModeSolution,
     blayer_closed_form,
     blayer_closed_form_deta,
+    blayer_integral_closed,
+    blayer_integral_quadrature,
     decay_exponents,
+    leading_exponents,
     pde_residual,
     shear_balance_s,
     stress_branch_coeffs,
@@ -57,10 +62,12 @@ __all__ = [
     "bc_residual_report",
     "first_order_elastic_solution",
     "bc_slope_study",
+    "blayer_convergence",
     "residual_report_json",
 ]
 
 SLOPE_EPS_GRID = (0.2, 0.1, 0.05)
+_BLAYER_ETA_GRID = (0.0, 0.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -100,23 +107,21 @@ class BCResidualReport:
     normalization: float
 
 
-def equivalence_residual_elastic(m: MaterialParams, point: DispersionPoint,
-                                 eps: float) -> complex:
+def equivalence_residual_elastic(m: MaterialParams,
+                                 point: DispersionPoint) -> complex:
     """Leading boundary-layer coefficient of the momentum defect, elastic mode.
 
     This is the factor multiplying exp(-k z / eps); eps itself drops out of
-    the leading coefficient and is accepted only for call symmetry with the
-    other residual operations.  A nonzero value is the failure of
-    equivalence between the differential and integral models.
+    the leading coefficient.  A nonzero value is the failure of equivalence
+    between the differential and integral models.
     """
-    del eps
     if not math.isfinite(point.k):
         raise ValueError("point carries no wavenumber; take one from a sweep "
                          "or attach k before computing the residual")
     sc = derive_scales(m)
     d = sc.d
-    r10 = complex(1.0 - (point.v / sc.c1) ** 2) ** 0.5
-    r20sq = complex(1.0 - (point.v / sc.c2) ** 2)
+    r10, _ = leading_exponents(m, point.v)
+    r20sq = 1.0 - (point.v / sc.c2) ** 2
     if r10 == 0:
         raise ZeroDivisionError("residual is singular: r10 = 0")
     bracket = ((1.0 + d) ** 2 * r10 * r10
@@ -132,14 +137,8 @@ def equivalence_residual_micropolar(m: MaterialParams, v: float,
     Proportional to the elastic-mode secular expression, so it vanishes only
     at the other mode's root: the two modes never coexist.
     """
-    sc = derive_scales(m)
-    d = sc.d
-    r10 = complex(1.0 - (v / sc.c1) ** 2) ** 0.5
-    r20 = complex(1.0 - (v / sc.c2) ** 2) ** 0.5
-    if r10.real < 0:
-        r10 = -r10
-    if r20.real < 0:
-        r20 = -r20
+    d = derive_scales(m).d
+    r10, r20 = leading_exponents(m, v)
     r20sq = r20 * r20
     return (k ** 3 / (r20sq + d)
             * ((1.0 + d) ** 2 * r10 * r20 - (r20sq + d) ** 2))
@@ -360,25 +359,15 @@ def first_order_elastic_solution(m: MaterialParams, k: float,
         return (s31 - 0.5 * eps * 1j * s11).real
 
     v0 = solve_rayleigh(m).v
-    lo, hi = 0.8 * v0, min(1.1 * v0, 0.9999 * sc.c2)
+    lo, hi = 0.8 * v0, min(1.1 * v0, BRACKET_HI * sc.c2)
     flo, fhi = residual(lo), residual(hi)
     if flo * fhi > 0.0:
-        lo, hi = 0.05 * sc.c2, 0.9999 * sc.c2
+        lo, hi = 0.05 * sc.c2, sc.c2
         flo, fhi = residual(lo), residual(hi)
         if flo * fhi > 0.0:
             raise ValueError("no first-order-corrected root near the "
                              "classical one for this eps")
-    while hi - lo > 1e-13 * sc.c2:
-        mid = 0.5 * (lo + hi)
-        fm = residual(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    v = 0.5 * (lo + hi)
+    v = bisect(residual, lo, hi, flo, 1e-13 * sc.c2)
     de0, _, amp = assemble(v)
     mp = ModeParams(k=k, omega=v * k, v=v, eps=eps)
     return ModeSolution(m=m, mp=mp, amp=amp, de=de0)
@@ -417,6 +406,52 @@ def _cpair(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def blayer_convergence(m: MaterialParams, eps_values: tuple[float, ...],
+                       spec: QuadratureSpec) -> dict:
+    """Closed-form against quadrature boundary-layer integrals: the payload
+    of `mnw blayer`, with the log-log slope of their relative deviation
+    against eps per branch and depth (None for a single eps).  The state is
+    v = 0.3 c2, omega = 3 omega_c (k = 1 and no branch 3 when kappa = 0)."""
+    sc = derive_scales(m)
+    v = 0.3 * sc.c2
+    if m.kappa > 0:
+        omega = 3.0 * sc.omega_cutoff
+        k = omega / v
+        branches = (1, 2, 3)
+    else:
+        k = 1.0
+        omega = v * k
+        branches = (1, 2)
+    entries = []
+    series: dict[str, list[float]] = {}
+    for i in branches:
+        for eta in _BLAYER_ETA_GRID:
+            for eps in eps_values:
+                de = decay_exponents(m, ModeParams(k=k, omega=omega, v=v,
+                                                   eps=eps))
+                closed = blayer_integral_closed(i, de, eps, eta)
+                quad = blayer_integral_quadrature(i, de, eps, eta, spec)
+                deviation = abs(quad - closed) / abs(closed)
+                entries.append({
+                    "i": i, "eta": eta, "eps": eps,
+                    "closed": _cpair(closed),
+                    "quadrature": _cpair(quad),
+                    "deviation": deviation,
+                })
+                series.setdefault(f"i={i},eta={eta!r}", []).append(deviation)
+    slopes = None
+    if len(eps_values) >= 2:
+        log_eps = np.log(np.asarray(eps_values))
+        slopes = {key: float(np.polyfit(log_eps, np.log(devs), 1)[0])
+                  for key, devs in series.items()}
+    return {
+        "rel_tol": spec.rel_tol,
+        "state": {"v": v, "omega": omega, "k": k},
+        "entries": entries,
+        "slopes": slopes,
+    }
+
+
 def residual_report_json(m: MaterialParams, k: float, eps: float,
                          slopes: bool = True) -> str:
     """Full surface-residual report for the elastic mode at wavenumber k.
@@ -446,7 +481,7 @@ def residual_report_json(m: MaterialParams, k: float, eps: float,
         "refined": [_cpair(z) for z in report.refined],
         "extra": [_cpair(z) for z in report.extra],
         "equivalence": [
-            _cpair(equivalence_residual_elastic(m, point, eps)),
+            _cpair(equivalence_residual_elastic(m, point)),
             _cpair(equivalence_residual_micropolar(m, v, k)),
         ],
         "normalization": report.normalization,

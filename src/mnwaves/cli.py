@@ -24,17 +24,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import asymptotic, dispersion, kernel, material, specfun, wavefield
+from . import asymptotic, dispersion, kernel, material, specfun
 
 _EXIT_OK = 0
 _EXIT_BAD_INPUT = 1
 _EXIT_INFEASIBLE = 2
 _EXIT_NO_CONVERGENCE = 3
-
-_BLAYER_EPS_GRID = (0.2, 0.1, 0.05)
-_BLAYER_ETA_GRID = (0.0, 0.5, 2.0)
 
 
 class _UsageError(Exception):
@@ -44,6 +39,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract says 1
         raise _UsageError(message)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the numeric options: inf and nan are bad input."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -66,23 +72,23 @@ def _build_parser() -> _Parser:
     common(p_disp)
     p_disp.add_argument("--mode", choices=("elastic", "micropolar"),
                         default="elastic")
-    p_disp.add_argument("--omega-min", type=float, required=True)
-    p_disp.add_argument("--omega-max", type=float, required=True)
+    p_disp.add_argument("--omega-min", type=_finite_float, required=True)
+    p_disp.add_argument("--omega-max", type=_finite_float, required=True)
     p_disp.add_argument("--num", type=int, default=50)
-    p_disp.add_argument("--tol", type=float, default=1e-10,
+    p_disp.add_argument("--tol", type=_finite_float, default=1e-10,
                         help="root tolerance relative to c2")
     p_disp.add_argument("--emit-plot-script", action="store_true",
                         help="write a gnuplot script next to --out")
 
     p_res = sub.add_parser("residuals", help="surface-condition residual report")
     common(p_res)
-    p_res.add_argument("--eps", type=float,
+    p_res.add_argument("--eps", type=_finite_float,
                        help="dimensionless non-locality a*k (default 0.1; "
                             "fixes k = eps/a)")
 
     p_bl = sub.add_parser("blayer", help="boundary-layer integral convergence")
     common(p_bl)
-    p_bl.add_argument("--eps", type=float,
+    p_bl.add_argument("--eps", type=_finite_float,
                       help="single eps instead of the default grid")
 
     p_kc = sub.add_parser("kernel-check", help="kernel normalization and "
@@ -109,8 +115,6 @@ def _load_material(path: str) -> material.MaterialParams:
         m = material.load_material(path)
     except FileNotFoundError:
         raise _UsageError(f"material file not found: {path}")
-    except material.InvalidMaterialError as exc:
-        raise _UsageError(str(exc))
     outcome = material.validate(m)
     if not outcome.ok:
         raise _UsageError("invalid material: " + "; ".join(outcome.violations))
@@ -122,10 +126,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
-
-
-def _cpair(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
 
 
 def _cmd_validate(args) -> int:
@@ -177,16 +177,14 @@ def _cmd_dispersion(args) -> int:
     m = _load_material(args.material)
     if not args.omega_min < args.omega_max:
         raise _UsageError("--omega-min must be below --omega-max")
+    if args.num < 2:
+        raise _UsageError("--num must be at least 2")
     if args.emit_plot_script and args.out is None:
         raise _UsageError("--emit-plot-script needs --out to reference the CSV")
     if not args.tol > 0:
         raise _UsageError("--tol must be positive")
-    try:
-        curve = dispersion.sweep(m, args.omega_min, args.omega_max, args.num,
-                                 args.mode, tol=args.tol)
-    except dispersion.NoSurfaceModeError as exc:
-        print(str(exc), file=sys.stderr)
-        return _EXIT_INFEASIBLE
+    curve = dispersion.sweep(m, args.omega_min, args.omega_max, args.num,
+                             args.mode, tol=args.tol)
     if curve.propagating_count == 0:
         sc = material.derive_scales(m)
         print(f"entire range is at or below the cutoff {sc.omega_cutoff!r}; "
@@ -221,60 +219,17 @@ def _residual_wavenumber(m: material.MaterialParams,
 def _cmd_residuals(args) -> int:
     m = _load_material(args.material)
     k, eps = _residual_wavenumber(m, args.eps)
-    try:
-        text = asymptotic.residual_report_json(m, k, eps)
-    except dispersion.NoSurfaceModeError as exc:
-        print(str(exc), file=sys.stderr)
-        return _EXIT_INFEASIBLE
-    _emit(text + "\n", args.out)
+    _emit(asymptotic.residual_report_json(m, k, eps) + "\n", args.out)
     return _EXIT_OK
 
 
 def _cmd_blayer(args) -> int:
     m = _load_material(args.material)
     spec = _quad_spec()
-    sc = material.derive_scales(m)
-    v = 0.3 * sc.c2
-    if m.kappa > 0:
-        omega = 3.0 * sc.omega_cutoff
-        k = omega / v
-        branches = (1, 2, 3)
-    else:
-        k = 1.0
-        omega = v * k
-        branches = (1, 2)
-    eps_grid = _BLAYER_EPS_GRID if args.eps is None else (args.eps,)
+    eps_grid = asymptotic.SLOPE_EPS_GRID if args.eps is None else (args.eps,)
     if any(not e > 0 for e in eps_grid):
         raise _UsageError("--eps must be positive")
-    entries = []
-    series: dict[str, list[float]] = {}
-    for i in branches:
-        for eta in _BLAYER_ETA_GRID:
-            for eps in eps_grid:
-                mp = wavefield.ModeParams(k=k, omega=omega, v=v, eps=eps)
-                de = wavefield.decay_exponents(m, mp)
-                closed = wavefield.blayer_integral_closed(i, de, eps, eta)
-                quad = wavefield.blayer_integral_quadrature(i, de, eps, eta,
-                                                            spec)
-                deviation = abs(quad - closed) / abs(closed)
-                entries.append({
-                    "i": i, "eta": eta, "eps": eps,
-                    "closed": _cpair(closed),
-                    "quadrature": _cpair(quad),
-                    "deviation": deviation,
-                })
-                series.setdefault(f"i={i},eta={eta!r}", []).append(deviation)
-    slopes = None
-    if len(eps_grid) >= 2:
-        log_eps = np.log(np.asarray(eps_grid))
-        slopes = {key: float(np.polyfit(log_eps, np.log(devs), 1)[0])
-                  for key, devs in series.items()}
-    payload = {
-        "rel_tol": spec.rel_tol,
-        "state": {"v": v, "omega": omega, "k": k},
-        "entries": entries,
-        "slopes": slopes,
-    }
+    payload = asymptotic.blayer_convergence(m, eps_grid, spec)
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return _EXIT_OK
 
@@ -295,20 +250,9 @@ def _cmd_kernel_check(args) -> int:
 
     n = 96
     h = 0.5 * a
-    xs = h * np.arange(n)
-    grid_x, grid_z = np.meshgrid(xs, xs)
-    center = xs[n // 2]
     width = 5.0 * a
-    gauss = np.exp(-(((grid_x - center) ** 2 + (grid_z - center) ** 2)
-                     / width ** 2)).astype(complex)
-    field = kernel.ScalarField2D(nx=n, nz=n, dx=h, dz=h, x0=0.0, values=gauss)
-    convolved = kernel.convolve_halfplane(field, a, spec)
-    smoothed = kernel.apply_helmholtz(convolved, a)
-    margin = int(math.ceil(12.0 * a / h))
-    lo, hi = margin, n - 1 - margin
-    err = np.max(np.abs(smoothed.values[lo - 1:hi, lo - 1:hi]
-                        - gauss[lo:hi + 1, lo:hi + 1]))
-    rel = float(err / np.max(np.abs(gauss)))
+    convolved, _, rel = kernel.roundtrip_error(
+        kernel.gaussian_field(n, h, width), a)
     payload = {
         "rel_tol": spec.rel_tol,
         "kernel_mass": mass,
@@ -339,21 +283,16 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_BAD_INPUT
-    except material.InvalidMaterialError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_BAD_INPUT
-    except dispersion.CutoffError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INFEASIBLE
-    except dispersion.NoSurfaceModeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INFEASIBLE
+    except (dispersion.CutoffError, dispersion.NoSurfaceModeError) as exc:
+        code, message = _EXIT_INFEASIBLE, str(exc)
     except specfun.ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NO_CONVERGENCE
+        code, message = _EXIT_NO_CONVERGENCE, str(exc)
+    except (_UsageError, ValueError) as exc:
+        # ValueError covers InvalidMaterialError and any input the library
+        # rejects after parsing; CutoffError, also one, is caught above
+        code, message = _EXIT_BAD_INPUT, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .material import MaterialParams, derive_scales, material_fingerprint
-from .wavefield import Amplitudes, DecayExponents, ModeParams, decay_exponents
+from .wavefield import (Amplitudes, DecayExponents, ModeParams, _branch_sqrt,
+                        decay_exponents, leading_exponents)
 
 __all__ = [
     "CutoffError",
@@ -43,8 +44,8 @@ __all__ = [
 ]
 
 _BRACKET_LO = 0.01     # of c2; excludes the trivial double root at v = 0
-_BRACKET_HI = 0.9999   # of c2; secular -> -d^2 < 0 at c2, so a sign change
-_SCAN_POINTS = 512     # is guaranteed whenever a surface mode exists
+BRACKET_HI = 0.9999    # of c2; top of the uniform scan grid
+_SCAN_POINTS = 512
 
 
 class CutoffError(ValueError):
@@ -107,55 +108,58 @@ def secular_leading(m: MaterialParams, v: float) -> float:
         return (1.0 + d) ** 2 * r10 * r20 - (r20_sq + d) ** 2
     warnings.warn("evaluating the secular function in the leaky regime "
                   f"(v = {v!r} >= c2)", LeakyRegimeWarning, stacklevel=2)
-    r10 = complex(r10_sq) ** 0.5
-    r20 = complex(r20_sq) ** 0.5
-    value = (1.0 + d) ** 2 * r10 * r20 - (complex(r20_sq) + d) ** 2
+    r10, r20 = leading_exponents(m, v)
+    value = (1.0 + d) ** 2 * r10 * r20 - (r20_sq + d) ** 2
     return value.real
 
 
+def bisect(f, a: float, b: float, fa: float, width: float) -> float:
+    """Midpoint of a sign-change bracket [a, b] of f (fa = f(a)) halved
+    until it is at most width wide; an exact zero of f ends the search."""
+    while b - a > width:
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if fa * fm < 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
 def solve_rayleigh(m: MaterialParams, tol: float = 1e-10) -> DispersionPoint:
-    """Bisect the elastic-mode root of `secular_leading` in (0.01, 0.9999) c2.
+    """Bisect the elastic-mode root of `secular_leading` in (0.01, 1) c2.
 
     The secular function is positive just above the trivial v = 0 double
     root (its leading term is +v^2 (1+d)[2/c2^2 - (1+d)(1/(2 c1^2)
     + 1/(2 c2^2))] > 0 because c1 > c2 and d <= 1) and equals -d^2 < 0 at
-    c2, so a sign change exists whenever the mode does.  With several sign
-    changes the largest-velocity bracket (the physical Rayleigh branch) is
-    taken.  The leading-order mode is non-dispersive: omega and k of the
-    returned point are NaN metadata, exponents are attached by `sweep`.
+    c2, so a sign change below c2 always exists.  The scan grid ends at c2
+    itself: for kappa/mu above about 7.6 the root lies above 0.9999 c2.
+    With several sign changes the largest-velocity bracket (the physical
+    Rayleigh branch) is taken.  The leading-order mode is non-dispersive:
+    omega and k of the returned point are NaN metadata, exponents are
+    attached by `sweep`.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     sc = derive_scales(m)
     lo = _BRACKET_LO * sc.c2
-    hi = _BRACKET_HI * sc.c2
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = [secular_leading(m, float(v)) for v in grid]
-    bracket = None
-    for i in range(_SCAN_POINTS - 2, -1, -1):
+    grid = [float(v) for v in np.linspace(lo, BRACKET_HI * sc.c2, _SCAN_POINTS)]
+    grid.append(sc.c2)
+    vals = [secular_leading(m, v) for v in grid]
+    for i in range(len(grid) - 2, -1, -1):
         if vals[i] == 0.0:
-            bracket = (grid[i], grid[i])
+            v = grid[i]
             break
         if vals[i] * vals[i + 1] < 0.0:
-            bracket = (grid[i], grid[i + 1])
+            v = bisect(lambda u: secular_leading(m, u), grid[i], grid[i + 1],
+                       vals[i], tol * sc.c2)
             break
-    if bracket is None:
+    else:
         raise NoSurfaceModeError(
             "no sign change of the secular function in "
-            f"({lo!r}, {hi!r}); no elastic surface mode for this material")
-    a, b = float(bracket[0]), float(bracket[1])
-    fa = secular_leading(m, a)
-    while b - a > tol * sc.c2:
-        mid = 0.5 * (a + b)
-        fm = secular_leading(m, mid)
-        if fm == 0.0:
-            a = b = mid
-            break
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    v = 0.5 * (a + b)
+            f"({lo!r}, {sc.c2!r}); no elastic surface mode for this material")
     return DispersionPoint(
         omega=math.nan, k=math.nan, v=v, mode_tag="elastic", exponents=None,
         secular_residual=abs(secular_leading(m, v)),
@@ -173,17 +177,6 @@ def micropolar_velocity(m: MaterialParams, omega: float) -> float:
     return sc.c4 / math.sqrt(1.0 - (sc.omega_cutoff / omega) ** 2)
 
 
-def _leading_exponents(m: MaterialParams, v: float) -> tuple[complex, complex]:
-    sc = derive_scales(m)
-    r10 = complex(1.0 - (v / sc.c1) ** 2) ** 0.5
-    r20 = complex(1.0 - (v / sc.c2) ** 2) ** 0.5
-    if r10.real < 0:
-        r10 = -r10
-    if r20.real < 0:
-        r20 = -r20
-    return r10, r20
-
-
 def amplitude_ratios(m: MaterialParams, point: DispersionPoint,
                      eps: float) -> Amplitudes:
     """Potential amplitudes of a solved point, normalized to Q = 1.
@@ -198,7 +191,7 @@ def amplitude_ratios(m: MaterialParams, point: DispersionPoint,
     """
     sc = derive_scales(m)
     d = sc.d
-    r10, r20 = _leading_exponents(m, point.v)
+    r10, r20 = leading_exponents(m, point.v)
     corr = eps - eps * eps * r20
     if point.mode_tag == "elastic":
         if r10 == 0:
@@ -210,9 +203,7 @@ def amplitude_ratios(m: MaterialParams, point: DispersionPoint,
         if not math.isfinite(point.omega):
             raise ValueError("micropolar amplitudes need the point frequency")
         micro = 1.0 - (sc.omega_cutoff / point.omega) ** 2
-        r30 = complex(1.0 - (point.v / sc.c4) ** 2 * micro) ** 0.5
-        if r30.real < 0:
-            r30 = -r30
+        r30 = _branch_sqrt(1.0 - (point.v / sc.c4) ** 2 * micro)
         p = (1j * (1.0 + d) * r20 * (1.0 + (r10 - r20) * corr)
              / (r20 * r20 + d))
         r_amp = (((r20 * r20 + d) ** 2 - (1.0 + d) ** 2 * r10 * r20)

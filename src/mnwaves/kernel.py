@@ -36,6 +36,8 @@ __all__ = [
     "kernel_weight",
     "convolve_halfplane",
     "apply_helmholtz",
+    "gaussian_field",
+    "roundtrip_error",
     "approx_trace_integral",
     "boundary_operator",
     "field_to_csv",
@@ -194,16 +196,14 @@ def _kernel_stencil(dx: float, dz: float, a: float) -> np.ndarray:
     return weights
 
 
-def convolve_halfplane(f: ScalarField2D, a_nl: float,
-                       spec: QuadratureSpec = DEFAULT_QUAD_SPEC) -> ScalarField2D:
+def convolve_halfplane(f: ScalarField2D, a_nl: float) -> ScalarField2D:
     """Non-local image of f: discrete convolution with the kernel, truncated
     at 12 a, with the region z' < 0 excluded (half-space domain).
 
     f must decay toward the grid edges (boundary ring below 1e-6 of the
     peak); when the truncation disk cannot fit inside the grid an edge-effect
     warning is attached to the output metadata.  The cell weights come from
-    fixed-order rules whose error sits well below the default tolerances, so
-    spec is accepted for interface symmetry but not consulted.
+    fixed-order rules, not from an adaptive quadrature.
     """
     if not a_nl > 0:
         raise ValueError("a_nl must be positive")
@@ -251,6 +251,34 @@ def apply_helmholtz(f: ScalarField2D, a_nl: float) -> ScalarField2D:
         x0=f.x0 + f.dx, z0=f.z0 + f.dz,
         values=out, warnings=f.warnings,
     )
+
+
+def gaussian_field(n: int, h: float, width: float) -> ScalarField2D:
+    """Gaussian bump exp(-r^2 / width^2) centered on an n x n grid of spacing h."""
+    xs = h * np.arange(n)
+    grid_x, grid_z = np.meshgrid(xs, xs)
+    center = xs[n // 2]
+    values = np.exp(-(((grid_x - center) ** 2 + (grid_z - center) ** 2)
+                      / width ** 2)).astype(complex)
+    return ScalarField2D(nx=n, nz=n, dx=h, dz=h, x0=0.0, values=values)
+
+
+def roundtrip_error(f: ScalarField2D,
+                    a_nl: float) -> tuple[ScalarField2D, int, float]:
+    """(convolved f, margin, error): the error is max |apply_helmholtz(
+    convolved f) - f| / max |f| over the nodes at least margin = ceil(12 a/h)
+    from every edge, beyond the reach of the truncated kernel."""
+    if f.dx != f.dz:
+        raise ValueError("the roundtrip check needs dx == dz")
+    convolved = convolve_halfplane(f, a_nl)
+    smoothed = apply_helmholtz(convolved, a_nl)
+    margin = int(math.ceil(TRUNCATION_RADII * a_nl / f.dx))
+    # apply_helmholtz drops one node on each side, shifting indices by one
+    inner = smoothed.values[margin - 1:f.nz - 1 - margin,
+                            margin - 1:f.nx - 1 - margin]
+    err = np.max(np.abs(inner - f.values[margin:f.nz - margin,
+                                         margin:f.nx - margin]))
+    return convolved, margin, float(err / np.max(np.abs(f.values)))
 
 
 def approx_trace_integral(trace: SurfaceTrace, eps: float, eta: float,
@@ -326,5 +354,11 @@ def field_from_csv(text: str) -> ScalarField2D:
     values = np.array(vals).reshape(nz, nx)
     dx = xs[1] - xs[0] if nx > 1 else 1.0
     dz = zs[nx] - zs[0] if nz > 1 else 1.0
+    # every node must sit at (x0 + ix dx, z0 + iz dz), up to rounding
+    off_x = np.reshape(xs, (nz, nx)) - (xs[0] + dx * np.arange(nx))
+    off_z = np.reshape(zs, (nz, nx)) - (zs[0] + dz * np.arange(nz))[:, None]
+    if (np.max(np.abs(off_x)) > 1e-9 * abs(dx)
+            or np.max(np.abs(off_z)) > 1e-9 * abs(dz)):
+        raise ValueError("field CSV grid is not uniformly spaced")
     return ScalarField2D(nx=nx, nz=nz, dx=dx, dz=dz, x0=xs[0], z0=zs[0],
                          values=values)

@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 
@@ -47,6 +48,23 @@ class MaterialParams:
     rho: float          # kg/m^3
     j_inertia: float    # m^2
     a_nl: float         # m, non-locality length
+
+    @cached_property
+    def _scales(self) -> DerivedScales:
+        # per instance, not per value: kappa = 0.0 and -0.0 compare equal but
+        # give c3 = 0.0 and -0.0; an invalid material raises, caching nothing
+        outcome = validate(self)
+        if not outcome.ok:
+            raise InvalidMaterialError("invalid material: "
+                                       + "; ".join(outcome.violations))
+        return DerivedScales(
+            c1=math.sqrt((self.lambda_lame + 2.0 * self.mu + self.kappa) / self.rho),
+            c2=math.sqrt((self.mu + self.kappa) / self.rho),
+            c3=math.sqrt(self.kappa / self.rho),
+            c4=math.sqrt(self.gamma_mp / (self.rho * self.j_inertia)),
+            d=self.mu / (self.mu + self.kappa),
+            omega_cutoff=math.sqrt(2.0 * self.kappa / (self.rho * self.j_inertia)),
+        )
 
 
 @dataclass(frozen=True)
@@ -116,18 +134,9 @@ def validate(m: MaterialParams) -> ValidationOutcome:
 
 
 def derive_scales(m: MaterialParams) -> DerivedScales:
-    """Wave speeds, stress ratio d and cutoff frequency."""
-    outcome = validate(m)
-    if not outcome.ok:
-        raise InvalidMaterialError("invalid material: " + "; ".join(outcome.violations))
-    return DerivedScales(
-        c1=math.sqrt((m.lambda_lame + 2.0 * m.mu + m.kappa) / m.rho),
-        c2=math.sqrt((m.mu + m.kappa) / m.rho),
-        c3=math.sqrt(m.kappa / m.rho),
-        c4=math.sqrt(m.gamma_mp / (m.rho * m.j_inertia)),
-        d=m.mu / (m.mu + m.kappa),
-        omega_cutoff=math.sqrt(2.0 * m.kappa / (m.rho * m.j_inertia)),
-    )
+    """Wave speeds, stress ratio d and cutoff frequency, validated and
+    derived once per material instance."""
+    return m._scales
 
 
 def dimensionless_params(m: MaterialParams, k: float) -> Dimensionless:

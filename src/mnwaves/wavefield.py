@@ -46,6 +46,7 @@ __all__ = [
     "ShearRoot",
     "ShearRoots",
     "make_mode_params",
+    "leading_exponents",
     "decay_exponents",
     "exact_shear_exponents",
     "shear_balance_s",
@@ -157,6 +158,13 @@ def _branch_sqrt(z: complex) -> complex:
     return w
 
 
+def leading_exponents(m: MaterialParams, v: float) -> tuple[complex, complex]:
+    """Leading-order (eps = 0) exponents r10, r20 at phase velocity v."""
+    sc = derive_scales(m)
+    return (_branch_sqrt(1.0 - (v / sc.c1) ** 2),
+            _branch_sqrt(1.0 - (v / sc.c2) ** 2))
+
+
 def decay_exponents(m: MaterialParams, mp: ModeParams) -> DecayExponents:
     """Depth-attenuation exponents of the three branches, plus coupling s."""
     sc = derive_scales(m)
@@ -169,8 +177,7 @@ def decay_exponents(m: MaterialParams, mp: ModeParams) -> DecayExponents:
         raise ValueError("degenerate state: c_i^2 - eps^2 v^2 vanishes")
     r1 = _branch_sqrt(1.0 - v2 / d1)
     r2 = _branch_sqrt(1.0 - v2 / d2)
-    r10 = _branch_sqrt(1.0 - v2 / sc.c1 ** 2)
-    r20 = _branch_sqrt(1.0 - v2 / sc.c2 ** 2)
+    r10, r20 = leading_exponents(m, mp.v)
     if m.kappa == 0.0:
         return DecayExponents(r1=r1, r2=r2, r10=r10, r20=r20, decoupled=True)
     micro = 1.0 - 2.0 * sc.c3 ** 2 / (m.j_inertia * mp.omega ** 2)
@@ -507,48 +514,29 @@ def nonlocal_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
                       eps: float) -> StressState:
     """Non-local stresses of the mode: the explicit k^2 [...] I_i structure.
 
-    Identical branch coefficients to the local stresses, with each branch's
+    The branch coefficients of `stress_branch_coeffs`, with each branch's
     depth decay e^{-k r_i z} replaced by the boundary-layer integral
-    I_i(k z); the couple stresses carry k^3 gamma.  As eps -> 0 the I_i
-    collapse to the bare exponentials and tau -> sigma pointwise for z > 0.
+    I_i(k z): tau = k^2 (mu+kappa) sum_b coeff_b A_b I_b e^{ikx}, and
+    k (mu+kappa) in place of k^2 (mu+kappa) for the couple stresses M.  As
+    eps -> 0 the I_i collapse to the bare exponentials and tau -> sigma
+    pointwise for z > 0.
     """
     if z < 0:
         raise ValueError("the half-space is z >= 0")
     k = mp.k
-    eta = k * z
     carrier = cmath.exp(1j * k * x)
-    lam, mu, kap, gam = m.lambda_lame, m.mu, m.kappa, m.gamma_mp
-    big = lam + 2.0 * mu + kap
-    k2 = k * k
+    weights = [a * blayer_integral_closed(i, de, eps, k * z) * carrier
+               for i, (a, _, _) in enumerate(_branches(amp, de), start=1)]
+    rows = stress_branch_coeffs(m, de, k)
+    mk = m.mu + m.kappa
 
-    i1 = blayer_closed_form(de.r1, de.r10, eps, eta)
-    i2 = blayer_closed_form(de.r2, de.r20, eps, eta)
-    p1 = amp.P * i1 * carrier
-    q2 = amp.Q * i2 * carrier
-    r1, r2 = de.r1, de.r2
-
-    tau11 = k2 * (-(big - lam * r1 * r1) * p1 + 1j * r2 * (2 * mu + kap) * q2)
-    tau13 = k2 * (-1j * r1 * (2 * mu + kap) * p1 - (mu + kap + mu * r2 * r2) * q2)
-    tau31 = k2 * (-1j * r1 * (2 * mu + kap) * p1 - (mu + (mu + kap) * r2 * r2) * q2)
-    tau33 = k2 * ((big * r1 * r1 - lam) * p1 - 1j * r2 * (2 * mu + kap) * q2)
-    m12 = 0j
-    m32 = 0j
-    if not de.decoupled:
-        i3 = blayer_closed_form(de.r3, de.r30, eps, eta)
-        r3c = amp.R * i3 * carrier
-        r3, s = de.r3, de.s
-        tau11 += k2 * 1j * r3 * (2 * mu + kap) * r3c
-        tau13 += k2 * (s * kap - (mu + kap) - mu * r3 * r3) * r3c
-        tau31 += k2 * (-(s * kap + mu + (mu + kap) * r3 * r3)) * r3c
-        tau33 += k2 * (-1j * r3 * (2 * mu + kap)) * r3c
-        m12 = 1j * s * k ** 3 * gam * r3c
-        m32 = -s * k ** 3 * gam * de.r3 * r3c
-    elif amp.R != 0:
-        raise ValueError("R must vanish in the decoupled (kappa = 0) limit")
+    def stress(comp: str, scale: float) -> complex:
+        return scale * sum(c * w for c, w in zip(rows[comp], weights))
 
     kin = local_stresses(amp, de, mp, m, x, z)
     return StressState(
         u1=kin.u1, u3=kin.u3, phi2=kin.phi2,
-        tau11=tau11, tau13=tau13, tau31=tau31, tau33=tau33,
-        m12=m12, m32=m32,
+        tau11=stress("sigma11", k * k * mk), tau13=stress("sigma13", k * k * mk),
+        tau31=stress("sigma31", k * k * mk), tau33=stress("sigma33", k * k * mk),
+        m12=stress("pi12", k * mk), m32=stress("pi32", k * mk),
     )

@@ -1,10 +1,9 @@
-import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mnwaves.kernel import ScalarField2D, apply_helmholtz, convolve_halfplane
+from mnwaves.kernel import gaussian_field, roundtrip_error
 from mnwaves.material import MaterialParams
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -61,16 +60,6 @@ def sample_material_path() -> Path:
     return DATA_DIR / "sample_material.json"
 
 
-def make_gaussian_field(n: int, h: float, width: float) -> ScalarField2D:
-    """Gaussian bump centered on an n x n grid of spacing h."""
-    xs = h * np.arange(n)
-    grid_x, grid_z = np.meshgrid(xs, xs)
-    center = xs[n // 2]
-    values = np.exp(-(((grid_x - center) ** 2 + (grid_z - center) ** 2)
-                      / width ** 2)).astype(complex)
-    return ScalarField2D(nx=n, nz=n, dx=h, dz=h, x0=0.0, values=values)
-
-
 @pytest.fixture(scope="session")
 def roundtrip_result():
     """apply_helmholtz(convolve(f)) vs f for an interior Gaussian.
@@ -81,20 +70,8 @@ def roundtrip_result():
     1e-3 target; the Gaussian support stays more than 12 a from every edge.
     """
     a = 0.05
-    h = a / 4.0
-    n = 192
-    width = 0.3
-    field = make_gaussian_field(n, h, width)
-    convolved = convolve_halfplane(field, a)
-    smoothed = apply_helmholtz(convolved, a)
-    margin = int(math.ceil(12.0 * a / h))
-    lo, hi = margin, n - 1 - margin
-    inner_smoothed = smoothed.values[lo - 1:hi, lo - 1:hi]
-    inner_f = field.values[lo:hi + 1, lo:hi + 1]
-    err = float(np.max(np.abs(inner_smoothed - inner_f))
-                / np.max(np.abs(field.values)))
-    return {"a": a, "field": field, "convolved": convolved, "error": err,
-            "width": width, "margin_nodes": margin}
+    _, margin, err = roundtrip_error(gaussian_field(192, a / 4.0, 0.3), a)
+    return {"error": err, "margin_nodes": margin}
 
 
 def fit_slope(eps_values, deviations) -> float:

@@ -18,9 +18,11 @@ from conftest import DATA_DIR, GOLDEN_DIR, fit_slope
 from test_dispersion import classical_rayleigh_oracle
 
 from mnwaves.asymptotic import (
+    SLOPE_EPS_GRID,
     bc_residual_order,
     bc_residual_refined,
     bc_slope_study,
+    blayer_convergence,
     equivalence_residual_elastic,
     equivalence_residual_micropolar,
 )
@@ -34,13 +36,11 @@ from mnwaves.dispersion import (
 )
 from mnwaves.kernel import SurfaceTrace, approx_trace_integral, boundary_operator, kernel_weight
 from mnwaves.material import derive_scales
-from mnwaves.specfun import integrate_2d_polar
+from mnwaves.specfun import DEFAULT_QUAD_SPEC, integrate_2d_polar
 from mnwaves.wavefield import (
     Amplitudes,
     ModeParams,
     ModeSolution,
-    blayer_integral_closed,
-    blayer_integral_quadrature,
     decay_exponents,
     exact_shear_exponents,
     make_mode_params,
@@ -94,22 +94,8 @@ def test_c03_greens_function_roundtrip(roundtrip_result):
 
 
 def test_c04_boundary_layer_convergence(sample_material):
-    sc = derive_scales(sample_material)
-    v = 0.3 * sc.c2
-    omega = 3.0 * sc.omega_cutoff
-    k = omega / v
-    eps_values = (0.2, 0.1, 0.05)
-    slopes = {}
-    for i in (1, 2, 3):
-        for eta in (0.0, 0.5, 2.0):
-            devs = []
-            for eps in eps_values:
-                mp = ModeParams(k=k, omega=omega, v=v, eps=eps)
-                de = decay_exponents(sample_material, mp)
-                closed = blayer_integral_closed(i, de, eps, eta)
-                quad = blayer_integral_quadrature(i, de, eps, eta)
-                devs.append(abs(quad - closed) / abs(closed))
-            slopes[f"i={i},eta={eta}"] = fit_slope(eps_values, devs)
+    slopes = blayer_convergence(sample_material, SLOPE_EPS_GRID,
+                                DEFAULT_QUAD_SPEC)["slopes"]
     passed = all(s >= 2.0 for s in slopes.values())
     record("C4 boundary-layer integral convergence (slope >= 2 per branch "
            "and depth)", passed, {"slopes": slopes})
@@ -143,7 +129,7 @@ def test_c06_failure_of_equivalence(sample_material, seed):
     point = DispersionPoint(omega=root.v, k=1.0, v=root.v, mode_tag="elastic",
                             exponents=None, secular_residual=0.0,
                             admissible=True)
-    coeff = equivalence_residual_elastic(m, point, 0.1)
+    coeff = equivalence_residual_elastic(m, point)
     r10 = math.sqrt(1.0 - (root.v / sc.c1) ** 2)
     bracket = abs(coeff * 2.0 * (1.0 + sc.d) ** 2 * r10)
 

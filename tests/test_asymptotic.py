@@ -60,7 +60,7 @@ class TestEquivalenceElastic:
         point = DispersionPoint(omega=1.0, k=1.0, v=0.0, mode_tag="elastic",
                                 exponents=None, secular_residual=0.0,
                                 admissible=False)
-        assert abs(equivalence_residual_elastic(sample_material, point, 0.1)) \
+        assert abs(equivalence_residual_elastic(sample_material, point)) \
             < 1e-12
 
     def test_nonzero_bracket_at_the_root(self, sample_material):
@@ -69,7 +69,7 @@ class TestEquivalenceElastic:
         sc = derive_scales(m)
         root = solve_rayleigh(m)
         point = _point_at(m, root.v, 1.0)
-        coeff = equivalence_residual_elastic(m, point, 0.1)
+        coeff = equivalence_residual_elastic(m, point)
         r10 = math.sqrt(1.0 - (root.v / sc.c1) ** 2)
         bracket = coeff * 2.0 * (1.0 + sc.d) ** 2 * r10  # k = 1
         assert abs(bracket) > 1e-3
@@ -78,14 +78,14 @@ class TestEquivalenceElastic:
     def test_cubic_wavenumber_scaling(self, sample_material, k):
         m = sample_material
         root = solve_rayleigh(m)
-        base = equivalence_residual_elastic(m, _point_at(m, root.v, 1.0), 0.1)
-        scaled = equivalence_residual_elastic(m, _point_at(m, root.v, k), 0.1)
+        base = equivalence_residual_elastic(m, _point_at(m, root.v, 1.0))
+        scaled = equivalence_residual_elastic(m, _point_at(m, root.v, k))
         assert scaled == pytest.approx(k ** 3 * base, rel=1e-12)
 
     def test_needs_wavenumber(self, sample_material):
         bare = solve_rayleigh(sample_material)  # k is NaN metadata
         with pytest.raises(ValueError):
-            equivalence_residual_elastic(sample_material, bare, 0.1)
+            equivalence_residual_elastic(sample_material, bare)
 
 
 class TestEquivalenceMicropolar:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import DATA_DIR, GOLDEN_DIR
 from mnwaves import cli
 from mnwaves.material import derive_scales, load_material
@@ -216,6 +218,28 @@ class TestKernelCheckCommand:
 class TestArgumentHandling:
     def test_unknown_command(self, capsys):
         assert run_cli(["frobnicate"], capsys)[0] == 1
+
+    @pytest.mark.parametrize("args", [
+        ["dispersion", "--omega-min", "1e5", "--omega-max", "1e6", "--num", "1"],
+        ["dispersion", "--omega-min", "1e5", "--omega-max", "inf"],
+        ["residuals", "--eps", "inf"],
+        ["blayer", "--eps", "inf"],
+    ], ids=["dispersion-num-1", "dispersion-omega-inf", "residuals-eps-inf",
+            "blayer-eps-inf"])
+    def test_bad_numbers_are_bad_input(self, args, capsys):
+        code, out, err = run_cli([*args, "--material", SAMPLE], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_library_value_error_is_bad_input(self, capsys, monkeypatch):
+        def reject(*args):
+            raise ValueError("rejected by the library")
+
+        monkeypatch.setattr(cli.asymptotic, "residual_report_json", reject)
+        code, _, err = run_cli(["residuals", "--material", SAMPLE], capsys)
+        assert code == 1
+        assert err == "error: rejected by the library\n"
 
     def test_missing_material_flag(self, capsys):
         assert run_cli(["speeds"], capsys)[0] == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mnwaves.asymptotic import bc_slope_study
 from mnwaves.dispersion import (
     CutoffError,
     LeakyRegimeWarning,
@@ -98,6 +99,29 @@ class TestSolveRayleigh:
     def test_bad_tolerance_rejected(self, sample_material):
         with pytest.raises(ValueError):
             solve_rayleigh(sample_material, tol=0.0)
+
+    def test_surface_mode_across_material_space(self, seed):
+        """Every valid material has its elastic root below c2.
+
+        The secular function is positive just above v = 0 and equals -d^2 at
+        c2, so a root always exists; from kappa/mu ~ 7.6 it lies above
+        0.9999 c2 (the fixed kappa/mu = 16 draw guarantees one such case).
+        Bisection to 1e-10 c2 leaves |secular| <= ~2e-10 / r20, and r20 at
+        the root stays above ~1e-3 on this range: 1e-6 bounds it.
+        """
+        rng = np.random.default_rng(seed)
+        log_kappa = rng.uniform(-4.0, math.log10(30.0), 40)
+        ratios = [(1.0, 16.0)] + list(zip(rng.uniform(-0.95, 20.0, 40),
+                                          10.0 ** log_kappa))
+        for lam_mu, kappa_mu in ratios:
+            m = MaterialParams(lambda_lame=float(lam_mu) * 1e9, mu=1e9,
+                               kappa=float(kappa_mu) * 1e9, alpha_mp=1.0,
+                               beta_mp=1.0, gamma_mp=100.0, rho=1000.0,
+                               j_inertia=1e-6, a_nl=1e-4)
+            point = solve_rayleigh(m)
+            assert 0.0 < point.v < derive_scales(m).c2, (lam_mu, kappa_mu)
+            assert abs(secular_leading(m, point.v)) < 1e-6, (lam_mu, kappa_mu)
+            bc_slope_study(m, 2000.0)
 
 
 class TestMicropolarVelocity:

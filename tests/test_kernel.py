@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fit_slope, make_gaussian_field
+from conftest import fit_slope
 from mnwaves.kernel import (
     ScalarField2D,
     SurfaceTrace,
@@ -13,6 +13,7 @@ from mnwaves.kernel import (
     convolve_halfplane,
     field_from_csv,
     field_to_csv,
+    gaussian_field,
     kernel_weight,
 )
 from mnwaves.specfun import integrate_2d_polar
@@ -68,6 +69,17 @@ class TestScalarField2D:
         # re-emission is byte identical
         assert field_to_csv(g) == field_to_csv(f)
 
+    @pytest.mark.parametrize("axis", ["x", "z", "both"])
+    def test_csv_nonuniform_grid_rejected(self, axis):
+        # the first two nodes alone would give dx = dz = 1.0
+        uneven, even = (0.0, 1.0, 2.5, 3.0), (0.0, 1.0, 2.0, 3.0)
+        xs = uneven if axis in ("x", "both") else even
+        zs = uneven if axis in ("z", "both") else even
+        text = "x,z,re,im\n" + "".join(f"{x!r},{z!r},1.0,0.0\n"
+                                       for z in zs for x in xs)
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            field_from_csv(text)
+
 
 class TestConvolveHalfplane:
     def test_zero_field_maps_to_zero(self):
@@ -79,7 +91,7 @@ class TestConvolveHalfplane:
     def test_gaussian_deviation_second_order_in_a(self):
         a = 0.05
         width = 0.3
-        f = make_gaussian_field(96, a / 2.0, width)
+        f = gaussian_field(96, a / 2.0, width)
         out = convolve_halfplane(f, a)
         margin = int(math.ceil(12.0 * a / f.dx))
         inner = slice(margin, f.nx - margin)
@@ -119,7 +131,7 @@ class TestConvolveHalfplane:
 
 class TestApplyHelmholtz:
     def test_zero_length_is_identity_on_interior(self):
-        f = make_gaussian_field(16, 0.1, 0.4)
+        f = gaussian_field(16, 0.1, 0.4)
         out = apply_helmholtz(f, 0.0)
         assert np.array_equal(out.values, f.values[1:-1, 1:-1])
         assert out.x0 == f.x0 + f.dx and out.z0 == f.z0 + f.dz
@@ -143,7 +155,7 @@ class TestApplyHelmholtz:
         h = 0.02
         n = 64
         width = 0.3
-        f = make_gaussian_field(n, h, width)
+        f = gaussian_field(n, h, width)
         xs = h * np.arange(n)
         grid_x, grid_z = np.meshgrid(xs, xs)
         center = xs[n // 2]

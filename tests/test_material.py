@@ -79,6 +79,35 @@ class TestDeriveScales:
         with pytest.raises(InvalidMaterialError):
             derive_scales(_mat(rho=-1.0))
 
+    def test_validated_once_per_instance(self, monkeypatch):
+        from mnwaves import material
+        calls = []
+
+        def counting_validate(m):
+            calls.append(m)
+            return validate(m)
+
+        monkeypatch.setattr(material, "validate", counting_validate)
+        m = _mat()
+        assert derive_scales(m) is derive_scales(m) is derive_scales(m)
+        assert len(calls) == 1
+        bad = _mat(rho=-1.0)
+        for _ in range(2):
+            with pytest.raises(InvalidMaterialError):
+                derive_scales(bad)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zero_kappa_keeps_its_own_c3(self, first):
+        # the two materials compare equal, so a value-keyed cache would
+        # hand the second one the first one's c3
+        a, b = _mat(kappa=first), _mat(kappa=-first)
+        assert a == b
+        for m in (a, b):
+            c3 = derive_scales(m).c3
+            assert c3 == 0.0
+            assert math.copysign(1.0, c3) == math.copysign(1.0, m.kappa)
+
     @pytest.mark.parametrize("t", [2.0, 10.0])
     def test_scale_covariance(self, t):
         # multiplying the force moduli and the density by t leaves the force
