@@ -39,6 +39,7 @@ from .wavefield import (
     Amplitudes,
     ModeParams,
     ModeSolution,
+    _branches,
     blayer_closed_form,
     blayer_closed_form_deta,
     blayer_integral_closed,
@@ -207,7 +208,7 @@ def _surface_values(sol: ModeSolution) -> dict[str, complex]:
     by |Q| separately).
     """
     rows = stress_branch_coeffs(sol.m, sol.de, sol.mp.k)
-    amps = (sol.amp.P, sol.amp.Q, sol.amp.R)
+    amps = [a for a, _, _ in _branches(sol.amp, sol.de)]
     return {comp: sum(c * a for c, a in zip(row, amps))
             for comp, row in rows.items()}
 
@@ -216,52 +217,57 @@ def bc_residual_order(sol: ModeSolution, order: int) -> tuple[complex, complex, 
     """Residuals of the classical (order 0) or first-order surface conditions.
 
     Order 0 is the classical traction triple (sigma31, sigma33, Pi32) at the
-    surface; order 1 replaces the first component by
-    sigma31 - 1/2 d_chi sigma11, the correction the boundary layer induces.
-    Values are dimensionless (force rows per k^2 (mu+kappa), couple row per
-    k (mu+kappa)) and homogeneous of degree one in the amplitudes.
+    surface; order 1, the conditions through O(a), replaces the first
+    component by sigma31 - (eps/2) d_chi sigma11 with eps = sol.mp.eps, the
+    correction the boundary layer induces.  Values are dimensionless (force
+    rows per k^2 (mu+kappa), couple row per k (mu+kappa)) and homogeneous of
+    degree one in the amplitudes.
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     vals = _surface_values(sol)
     first = vals["sigma31"]
     if order == 1:
-        first = first - 0.5 * (1j * vals["sigma11"])
+        first = _first_order_row(first, vals["sigma11"], sol.mp.eps)
     return (first, vals["sigma33"], vals["pi32"])
 
 
-def extra_bc_residual(sol: ModeSolution, eps: float) -> tuple[complex, complex]:
+def _first_order_row(sigma31: complex, sigma11: complex, eps: float) -> complex:
+    """sigma31 - (eps/2) d_chi sigma11 with d_chi -> i: the first surface
+    condition through O(a), shared by `bc_residual_order` and the solver of
+    `first_order_elastic_solution`."""
+    return sigma31 - 0.5 * eps * 1j * sigma11
+
+
+def extra_bc_residual(sol: ModeSolution) -> tuple[complex, complex]:
     """The operator [1 - a d_z - (a^3/2) d_x^2 d_z] on tau11 and M12 at z = 0.
 
     On the e^{ikx} carrier the operator collapses to
     f(0) - (eps - eps^3/2) f'(0) in the dimensionless depth eta = k z, with
-    f the boundary-layer-integral representation of each non-local stress.
-    Returned raw (dimensional); both components shrink with eps because the
-    integral representation is compatible with these two conditions.
+    eps = sol.mp.eps and f the boundary-layer-integral representation of
+    each non-local stress.  Returned raw (dimensional); both components
+    shrink with eps because the integral representation is compatible with
+    these two conditions.
     """
-    m, de, mp = sol.m, sol.de, sol.mp
-    rows = stress_branch_coeffs(m, de, mp.k)
+    m, mp, eps = sol.m, sol.mp, sol.mp.eps
+    rows = stress_branch_coeffs(m, sol.de, mp.k)
     norm_sigma = mp.k ** 2 * (m.mu + m.kappa)
     norm_pi = mp.k * (m.mu + m.kappa)
-    pairs = [(de.r1, de.r10), (de.r2, de.r20)]
-    if not de.decoupled:
-        pairs.append((de.r3, de.r30))
-    amps = (sol.amp.P, sol.amp.Q, sol.amp.R)
     coeff = eps - 0.5 * eps ** 3
 
     tau11 = 0j
     m12 = 0j
-    for b, (r, r0) in enumerate(pairs):
+    for c11, c12, (a, r, r0) in zip(rows["sigma11"], rows["pi12"],
+                                    _branches(sol.amp, sol.de)):
         i0 = blayer_closed_form(r, r0, eps, 0.0)
         i0p = blayer_closed_form_deta(r, r0, eps, 0.0)
         op = i0 - coeff * i0p
-        tau11 += rows["sigma11"][b] * amps[b] * op
-        m12 += rows["pi12"][b] * amps[b] * op
+        tau11 += c11 * a * op
+        m12 += c12 * a * op
     return (tau11 * norm_sigma, m12 * norm_pi)
 
 
-def bc_residual_refined(sol: ModeSolution, m: MaterialParams,
-                        eps: float) -> tuple[complex, complex, complex]:
+def bc_residual_refined(sol: ModeSolution) -> tuple[complex, complex, complex]:
     """Residuals of the refined traction-free surface conditions:
 
         sigma31 - (a/2) sigma11,x + a^2 (sigma31,xx + sigma31,zz
@@ -271,25 +277,21 @@ def bc_residual_refined(sol: ModeSolution, m: MaterialParams,
                                           + 1/2 Pi12,xz)           = 0
 
     evaluated analytically on the branch ansatz (d_chi -> i,
-    d_eta -> -r_b per branch), normalized like `bc_residual_order`.
-    At a_nl = 0 every correction vanishes and the triple equals the
-    classical one on the same evaluation path.
+    d_eta -> -r_b per branch) at eps = sol.mp.eps, normalized like
+    `bc_residual_order`.  At a_nl = 0 every correction vanishes and the
+    triple equals the classical one on the same evaluation path.
     """
-    rows = stress_branch_coeffs(m, sol.de, sol.mp.k)
-    amps = (sol.amp.P, sol.amp.Q, sol.amp.R)
-    rs = [sol.de.r1, sol.de.r2]
-    rs.append(0j if sol.de.decoupled else sol.de.r3)
+    eps = sol.mp.eps
+    rows = stress_branch_coeffs(sol.m, sol.de, sol.mp.k)
+    branches = _branches(sol.amp, sol.de)
     e2 = eps * eps
 
     def combo(main: str, shear_like: bool, companion: str) -> complex:
         total = 0j
-        for b in range(3):
-            a_b = amps[b]
+        for c_main, c_comp, (a_b, r, _) in zip(rows[main], rows[companion],
+                                               branches):
             if a_b == 0:
                 continue
-            r = rs[b]
-            c_main = rows[main][b]
-            c_comp = rows[companion][b]
             lap = c_main * (r * r - 1.0)
             if shear_like:
                 term = (c_main
@@ -307,13 +309,14 @@ def bc_residual_refined(sol: ModeSolution, m: MaterialParams,
     )
 
 
-def bc_residual_report(sol: ModeSolution, eps: float) -> BCResidualReport:
-    """All four surface-condition residual groups, normalized by |Q|."""
+def bc_residual_report(sol: ModeSolution) -> BCResidualReport:
+    """All four surface-condition residual groups at eps = sol.mp.eps,
+    normalized by |Q|."""
     m, mp = sol.m, sol.mp
     amp_norm = _amp_norm(sol.amp)
     norm_sigma = mp.k ** 2 * (m.mu + m.kappa) * amp_norm
     norm_pi = mp.k * (m.mu + m.kappa) * amp_norm
-    raw_extra = extra_bc_residual(sol, eps)
+    raw_extra = extra_bc_residual(sol)
 
     def scaled(triple):
         return tuple(z / amp_norm for z in triple)
@@ -321,7 +324,7 @@ def bc_residual_report(sol: ModeSolution, eps: float) -> BCResidualReport:
     return BCResidualReport(
         classical=scaled(bc_residual_order(sol, 0)),
         first_order=scaled(bc_residual_order(sol, 1)),
-        refined=scaled(bc_residual_refined(sol, m, eps)),
+        refined=scaled(bc_residual_refined(sol)),
         extra=(raw_extra[0] / norm_sigma, raw_extra[1] / norm_pi),
         normalization=norm_sigma,
     )
@@ -352,11 +355,13 @@ def first_order_elastic_solution(m: MaterialParams, k: float,
         return de0, rows, amp
 
     def residual(v: float) -> float:
+        # the sums of _surface_values on this step's table; building a
+        # ModeSolution for bc_residual_order would double the cost of a step
         _, rows, amp = assemble(v)
         amps = (amp.P, amp.Q, amp.R)
         s31 = sum(c * a for c, a in zip(rows["sigma31"], amps))
         s11 = sum(c * a for c, a in zip(rows["sigma11"], amps))
-        return (s31 - 0.5 * eps * 1j * s11).real
+        return _first_order_row(s31, s11, eps).real
 
     v0 = solve_rayleigh(m).v
     lo, hi = 0.8 * v0, min(1.1 * v0, BRACKET_HI * sc.c2)
@@ -387,7 +392,7 @@ def bc_slope_study(m: MaterialParams, k: float,
     for eps in eps_values:
         sol = first_order_elastic_solution(m, k, eps)
         classical = bc_residual_order(sol, 0)
-        refined = bc_residual_refined(sol, m, eps)
+        refined = bc_residual_refined(sol)
         classical_mags.append(max(abs(c) for c in classical))
         refined_mags.append(max(abs(c) for c in refined))
     log_eps = np.log(np.asarray(eps_values))
@@ -472,7 +477,7 @@ def residual_report_json(m: MaterialParams, k: float, eps: float,
                             admissible=de.admissible)
     amp = amplitude_ratios(m, point, eps)
     sol = ModeSolution(m=m, mp=mp, amp=amp, de=de)
-    report = bc_residual_report(sol, eps)
+    report = bc_residual_report(sol)
     pde = pde_residual(amp, de, mp, m)
 
     payload: dict = {

@@ -175,10 +175,6 @@ plot "{csv}" using 1:3 with linespoints title "v(omega)"
 
 def _cmd_dispersion(args) -> int:
     m = _load_material(args.material)
-    if not args.omega_min < args.omega_max:
-        raise _UsageError("--omega-min must be below --omega-max")
-    if args.num < 2:
-        raise _UsageError("--num must be at least 2")
     if args.emit_plot_script and args.out is None:
         raise _UsageError("--emit-plot-script needs --out to reference the CSV")
     if not args.tol > 0:
@@ -287,9 +283,11 @@ def run(argv: list[str]) -> int:
         code, message = _EXIT_INFEASIBLE, str(exc)
     except specfun.ConvergenceError as exc:
         code, message = _EXIT_NO_CONVERGENCE, str(exc)
-    except (_UsageError, ValueError) as exc:
+    except (_UsageError, ValueError, ArithmeticError) as exc:
         # ValueError covers InvalidMaterialError and any input the library
-        # rejects after parsing; CutoffError, also one, is caught above
+        # rejects after parsing (CutoffError, also one, is caught above);
+        # ArithmeticError covers finite inputs so extreme that the
+        # arithmetic overflows or divides by zero
         code, message = _EXIT_BAD_INPUT, str(exc)
     print(f"error: {message}", file=sys.stderr)
     return code

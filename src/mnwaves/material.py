@@ -130,6 +130,8 @@ def validate(m: MaterialParams) -> ValidationOutcome:
         violations.append("a >= 0")
     if not m.lambda_lame + 2.0 * m.mu + m.kappa > 0:
         violations.append("lambda + 2*mu + kappa > 0")
+    if not m.lambda_lame + m.mu > 0:  # c1 > c2, which derive_scales requires
+        violations.append("lambda + mu > 0")
     return ValidationOutcome(not violations, tuple(violations))
 
 

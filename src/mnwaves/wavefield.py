@@ -90,8 +90,8 @@ class DecayExponents:
     """Branch exponents (full and leading order) for one mode state.
 
     In the classical limit kappa = 0 the microrotation decouples and the
-    coupling amplitude s is undefined (0/0); such states carry
-    decoupled=True with r3 and s absent.
+    coupling amplitude s is undefined (0/0); such states have r3, r30 and s
+    absent.
     """
 
     r1: complex
@@ -101,7 +101,16 @@ class DecayExponents:
     r3: complex | None = None
     s: complex | None = None
     r30: complex | None = None
-    decoupled: bool = False
+
+    @property
+    def decoupled(self) -> bool:
+        return self.r3 is None
+
+    @property
+    def _pairs(self) -> tuple[tuple[complex, complex], ...]:
+        """(r, r0) of the active branches: P and Q, then R unless decoupled."""
+        pairs = ((self.r1, self.r10), (self.r2, self.r20))
+        return pairs if self.r3 is None else pairs + ((self.r3, self.r30),)
 
     @property
     def admissible(self) -> bool:
@@ -179,7 +188,7 @@ def decay_exponents(m: MaterialParams, mp: ModeParams) -> DecayExponents:
     r2 = _branch_sqrt(1.0 - v2 / d2)
     r10, r20 = leading_exponents(m, mp.v)
     if m.kappa == 0.0:
-        return DecayExponents(r1=r1, r2=r2, r10=r10, r20=r20, decoupled=True)
+        return DecayExponents(r1=r1, r2=r2, r10=r10, r20=r20)
     micro = 1.0 - 2.0 * sc.c3 ** 2 / (m.j_inertia * mp.omega ** 2)
     r3 = _branch_sqrt(1.0 - (v2 / d4) * micro)
     r30 = _branch_sqrt(1.0 - (v2 / sc.c4 ** 2) * micro)
@@ -257,15 +266,11 @@ def shear_balance_s(m: MaterialParams, mp: ModeParams) -> complex:
     return -(x3 * d2 + v2) / sc.c3 ** 2
 
 
-def _branches(amp: Amplitudes, de: DecayExponents):
-    """(amplitude, r, kind) triples for the active branches."""
-    out = [(amp.P, de.r1, "phi"), (amp.Q, de.r2, "psi")]
-    if de.decoupled:
-        if amp.R != 0:
-            raise ValueError("R must vanish in the decoupled (kappa = 0) limit")
-    else:
-        out.append((amp.R, de.r3, "psi"))
-    return out
+def _branches(amp: Amplitudes, de: DecayExponents) -> list[tuple]:
+    """(A, r, r0) of the active branches P (phi), Q (psi), R (psi, Phi2)."""
+    if de.decoupled and amp.R != 0:
+        raise ValueError("R must vanish in the decoupled (kappa = 0) limit")
+    return [(a, r, r0) for a, (r, r0) in zip((amp.P, amp.Q, amp.R), de._pairs)]
 
 
 def mode_fields(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
@@ -274,16 +279,10 @@ def mode_fields(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
     if z < 0:
         raise ValueError("the half-space is z >= 0")
     carrier = cmath.exp(1j * mp.k * x)
-    phi = amp.P * cmath.exp(-mp.k * de.r1 * z) * carrier
-    psi = amp.Q * cmath.exp(-mp.k * de.r2 * z) * carrier
-    phi2 = 0j
-    if not de.decoupled:
-        e3 = cmath.exp(-mp.k * de.r3 * z) * carrier
-        psi += amp.R * e3
-        phi2 = de.s * mp.k ** 2 * amp.R * e3
-    elif amp.R != 0:
-        raise ValueError("R must vanish in the decoupled (kappa = 0) limit")
-    return phi, psi, phi2
+    terms = [a * cmath.exp(-mp.k * r * z) * carrier
+             for a, r, _ in _branches(amp, de)]
+    phi2 = de.s * mp.k ** 2 * terms[2] if len(terms) == 3 else 0j
+    return terms[0], sum(terms[1:], 0j), phi2
 
 
 def local_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
@@ -307,10 +306,10 @@ def local_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
     u1 = u3 = u1x = u1z = u3x = u3z = 0j
     phi2 = phi2x = phi2z = 0j
 
-    for a, r, kind in _branches(amp, de):
+    for b, (a, r, _) in enumerate(_branches(amp, de)):
         depth = cmath.exp(-k * r * z)
         e = a * depth * carrier
-        if kind == "phi":
+        if b == 0:
             t_u1 = 1j * k * e          # d phi / dx
             t_u3 = -k * r * e          # d phi / dz
         else:
@@ -322,12 +321,10 @@ def local_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
         u3x += 1j * k * t_u3
         u1z += -k * r * t_u1
         u3z += -k * r * t_u3
-
-    if not de.decoupled:
-        e3 = amp.R * cmath.exp(-k * de.r3 * z) * carrier
-        phi2 = de.s * k ** 2 * e3
-        phi2x = 1j * k * phi2
-        phi2z = -k * de.r3 * phi2
+        if b == 2:
+            phi2 = de.s * k ** 2 * e
+            phi2x = 1j * k * phi2
+            phi2z = -k * r * phi2
 
     eps11 = u1x
     eps33 = u3z
@@ -346,47 +343,37 @@ def local_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
     )
 
 
+_STRESS_ROWS = ("sigma11", "sigma13", "sigma31", "sigma33", "pi12", "pi32")
+
+
 def stress_branch_coeffs(m: MaterialParams, de: DecayExponents,
-                         k: float) -> dict[str, tuple[complex, complex, complex]]:
+                         k: float) -> dict[str, tuple[complex, ...]]:
     """Per-branch surface coefficients of the dimensionless stresses.
 
     Entry [comp][b] is the coefficient of A_b e^{ikx - k r_b z} in
     sigma_comp / (k^2 (mu+kappa)) (force rows) or Pi_comp / (k (mu+kappa))
-    (couple rows).  Transcribed directly from the explicit stress block of
+    (couple rows), one column per active branch of `de` (two when
+    decoupled).  Transcribed directly from the explicit stress block of
     the ansatz, independently of the kinematic path in `local_stresses`.
     """
     lam, mu, kap = m.lambda_lame, m.mu, m.kappa
     mk = mu + kap
     d = mu / mk
-    r1, r2 = de.r1, de.r2
-    if de.decoupled:
-        r3, s = 0j, 0j
-        zero3 = True
-    else:
-        r3, s = de.r3, de.s
-        zero3 = False
+    dp = 1.0 + d
     big = lam + 2.0 * mu + kap
-
-    def col3(value: complex) -> complex:
-        return 0j if zero3 else value
-
-    gk2 = m.gamma_mp * k * k / mk
-    return {
-        "sigma11": (-(big - lam * r1 * r1) / mk,
-                    1j * r2 * (1.0 + d),
-                    col3(1j * r3 * (1.0 + d))),
-        "sigma13": (-1j * r1 * (1.0 + d),
-                    -(1.0 + d * r2 * r2),
-                    col3(s * (1.0 - d) - 1.0 - d * r3 * r3)),
-        "sigma31": (-1j * r1 * (1.0 + d),
-                    -(d + r2 * r2),
-                    col3(-(s * (1.0 - d) + d + r3 * r3))),
-        "sigma33": ((big * r1 * r1 - lam) / mk,
-                    -1j * r2 * (1.0 + d),
-                    col3(-1j * r3 * (1.0 + d))),
-        "pi12": (0j, 0j, col3(1j * s * gk2)),
-        "pi32": (0j, 0j, col3(-s * gk2 * r3)),
-    }
+    r1, r2 = de.r1, de.r2
+    # one column per branch, its entries in the order of _STRESS_ROWS
+    cols = [(-(big - lam * r1 * r1) / mk, -1j * r1 * dp, -1j * r1 * dp,
+             (big * r1 * r1 - lam) / mk, 0j, 0j),
+            (1j * r2 * dp, -(1.0 + d * r2 * r2), -(d + r2 * r2),
+             -1j * r2 * dp, 0j, 0j)]
+    if not de.decoupled:
+        r3, s = de.r3, de.s
+        gk2 = m.gamma_mp * k * k / mk
+        cols.append((1j * r3 * dp, s * (1.0 - d) - 1.0 - d * r3 * r3,
+                     -(s * (1.0 - d) + d + r3 * r3), -1j * r3 * dp,
+                     1j * s * gk2, -s * gk2 * r3))
+    return dict(zip(_STRESS_ROWS, zip(*cols)))
 
 
 def pde_residual(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
@@ -468,15 +455,11 @@ def blayer_quadrature_form(r: complex, eps: float, eta: float,
 
 
 def _pick_exponents(i: int, de: DecayExponents) -> tuple[complex, complex]:
-    if i == 1:
-        return de.r1, de.r10
-    if i == 2:
-        return de.r2, de.r20
-    if i == 3:
-        if de.decoupled:
-            raise ValueError("branch 3 is absent in the decoupled limit")
-        return de.r3, de.r30
-    raise ValueError("branch index must be 1, 2 or 3")
+    if i not in (1, 2, 3):
+        raise ValueError("branch index must be 1, 2 or 3")
+    if i > len(de._pairs):
+        raise ValueError("branch 3 is absent in the decoupled limit")
+    return de._pairs[i - 1]
 
 
 def blayer_integral_closed(i: int, de: DecayExponents, eps: float,
@@ -525,8 +508,8 @@ def nonlocal_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
         raise ValueError("the half-space is z >= 0")
     k = mp.k
     carrier = cmath.exp(1j * k * x)
-    weights = [a * blayer_integral_closed(i, de, eps, k * z) * carrier
-               for i, (a, _, _) in enumerate(_branches(amp, de), start=1)]
+    weights = [a * blayer_closed_form(r, r0, eps, k * z) * carrier
+               for a, r, r0 in _branches(amp, de)]
     rows = stress_branch_coeffs(m, de, k)
     mk = m.mu + m.kappa
 

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,14 @@ from mnwaves.material import MaterialParams
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env() -> dict[str, str]:
+    """This environment with src/ first on PYTHONPATH, so that a child
+    `python -m mnwaves.cli` runs this checkout without an install."""
+    paths = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 def pytest_addoption(parser):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, GOLDEN_DIR, fit_slope
+from conftest import DATA_DIR, GOLDEN_DIR, fit_slope, subprocess_env
 from test_dispersion import classical_rayleigh_oracle
 
 from mnwaves.asymptotic import (
@@ -196,7 +196,7 @@ def test_c08_refined_bc_reduction_and_hierarchy(sample_material,
     amp = amplitude_ratios(m, point, 0.0)
     sol = ModeSolution(m=m, mp=mp, amp=amp, de=de)
     classical = bc_residual_order(sol, 0)
-    refined = bc_residual_refined(sol, m, 0.0)
+    refined = bc_residual_refined(sol)
     reduction = all(a == b for a, b in zip(classical, refined))
 
     # hierarchy: slopes on the first-order-corrected solutions
@@ -262,7 +262,7 @@ def test_c10_cli_determinism():
     mismatches = []
     for golden_name, args in cases.items():
         proc = subprocess.run([sys.executable, "-m", "mnwaves.cli", *args],
-                              capture_output=True)
+                              capture_output=True, env=subprocess_env())
         golden = (GOLDEN_DIR / golden_name).read_bytes()
         if proc.returncode != 0 or proc.stdout != golden:
             mismatches.append(golden_name)

@@ -170,17 +170,25 @@ class TestBcResidualOrder:
         zero = ModeSolution(m=sol.m, mp=sol.mp,
                             amp=Amplitudes(0.0, 0.0, 0.0), de=sol.de)
         assert bc_residual_order(zero, 0) == (0, 0, 0)
-        assert bc_residual_refined(zero, sol.m, 0.1) == (0, 0, 0)
+        assert bc_residual_refined(zero) == (0, 0, 0)
 
     def test_order_one_shifts_by_half_chi_derivative(self, sample_material):
         sol = _printed_mode(sample_material, 2000.0, 0.1)
         zero_order = bc_residual_order(sol, 0)
         first_order = bc_residual_order(sol, 1)
         from mnwaves.asymptotic import _surface_values
-        shift = 0.5 * 1j * _surface_values(sol)["sigma11"]
+        shift = 0.5 * sol.mp.eps * 1j * _surface_values(sol)["sigma11"]
         assert first_order[0] == zero_order[0] - shift
         assert first_order[1] == zero_order[1]
         assert first_order[2] == zero_order[2]
+
+    def test_decoupled_limit_rejects_rotation(self, poisson_material):
+        sol = _printed_mode(poisson_material, 100.0, 0.0)
+        rotated = ModeSolution(m=sol.m, mp=sol.mp,
+                               amp=Amplitudes(sol.amp.P, sol.amp.Q, 0.1),
+                               de=sol.de)
+        with pytest.raises(ValueError, match="R must vanish"):
+            bc_residual_refined(rotated)
 
     def test_rejects_unknown_order(self, sample_material):
         sol = _printed_mode(sample_material, 100.0, 0.0)
@@ -192,7 +200,7 @@ class TestExtraBc:
     def test_local_limit_is_bare_surface_value(self, sample_material):
         from mnwaves.wavefield import nonlocal_stresses
         sol = _printed_mode(sample_material, 2000.0, 0.0)
-        pair = extra_bc_residual(sol, 0.0)
+        pair = extra_bc_residual(sol)
         st = nonlocal_stresses(sol.amp, sol.de, sol.mp, sol.m, 0.0, 0.0, 0.0)
         # at a = 0 the operator is the identity on the bare surface values
         assert pair[0] == pytest.approx(st.tau11, rel=1e-12)
@@ -200,14 +208,14 @@ class TestExtraBc:
 
     def test_second_component_vanishes_without_rotation(self, sample_material):
         sol = _printed_mode(sample_material, 2000.0, 0.1)
-        assert extra_bc_residual(sol, 0.1)[1] == 0
+        assert extra_bc_residual(sol)[1] == 0
 
     def test_shrinks_with_eps(self, sample_material):
         eps_values = (0.2, 0.1, 0.05)
         mags = []
         for eps in eps_values:
             sol = _printed_mode(sample_material, 2000.0, eps)
-            pair = extra_bc_residual(sol, eps)
+            pair = extra_bc_residual(sol)
             norm = sol.mp.k ** 2 * (sol.m.mu + sol.m.kappa)
             mags.append(abs(pair[0]) / norm)
         assert fit_slope(eps_values, mags) >= 1.0
@@ -218,7 +226,7 @@ class TestBcResidualRefined:
         # a_nl = 0: refined and classical coincide on the same path
         sol = _printed_mode(sample_material, 2000.0, 0.0)
         classical = bc_residual_order(sol, 0)
-        refined = bc_residual_refined(sol, sol.m, 0.0)
+        refined = bc_residual_refined(sol)
         assert all(a == b for a, b in zip(classical, refined))
 
     def test_linearity_in_amplitudes(self, sample_material):
@@ -229,8 +237,8 @@ class TestBcResidualRefined:
             de=sol.de)
         for op in (lambda s: bc_residual_order(s, 0),
                    lambda s: bc_residual_order(s, 1),
-                   lambda s: bc_residual_refined(s, s.m, 0.1),
-                   lambda s: extra_bc_residual(s, 0.1)):
+                   bc_residual_refined,
+                   extra_bc_residual):
             base = op(sol)
             twice = op(doubled)
             for a, b in zip(base, twice):
@@ -255,6 +263,11 @@ class TestFirstOrderSolution:
         assert abs(first[1]) < 1e-12  # sigma33 row solved exactly
         assert first[2] == 0          # no rotation branch
 
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+    def test_first_order_row_vanishes(self, study_material, eps):
+        sol = first_order_elastic_solution(study_material, 2000.0, eps)
+        assert abs(bc_residual_order(sol, 1)[0]) < 1e-10
+
     def test_velocity_shifts_from_classical_root(self, study_material):
         v0 = solve_rayleigh(study_material).v
         sol = first_order_elastic_solution(study_material, 2000.0, 0.2)
@@ -264,7 +277,7 @@ class TestFirstOrderSolution:
 class TestReport:
     def test_report_structure_and_normalization(self, sample_material):
         sol = _printed_mode(sample_material, 2000.0, 0.1)
-        report = bc_residual_report(sol, 0.1)
+        report = bc_residual_report(sol)
         m, mp = sol.m, sol.mp
         assert report.normalization == pytest.approx(
             mp.k ** 2 * (m.mu + m.kappa) * abs(sol.amp.Q))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR, GOLDEN_DIR
+from conftest import DATA_DIR, GOLDEN_DIR, subprocess_env
 from mnwaves import cli
 from mnwaves.material import derive_scales, load_material
 
@@ -16,6 +16,15 @@ def run_cli(args, capsys) -> tuple[int, str, str]:
     code = cli.run(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def material_file(tmp_path, **changes) -> str:
+    """The sample material with some config keys changed, as a file."""
+    payload = json.loads(Path(SAMPLE).read_text())
+    payload.update(changes)
+    path = tmp_path / "material.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
 
 
 class TestValidate:
@@ -31,6 +40,12 @@ class TestValidate:
         code, out, _ = run_cli(["validate", str(bad)], capsys)
         assert code == 1
         assert "rho > 0" in out
+
+    def test_lambda_plus_mu_bound(self, tmp_path, capsys):
+        path = material_file(tmp_path, **{"lambda": -3e9, "kappa": 4e9})
+        code, out, _ = run_cli(["validate", path], capsys)
+        assert code == 1
+        assert "lambda + mu > 0" in out
 
     def test_unknown_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -214,6 +229,13 @@ class TestKernelCheckCommand:
                                capsys)
         assert code == 2
 
+    def test_material_without_scales_is_bad_input(self, tmp_path, capsys):
+        # kernel-check never derives scales, so validation alone rejects it
+        path = material_file(tmp_path, **{"lambda": -3e9, "kappa": 4e9})
+        code, _, err = run_cli(["kernel-check", "--material", path], capsys)
+        assert code == 1
+        assert "lambda + mu > 0" in err
+
 
 class TestArgumentHandling:
     def test_unknown_command(self, capsys):
@@ -224,8 +246,13 @@ class TestArgumentHandling:
         ["dispersion", "--omega-min", "1e5", "--omega-max", "inf"],
         ["residuals", "--eps", "inf"],
         ["blayer", "--eps", "inf"],
+        ["residuals", "--eps", "1e300"],
+        ["residuals", "--eps", "1e-300"],
+        ["dispersion", "--omega-min", "1e-300", "--omega-max", "1e300",
+         "--num", "3"],
     ], ids=["dispersion-num-1", "dispersion-omega-inf", "residuals-eps-inf",
-            "blayer-eps-inf"])
+            "blayer-eps-inf", "residuals-eps-overflow",
+            "residuals-eps-underflow", "dispersion-omega-extremes"])
     def test_bad_numbers_are_bad_input(self, args, capsys):
         code, out, err = run_cli([*args, "--material", SAMPLE], capsys)
         assert code == 1
@@ -248,6 +275,7 @@ class TestArgumentHandling:
         # the installed console script behaves like cli.run
         proc = subprocess.run([sys.executable, "-m", "mnwaves.cli",
                                "validate", SAMPLE],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=subprocess_env())
         assert proc.returncode == 0
         assert proc.stdout == "OK\n"

@@ -40,6 +40,14 @@ class TestValidate:
         outcome = validate(_mat(lambda_lame=-5e9))
         assert "lambda + 2*mu + kappa > 0" in outcome.violations
 
+    def test_lambda_plus_mu_bound_agrees_with_derive_scales(self):
+        # c1 > c2 needs lambda + mu > 0, which lambda + 2 mu + kappa > 0
+        # does not imply when kappa > 0
+        m = _mat(lambda_lame=-3e9, kappa=4e9)
+        assert validate(m).violations == ("lambda + mu > 0",)
+        with pytest.raises(InvalidMaterialError):
+            derive_scales(m)
+
     def test_nonfinite_rejected(self):
         outcome = validate(_mat(gamma_mp=math.nan))
         assert not outcome.ok

@@ -97,6 +97,35 @@ class TestDecayExponents:
         assert de.r2.imag > 0.0
 
 
+class TestDecoupledLimit:
+    """kappa = 0 has no R branch: a nonzero R is an error everywhere."""
+
+    @pytest.fixture
+    def state(self, poisson_material):
+        mp = ModeParams(k=2.0, omega=1000.0, v=500.0, eps=0.1)
+        return mp, decay_exponents(poisson_material, mp)
+
+    def test_nonzero_r_rejected(self, poisson_material, state):
+        mp, de = state
+        m = poisson_material
+        amp = Amplitudes(0.5, 1.0, 0.1)
+        for call in (lambda: mode_fields(amp, de, mp, 0.0, 0.1),
+                     lambda: local_stresses(amp, de, mp, m, 0.0, 0.1),
+                     lambda: nonlocal_stresses(amp, de, mp, m, 0.0, 0.1, 0.1)):
+            with pytest.raises(ValueError, match="R must vanish"):
+                call()
+
+    def test_two_coefficient_columns(self, poisson_material, state):
+        mp, de = state
+        rows = stress_branch_coeffs(poisson_material, de, mp.k)
+        assert all(len(row) == 2 for row in rows.values())
+
+    def test_no_third_boundary_layer_integral(self, state):
+        _, de = state
+        with pytest.raises(ValueError, match="absent"):
+            blayer_integral_closed(3, de, 0.1, 0.0)
+
+
 class TestExactShearOracle:
     def test_back_substitution(self, sample_material, generic_state):
         m = sample_material
