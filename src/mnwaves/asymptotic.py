@@ -330,8 +330,8 @@ def bc_residual_report(sol: ModeSolution) -> BCResidualReport:
     )
 
 
-def first_order_elastic_solution(m: MaterialParams, k: float,
-                                 eps: float) -> ModeSolution:
+def first_order_elastic_solution(m: MaterialParams, k: float, eps: float,
+                                 v0: float) -> ModeSolution:
     """Elastic mode satisfying the surface conditions through O(eps) exactly.
 
     With R = 0 (forced by the couple row) and Q = 1, the sigma33 row fixes
@@ -340,8 +340,9 @@ def first_order_elastic_solution(m: MaterialParams, k: float,
         sigma31 - (eps/2) d_chi sigma11 = 0   at the surface
 
     is a real equation in the phase velocity, solved by bisection near the
-    classical root.  Branch exponents are the leading-order (eps-free) ones
-    of the slow problem at the corrected velocity.
+    classical root v0 = `solve_rayleigh(m).v`, which the caller solves once.
+    Branch exponents are the leading-order (eps-free) ones of the slow
+    problem at the corrected velocity.
     """
     sc = derive_scales(m)
 
@@ -363,7 +364,6 @@ def first_order_elastic_solution(m: MaterialParams, k: float,
         s11 = sum(c * a for c, a in zip(rows["sigma11"], amps))
         return _first_order_row(s31, s11, eps).real
 
-    v0 = solve_rayleigh(m).v
     lo, hi = 0.8 * v0, min(1.1 * v0, BRACKET_HI * sc.c2)
     flo, fhi = residual(lo), residual(hi)
     if flo * fhi > 0.0:
@@ -378,19 +378,19 @@ def first_order_elastic_solution(m: MaterialParams, k: float,
     return ModeSolution(m=m, mp=mp, amp=amp, de=de0)
 
 
-def bc_slope_study(m: MaterialParams, k: float,
+def bc_slope_study(m: MaterialParams, k: float, v0: float,
                    eps_values: tuple[float, ...] = SLOPE_EPS_GRID) -> dict:
     """Decay rate of classical vs refined residuals on corrected solutions.
 
-    For each eps, the first-order-corrected mode is built and both condition
-    sets are evaluated on it; the classical defect scales like eps while the
-    refined conditions only miss the O(eps^2) curvature terms.  Returns the
-    per-eps magnitudes and fitted log-log slopes.
+    For each eps, the first-order-corrected mode near the classical root v0
+    is built and both condition sets are evaluated on it; the classical
+    defect scales like eps while the refined conditions only miss the
+    O(eps^2) curvature terms.  Returns per-eps magnitudes and log-log slopes.
     """
     classical_mags = []
     refined_mags = []
     for eps in eps_values:
-        sol = first_order_elastic_solution(m, k, eps)
+        sol = first_order_elastic_solution(m, k, eps, v0)
         classical = bc_residual_order(sol, 0)
         refined = bc_residual_refined(sol)
         classical_mags.append(max(abs(c) for c in classical))
@@ -490,7 +490,7 @@ def residual_report_json(m: MaterialParams, k: float, eps: float,
             _cpair(equivalence_residual_micropolar(m, v, k)),
         ],
         "normalization": report.normalization,
-        "slopes": bc_slope_study(m, k) if slopes else None,
+        "slopes": bc_slope_study(m, k, v) if slopes else None,
         "pde": {
             "res1": _cpair(pde[0]),
             "res2": _cpair(pde[1]),

@@ -177,8 +177,6 @@ def _cmd_dispersion(args) -> int:
     m = _load_material(args.material)
     if args.emit_plot_script and args.out is None:
         raise _UsageError("--emit-plot-script needs --out to reference the CSV")
-    if not args.tol > 0:
-        raise _UsageError("--tol must be positive")
     curve = dispersion.sweep(m, args.omega_min, args.omega_max, args.num,
                              args.mode, tol=args.tol)
     if curve.propagating_count == 0:

@@ -46,6 +46,7 @@ __all__ = [
 _BRACKET_LO = 0.01     # of c2; excludes the trivial double root at v = 0
 BRACKET_HI = 0.9999    # of c2; top of the uniform scan grid
 _SCAN_POINTS = 512
+_SCAN_STEP = (BRACKET_HI - _BRACKET_LO) / (_SCAN_POINTS - 1)   # of c2
 
 
 class CutoffError(ValueError):
@@ -128,6 +129,12 @@ def bisect(f, a: float, b: float, fa: float, width: float) -> float:
     return 0.5 * (a + b)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < _SCAN_STEP:
+        raise ValueError(f"tol must lie in (0, {_SCAN_STEP!r}), below the "
+                         "root scan step relative to c2")
+
+
 def solve_rayleigh(m: MaterialParams, tol: float = 1e-10) -> DispersionPoint:
     """Bisect the elastic-mode root of `secular_leading` in (0.01, 1) c2.
 
@@ -139,10 +146,10 @@ def solve_rayleigh(m: MaterialParams, tol: float = 1e-10) -> DispersionPoint:
     With several sign changes the largest-velocity bracket (the physical
     Rayleigh branch) is taken.  The leading-order mode is non-dispersive:
     omega and k of the returned point are NaN metadata, exponents are
-    attached by `sweep`.
+    attached by `sweep`.  tol, relative to c2, must be positive and below
+    the scan step, or the bisection would never run.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     sc = derive_scales(m)
     lo = _BRACKET_LO * sc.c2
     grid = [float(v) for v in np.linspace(lo, BRACKET_HI * sc.c2, _SCAN_POINTS)]
@@ -235,12 +242,13 @@ def sweep(m: MaterialParams, omega_lo: float, omega_hi: float, n: int,
     Micropolar frequencies at or below the cutoff are recorded as
     non-propagating entries (NaN velocity, no exponents) rather than
     dropped, so the output always has n rows in increasing omega.  tol is
-    the elastic root tolerance relative to c2.
+    the elastic root tolerance of `solve_rayleigh`, checked for both modes.
     """
     if not (0 < omega_lo < omega_hi):
         raise ValueError("need 0 < omega_lo < omega_hi")
     if n < 2:
         raise ValueError("need at least 2 sweep points")
+    _check_tol(tol)
     if mode_tag not in ("elastic", "micropolar"):
         raise ValueError(f"unknown mode tag {mode_tag!r}")
     omegas = np.geomspace(omega_lo, omega_hi, n)

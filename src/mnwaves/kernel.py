@@ -21,14 +21,9 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import k0, k1
 
-from .specfun import (
-    DEFAULT_QUAD_SPEC,
-    QuadratureSpec,
-    bessel_k0,
-    bessel_k1,
-    integrate_1d,
-)
+from .specfun import DEFAULT_QUAD_SPEC, QuadratureSpec, bessel_k0, integrate_1d
 
 __all__ = [
     "ScalarField2D",
@@ -45,6 +40,7 @@ __all__ = [
 ]
 
 TRUNCATION_RADII = 12.0   # kernel cut at 12 a, where K0 < 2e-6 of K0(1)
+_MAX_STENCIL_SIDE = 2401  # cells per stencil side: spacings down to a/100
 _GAUSS_CELL_X, _GAUSS_CELL_W = leggauss(6)
 _GAUSS_ANGLE_X, _GAUSS_ANGLE_W = leggauss(32)
 
@@ -132,38 +128,23 @@ def kernel_weight(r: float, a_nl: float) -> float:
     return bessel_k0(r / a_nl) / (2.0 * math.pi * a_nl * a_nl)
 
 
-def _disk_mass(u: float) -> float:
-    """Integral of K0 * r over [0, u*a], divided by a^2: 1 - u K1(u)."""
-    return 1.0 - u * bessel_k1(u)
-
-
 def _cell_self_weight(dx: float, dz: float, a: float) -> float:
     """Exact kernel mass of the rectangular cell containing the singularity.
 
-    In polar form the radial integral closes to 1 - u K1(u); the remaining
-    angular integral over the rectangle boundary rho(theta) is smooth and is
-    done with a fixed Gauss rule per smooth piece.
+    In polar form the radial integral closes to 1 - u K1(u) with u = rho/a;
+    the remaining angular integral over the rectangle boundary rho(theta) is
+    smooth and is done with a fixed Gauss rule per smooth piece of one of
+    the four mirror-image quadrants.
     """
-    def quadrant(w: float, h: float) -> float:
-        theta_split = math.atan2(h, w)
-        total = 0.0
-        for lo, hi, rho in (
-            (0.0, theta_split, lambda t: 0.5 * w / math.cos(t)),
-            (theta_split, 0.5 * math.pi, lambda t: 0.5 * h / math.sin(t)),
-        ):
-            halfspan = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            if halfspan <= 0.0:
-                continue
-            acc = 0.0
-            for x, wgt in zip(_GAUSS_ANGLE_X, _GAUSS_ANGLE_W):
-                theta = mid + halfspan * x
-                acc += wgt * _disk_mass(rho(theta) / a)
-            total += halfspan * acc
-        return total
-
-    # four symmetric quadrants make up the full rectangle
-    return 4.0 * quadrant(dx, dz) / (2.0 * math.pi)
+    split = math.atan2(dz, dx)
+    total = 0.0
+    # the boundary is x = dx/2 for theta in (0, split), z = dz/2 beyond
+    for lo, hi, side, trig in ((0.0, split, dx, np.cos),
+                               (split, 0.5 * math.pi, dz, np.sin)):
+        half = 0.5 * (hi - lo)
+        u = 0.5 * side / (a * trig(0.5 * (hi + lo) + half * _GAUSS_ANGLE_X))
+        total += half * np.dot(_GAUSS_ANGLE_W, 1.0 - u * k1(u))
+    return 4.0 * total / (2.0 * math.pi)
 
 
 def _kernel_stencil(dx: float, dz: float, a: float) -> np.ndarray:
@@ -176,6 +157,9 @@ def _kernel_stencil(dx: float, dz: float, a: float) -> np.ndarray:
     r_cut = TRUNCATION_RADII * a
     mx = max(1, int(math.ceil(r_cut / dx)))
     mz = max(1, int(math.ceil(r_cut / dz)))
+    if 2 * max(mx, mz) + 1 > _MAX_STENCIL_SIDE:
+        raise ValueError(f"spacing too fine for a = {a!r}: the kernel stencil "
+                         f"would exceed {_MAX_STENCIL_SIDE} cells per side")
     ii, jj = np.meshgrid(np.arange(-mx, mx + 1) * dx,
                          np.arange(-mz, mz + 1) * dz)
     # 6x6 tensor Gauss points relative to each cell center
@@ -184,11 +168,10 @@ def _kernel_stencil(dx: float, dz: float, a: float) -> np.ndarray:
     wx = 0.5 * dx * _GAUSS_CELL_W
     wz = 0.5 * dz * _GAUSS_CELL_W
     weights = np.zeros_like(ii)
-    from scipy.special import k0 as vk0  # vectorized over the whole stencil
     for p in range(gx.size):
         for q in range(gz.size):
             r = np.hypot(ii + gx[p], jj + gz[q])
-            weights += (wx[p] * wz[q]) * vk0(r / a)
+            weights += (wx[p] * wz[q]) * k0(r / a)
     weights /= 2.0 * math.pi * a * a
     weights[mz, mx] = _cell_self_weight(dx, dz, a)
     # enforce the truncation disk on cell centers
@@ -217,17 +200,17 @@ def convolve_halfplane(f: ScalarField2D, a_nl: float) -> ScalarField2D:
     stencil = _kernel_stencil(f.dx, f.dz, a_nl)
     mz = (stencil.shape[0] - 1) // 2
     mx = (stencil.shape[1] - 1) // 2
-    # zero padding implements both the half-space cut at z' < 0 and the decay
-    # of f beyond the grid in x
-    padded = np.zeros((f.nz + 2 * mz, f.nx + 2 * mx), dtype=complex)
-    padded[mz:mz + f.nz, mx:mx + f.nx] = vals
-    out = np.zeros_like(vals)
-    for j in range(stencil.shape[0]):
-        for i in range(stencil.shape[1]):
-            w = stencil[j, i]
-            if w == 0.0:
-                continue
-            out += w * padded[j:j + f.nz, i:i + f.nx]
+    # the stencil is symmetric, so correlation is convolution.  Centered at
+    # index 0 of n + m or more cells per axis, the circular convolution never
+    # wraps into the kept [0, n), and the zeros past f cut z' < 0 off
+    shape = (max(f.nz + mz, 2 * mz + 1), max(f.nx + mx, 2 * mx + 1))
+    taps = np.zeros(shape)
+    taps[:2 * mz + 1, :2 * mx + 1] = stencil
+    spectrum = np.fft.rfft2(np.roll(taps, (-mz, -mx), axis=(0, 1)))
+    re, im = (np.fft.irfft2(np.fft.rfft2(part, shape) * spectrum,
+                            shape)[:f.nz, :f.nx]
+              for part in (vals.real, vals.imag))
+    out = re + 1j * im
     warnings = f.warnings
     r_cut = TRUNCATION_RADII * a_nl
     if 2.0 * r_cut > min((f.nx - 1) * f.dx, (f.nz - 1) * f.dz):
@@ -293,6 +276,8 @@ def approx_trace_integral(trace: SurfaceTrace, eps: float, eta: float,
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if not math.isfinite(eps * eps):
+        raise ValueError(f"eps = {eps!r} is too large: eps^2 overflows")
     if eta < 0:
         raise ValueError("eta must be >= 0")
     w2 = trace.chi_wavenumber * trace.chi_wavenumber

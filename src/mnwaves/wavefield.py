@@ -427,6 +427,8 @@ def blayer_closed_form(r: complex, r0: complex, eps: float, eta: float) -> compl
     """
     if eps < 0:
         raise ValueError("eps must be >= 0")
+    if not math.isfinite(eps * eps):
+        raise ValueError(f"eps = {eps!r} is too large: eps^2 overflows")
     if eta < 0:
         raise ValueError("eta must be >= 0")
     if eps == 0.0:

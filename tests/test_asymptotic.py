@@ -246,7 +246,8 @@ class TestBcResidualRefined:
 
     def test_slope_hierarchy(self, study_material):
         """Classical conditions miss at O(eps); refined ones at O(eps^2)."""
-        study = bc_slope_study(study_material, 2000.0)
+        study = bc_slope_study(study_material, 2000.0,
+                               solve_rayleigh(study_material).v)
         assert study["classical"] >= 0.9
         assert study["refined"] >= 1.8
 
@@ -254,7 +255,8 @@ class TestBcResidualRefined:
 class TestFirstOrderSolution:
     def test_satisfies_first_order_conditions_exactly(self, study_material):
         eps = 0.1
-        sol = first_order_elastic_solution(study_material, 2000.0, eps)
+        sol = first_order_elastic_solution(study_material, 2000.0, eps,
+                                           solve_rayleigh(study_material).v)
         first = bc_residual_order(sol, 0)
         from mnwaves.asymptotic import _surface_values
         vals = _surface_values(sol)
@@ -265,12 +267,13 @@ class TestFirstOrderSolution:
 
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
     def test_first_order_row_vanishes(self, study_material, eps):
-        sol = first_order_elastic_solution(study_material, 2000.0, eps)
+        sol = first_order_elastic_solution(study_material, 2000.0, eps,
+                                           solve_rayleigh(study_material).v)
         assert abs(bc_residual_order(sol, 1)[0]) < 1e-10
 
     def test_velocity_shifts_from_classical_root(self, study_material):
         v0 = solve_rayleigh(study_material).v
-        sol = first_order_elastic_solution(study_material, 2000.0, 0.2)
+        sol = first_order_elastic_solution(study_material, 2000.0, 0.2, v0)
         assert sol.mp.v != pytest.approx(v0, rel=1e-6)
 
 

@@ -250,14 +250,24 @@ class TestArgumentHandling:
         ["residuals", "--eps", "1e-300"],
         ["dispersion", "--omega-min", "1e-300", "--omega-max", "1e300",
          "--num", "3"],
+        ["dispersion", "--omega-min", "2e5", "--omega-max", "2e6",
+         "--tol", "1e300"],
+        ["dispersion", "--omega-min", "2e5", "--omega-max", "2e6",
+         "--tol", "1e-2"],
+        ["dispersion", "--mode", "micropolar", "--omega-min", "2e5",
+         "--omega-max", "2e6", "--tol", "0"],
+        ["blayer", "--eps", "1e300"],
     ], ids=["dispersion-num-1", "dispersion-omega-inf", "residuals-eps-inf",
             "blayer-eps-inf", "residuals-eps-overflow",
-            "residuals-eps-underflow", "dispersion-omega-extremes"])
-    def test_bad_numbers_are_bad_input(self, args, capsys):
+            "residuals-eps-underflow", "dispersion-omega-extremes",
+            "dispersion-tol-huge", "dispersion-tol-above-scan-step",
+            "dispersion-micropolar-tol-0", "blayer-eps-overflow"])
+    def test_bad_numbers_are_bad_input(self, args, capsys, recwarn):
         code, out, err = run_cli([*args, "--material", SAMPLE], capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not recwarn.list
 
     def test_library_value_error_is_bad_input(self, capsys, monkeypatch):
         def reject(*args):

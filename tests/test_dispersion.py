@@ -97,8 +97,13 @@ class TestSolveRayleigh:
             pass
 
     def test_bad_tolerance_rejected(self, sample_material):
-        with pytest.raises(ValueError):
-            solve_rayleigh(sample_material, tol=0.0)
+        # from the scan step (about 1.94e-3 c2) up, the bisection never runs
+        for tol in (0.0, 1e-2, 1e300):
+            with pytest.raises(ValueError):
+                solve_rayleigh(sample_material, tol=tol)
+            for mode in ("elastic", "micropolar"):
+                with pytest.raises(ValueError, match="tol"):
+                    sweep(sample_material, 2e5, 2e6, 2, mode, tol=tol)
 
     def test_surface_mode_across_material_space(self, seed):
         """Every valid material has its elastic root below c2.
@@ -121,7 +126,7 @@ class TestSolveRayleigh:
             point = solve_rayleigh(m)
             assert 0.0 < point.v < derive_scales(m).c2, (lam_mu, kappa_mu)
             assert abs(secular_leading(m, point.v)) < 1e-6, (lam_mu, kappa_mu)
-            bc_slope_study(m, 2000.0)
+            bc_slope_study(m, 2000.0, point.v)
 
 
 class TestMicropolarVelocity:

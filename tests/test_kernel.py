@@ -1,12 +1,15 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import fit_slope
+from conftest import fit_slope, subprocess_env
 from mnwaves.kernel import (
     ScalarField2D,
     SurfaceTrace,
+    _kernel_stencil,
     apply_helmholtz,
     approx_trace_integral,
     boundary_operator,
@@ -20,6 +23,21 @@ from mnwaves.specfun import integrate_2d_polar
 from mnwaves.wavefield import blayer_closed_form
 
 K0_AT_1 = 0.421024438240708
+
+
+def direct_convolution(f: ScalarField2D, a: float) -> np.ndarray:
+    """Reference for convolve_halfplane: the plain sum over the stencil taps
+    that reach each output node, with nothing beyond the grid."""
+    w = _kernel_stencil(f.dx, f.dz, a)
+    mz, mx = w.shape[0] // 2, w.shape[1] // 2
+    out = np.zeros_like(f.values)
+    for iz, ix in np.ndindex(out.shape):
+        z0, z1 = max(0, iz - mz), min(f.nz, iz + mz + 1)
+        x0, x1 = max(0, ix - mx), min(f.nx, ix + mx + 1)
+        out[iz, ix] = np.sum(w[z0 - iz + mz:z1 - iz + mz,
+                               x0 - ix + mx:x1 - ix + mx]
+                             * f.values[z0:z1, x0:x1])
+    return out
 
 
 class TestKernelWeight:
@@ -111,6 +129,49 @@ class TestConvolveHalfplane:
             got = out.values[n // 2, n // 2 + cells].real / (h * h)
             want = kernel_weight(cells * h, a)
             assert got == pytest.approx(want, rel=0.02), f"at r = {cells * h / a} a"
+
+    def test_random_field_matches_direct_sum(self):
+        rng = np.random.default_rng(11)
+        vals = rng.normal(size=(40, 31)) + 1j * rng.normal(size=(40, 31))
+        vals[0, :] = vals[-1, :] = vals[:, 0] = vals[:, -1] = 0.0
+        f = ScalarField2D(nx=31, nz=40, dx=0.011, dz=0.017, x0=0.0,
+                          values=vals)
+        out = convolve_halfplane(f, 0.02).values
+        want = direct_convolution(f, 0.02)
+        assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_corner_delta_on_grid_smaller_than_stencil(self):
+        # the stencil (95 x 123 cells) is larger than the 24 x 24 grid, so a
+        # circular convolution that wrapped would put mass in the far corner
+        vals = np.zeros((24, 24), dtype=complex)
+        vals[1, 1] = 1.0
+        f = ScalarField2D(nx=24, nz=24, dx=0.01, dz=0.013, x0=0.0,
+                          values=vals)
+        out = convolve_halfplane(f, 0.05).values
+        want = direct_convolution(f, 0.05)
+        assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_stencil_size_is_bounded(self):
+        # h = a/1000 would need a 24001 x 24001 stencil
+        a = 0.01
+        vals = np.zeros((16, 16), dtype=complex)
+        vals[8, 8] = 1.0
+        f = ScalarField2D(nx=16, nz=16, dx=a / 1000, dz=a / 1000, x0=0.0,
+                          values=vals)
+        with pytest.raises(ValueError, match="stencil"):
+            convolve_halfplane(f, a)
+
+    def test_does_not_load_scipy_signal(self):
+        script = ("import sys\n"
+                  "from mnwaves import kernel\n"
+                  "kernel.convolve_halfplane(kernel.gaussian_field(32, 0.01, "
+                  "0.03), 0.01)\n"
+                  "print('scipy.signal' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_edge_decay_precondition(self):
         n = 16
@@ -217,6 +278,8 @@ class TestApproxTraceIntegral:
             approx_trace_integral(trace, 0.0, 0.5)
         with pytest.raises(ValueError):
             approx_trace_integral(trace, 0.1, -0.1)
+        with pytest.raises(ValueError, match="overflows"):
+            approx_trace_integral(trace, 1e300, 0.5)
 
 
 class TestBoundaryOperator:
