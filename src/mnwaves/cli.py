@@ -102,12 +102,9 @@ def _quad_spec() -> specfun.QuadratureSpec:
     if raw is None:
         return specfun.DEFAULT_QUAD_SPEC
     try:
-        rel = float(raw)
-    except ValueError:
-        raise _UsageError(f"MNW_QUAD_TOL is not a number: {raw!r}")
-    if not rel > 0:
-        raise _UsageError(f"MNW_QUAD_TOL must be positive: {raw!r}")
-    return specfun.QuadratureSpec(rel_tol=rel)
+        return specfun.QuadratureSpec(rel_tol=float(raw))
+    except ValueError as exc:
+        raise _UsageError(f"MNW_QUAD_TOL={raw!r}: {exc}")
 
 
 def _load_material(path: str) -> material.MaterialParams:

@@ -21,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import k0, k1
 
-from .specfun import DEFAULT_QUAD_SPEC, QuadratureSpec, bessel_k0, integrate_1d
+from .specfun import (DEFAULT_QUAD_SPEC, QuadratureSpec, bessel_k0, bessel_k1,
+                      integrate_1d)
 
 __all__ = [
     "ScalarField2D",
@@ -88,12 +88,13 @@ class ScalarField2D:
 class SurfaceTrace:
     """Depth profile g(eta) of a surface quantity e^{i chi w} g(eta).
 
-    eval must decay or stay bounded as eta -> inf.  eta_derivative, when
-    present, is the analytic g'(eta); operators that differentiate the trace
-    require it.
+    eval takes an array of depths and returns an array of the same shape (or
+    a scalar that broadcasts); g must decay or stay bounded as eta -> inf.
+    eta_derivative, when present, is the analytic g'(eta); operators that
+    differentiate the trace require it.
     """
 
-    eval: Callable[[float], complex]
+    eval: Callable[[np.ndarray], np.ndarray]
     chi_wavenumber: float
     eta_derivative: Callable[[float], complex] | None = None
 
@@ -118,11 +119,11 @@ class SurfaceTrace:
         )
 
 
-def kernel_weight(r: float, a_nl: float) -> float:
-    """K0(r/a) / (2 pi a^2); singular (integrably) as r -> 0."""
+def kernel_weight(r, a_nl: float):
+    """K0(r/a) / (2 pi a^2) at r > 0, a scalar or an array; singular as r -> 0."""
     if not a_nl > 0:
         raise ValueError("a_nl must be positive")
-    if not r > 0:
+    if not (np.asarray(r) > 0).all():
         raise ValueError("kernel_weight is singular at r = 0; integrate over "
                          "the cell instead of evaluating at the origin")
     return bessel_k0(r / a_nl) / (2.0 * math.pi * a_nl * a_nl)
@@ -143,7 +144,7 @@ def _cell_self_weight(dx: float, dz: float, a: float) -> float:
                                (split, 0.5 * math.pi, dz, np.sin)):
         half = 0.5 * (hi - lo)
         u = 0.5 * side / (a * trig(0.5 * (hi + lo) + half * _GAUSS_ANGLE_X))
-        total += half * np.dot(_GAUSS_ANGLE_W, 1.0 - u * k1(u))
+        total += half * np.dot(_GAUSS_ANGLE_W, 1.0 - u * bessel_k1(u))
     return 4.0 * total / (2.0 * math.pi)
 
 
@@ -171,7 +172,7 @@ def _kernel_stencil(dx: float, dz: float, a: float) -> np.ndarray:
     for p in range(gx.size):
         for q in range(gz.size):
             r = np.hypot(ii + gx[p], jj + gz[q])
-            weights += (wx[p] * wz[q]) * k0(r / a)
+            weights += (wx[p] * wz[q]) * bessel_k0(r / a)
     weights /= 2.0 * math.pi * a * a
     weights[mz, mx] = _cell_self_weight(dx, dz, a)
     # enforce the truncation disk on cell centers
@@ -282,10 +283,10 @@ def approx_trace_integral(trace: SurfaceTrace, eps: float, eta: float,
         raise ValueError("eta must be >= 0")
     w2 = trace.chi_wavenumber * trace.chi_wavenumber
 
-    def integrand(etap: float) -> complex:
-        dist = abs(etap - eta)
+    def integrand(etap: np.ndarray) -> np.ndarray:
+        dist = np.abs(etap - eta)
         bracket = 1.0 - 0.5 * eps * eps * (1.0 + dist / eps) * w2
-        return bracket * trace.eval(etap) * math.exp(-dist / eps)
+        return bracket * trace.eval(etap) * np.exp(-dist / eps)
 
     # split at the kink of |eta' - eta|
     total = integrate_1d(integrand, eta, math.inf, spec)

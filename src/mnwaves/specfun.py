@@ -10,8 +10,8 @@ Quadrature is a heap-driven adaptive Gauss-Legendre pair (orders 10 and 21,
 nodes from numpy.polynomial.legendre, so no tabulated constants enter the
 code).  Semi-infinite integrals are mapped to (0, 1] with t = lo - ln(u),
 which turns every exponentially decaying integrand into an algebraic one.
-All routines accept complex-valued integrands and are bitwise deterministic
-for fixed inputs.
+Integrands take the numpy array of a panel's abscissae and return a (complex)
+array or a scalar that broadcasts; results are bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import k0 as _scipy_k0
 from scipy.special import k1 as _scipy_k1
@@ -45,10 +46,10 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be > 0")
-        if not self.abs_tol >= 0:
-            raise ValueError("abs_tol must be >= 0")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be finite and > 0")
+        if not 0 <= self.abs_tol < math.inf:
+            raise ValueError("abs_tol must be finite and >= 0")
         if not self.max_subdivisions >= 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -68,50 +69,49 @@ class ConvergenceError(RuntimeError):
         self.error_bound = error_bound
 
 
-def bessel_k0(x: float) -> float:
-    """Modified Bessel function K0(x) for x > 0.
+def _bessel(fn, name: str, x):
+    """fn(x) for a scalar or an array x > 0, with 0.0 (underflow) past 700."""
+    xs = np.asarray(x, dtype=float)
+    if not (xs > 0.0).all():
+        raise ValueError(f"{name} requires x > 0, got {x}")
+    values = np.where(xs > _UNDERFLOW_X, 0.0, fn(xs))
+    return float(values) if values.ndim == 0 else values
+
+
+def bessel_k0(x):
+    """Modified Bessel function K0(x) for x > 0, a scalar or an array.
 
     Relative error <= 1e-12 on [1e-6, 700]; returns 0.0 (underflow) for
     x > 700.  x <= 0 is a domain error: K0 diverges logarithmically at 0.
     """
-    if not x > 0.0:
-        raise ValueError(f"bessel_k0 requires x > 0, got {x}")
-    if x > _UNDERFLOW_X:
-        return 0.0
-    return float(_scipy_k0(x))
+    return _bessel(_scipy_k0, "bessel_k0", x)
 
 
-def bessel_k1(x: float) -> float:
-    """Modified Bessel function K1(x) = -K0'(x) for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"bessel_k1 requires x > 0, got {x}")
-    if x > _UNDERFLOW_X:
-        return 0.0
-    return float(_scipy_k1(x))
+def bessel_k1(x):
+    """Modified Bessel function K1(x) = -K0'(x) for x > 0, as bessel_k0."""
+    return _bessel(_scipy_k1, "bessel_k1", x)
 
 
 # Gauss-Legendre node/weight pairs on [-1, 1].  The order-21 rule is the
 # estimate, the order-10 rule the comparison; neither touches an endpoint,
-# so integrable endpoint singularities are admissible.
-_GL_LO_X, _GL_LO_W = leggauss(10)
+# so integrable endpoint singularities are admissible.  One integrand call
+# takes all 31 nodes, the order-21 ones first.
 _GL_HI_X, _GL_HI_W = leggauss(21)
+_GL_LO_X, _GL_LO_W = leggauss(10)
+_GL_X = np.concatenate([_GL_HI_X, _GL_LO_X])
 
 
-def _eval_panel(f: Callable[[float], complex], a: float, b: float) -> tuple[complex, float]:
+def _eval_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[complex, float]:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    hi = 0.0 + 0.0j
-    for x, w in zip(_GL_HI_X, _GL_HI_W):
-        hi += w * f(mid + half * x)
-    hi *= half
-    lo = 0.0 + 0.0j
-    for x, w in zip(_GL_LO_X, _GL_LO_W):
-        lo += w * f(mid + half * x)
-    lo *= half
+    values = np.empty(31, dtype=complex)
+    values[:] = f(mid + half * _GL_X)  # a constant integrand broadcasts
+    hi = complex(_GL_HI_W @ values[:21]) * half
+    lo = complex(_GL_LO_W @ values[21:]) * half
     return hi, abs(hi - lo)
 
 
-def _adaptive(f: Callable[[float], complex], a: float, b: float,
+def _adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
               spec: QuadratureSpec) -> complex:
     value, err = _eval_panel(f, a, b)
     # heap of (-error, insertion counter, a, b, value); the counter makes
@@ -144,7 +144,7 @@ def _adaptive(f: Callable[[float], complex], a: float, b: float,
     raise ConvergenceError(total, total_err)
 
 
-def integrate_1d(f: Callable[[float], complex], lo: float, hi: float,
+def integrate_1d(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                  spec: QuadratureSpec = DEFAULT_QUAD_SPEC) -> complex:
     """Adaptive integral of a complex-valued f over (lo, hi); hi may be +inf.
 
@@ -152,32 +152,32 @@ def integrate_1d(f: Callable[[float], complex], lo: float, hi: float,
     exact for exponentially decaying integrands.  Raises ConvergenceError
     (carrying the best estimate) when the subdivision budget runs out.
     """
-    if math.isnan(lo) or math.isnan(hi):
-        raise ValueError("integration limits must not be NaN")
-    if math.isinf(lo):
+    if not math.isfinite(lo):
         raise ValueError("lower limit must be finite")
-    if math.isinf(hi):
-        def g(u: float) -> complex:
-            return f(lo - math.log(u)) / u
-        return _adaptive(g, 0.0, 1.0, spec)
-    if hi < lo:
-        raise ValueError("upper limit below lower limit")
+    if not hi >= lo:
+        raise ValueError(f"upper limit {hi!r} is NaN or below the lower limit")
     if hi == lo:
         return 0.0 + 0.0j
+    if hi == math.inf:
+        def g(u: np.ndarray) -> np.ndarray:
+            return f(lo - np.log(u)) / u
+        return _adaptive(g, 0.0, 1.0, spec)
     return _adaptive(f, lo, hi, spec)
 
 
-def integrate_2d_polar(g: Callable[[float, float], complex], r_max: float,
+def integrate_2d_polar(g: Callable[[np.ndarray, float], np.ndarray], r_max: float,
                        spec: QuadratureSpec = DEFAULT_QUAD_SPEC) -> complex:
     """Integral of g(r, theta) * r over the disk of radius r_max.
 
-    Iterated adaptive rule: the radial integral (with the Jacobian r, which
-    tames integrable singularities of g at r = 0) inside an angular one.
+    Iterated adaptive rule: one radial integral (with the Jacobian r, which
+    tames integrable singularities of g at r = 0) per angular node; g
+    receives an array of radii and one angle.
     """
     if not r_max > 0:
         raise ValueError("r_max must be positive")
 
-    def radial(theta: float) -> complex:
-        return integrate_1d(lambda r: g(r, theta) * r, 0.0, r_max, spec)
+    def radial(thetas: np.ndarray) -> np.ndarray:
+        return np.array([integrate_1d(lambda r: g(r, theta) * r, 0.0, r_max, spec)
+                         for theta in thetas.tolist()])
 
     return integrate_1d(radial, 0.0, 2.0 * math.pi, spec)

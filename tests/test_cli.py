@@ -200,10 +200,14 @@ class TestBlayerCommand:
         assert json.loads(out)["rel_tol"] == 1e-8
 
     def test_quad_tol_env_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv("MNW_QUAD_TOL", "banana")
-        code, _, err = run_cli(
-            ["blayer", "--material", SAMPLE, "--eps", "0.1"], capsys)
-        assert code == 1
+        for raw in ("banana", "inf", "nan", "0", "-1"):
+            monkeypatch.setenv("MNW_QUAD_TOL", raw)
+            code, out, err = run_cli(
+                ["blayer", "--material", SAMPLE, "--eps", "0.1"], capsys)
+            assert code == 1, raw
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "MNW_QUAD_TOL" in err
 
 
 class TestKernelCheckCommand:

@@ -1,10 +1,13 @@
+import ast
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mnwaves
 from conftest import fit_slope, subprocess_env
 from mnwaves.kernel import (
     ScalarField2D,
@@ -53,6 +56,18 @@ class TestKernelWeight:
             kernel_weight(-1.0, 0.1)
         with pytest.raises(ValueError):
             kernel_weight(1.0, 0.0)
+
+    def test_array_equals_scalar(self):
+        a = 0.03
+        rng = np.random.default_rng(20241018)
+        rs = a * np.exp(rng.uniform(math.log(1e-6), math.log(800.0), 400))
+        got = kernel_weight(rs, a)
+        assert (got == np.array([kernel_weight(float(r), a) for r in rs])).all()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_array_domain_error(self, bad):
+        with pytest.raises(ValueError, match="singular"):
+            kernel_weight(np.array([0.01, bad, 0.2]), 0.1)
 
     def test_total_mass_is_one(self):
         a = 0.05
@@ -172,6 +187,20 @@ class TestConvolveHalfplane:
                               env=subprocess_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_only_specfun_imports_scipy(self):
+        importers = set()
+        for path in Path(mnwaves.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n.split(".")[0] == "scipy" for n in names):
+                    importers.add(path.name)
+        assert importers == {"specfun.py"}
 
     def test_edge_decay_precondition(self):
         n = 16

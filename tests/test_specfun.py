@@ -20,7 +20,7 @@ K0_AT_HALF = 0.924419071227666
 
 def k0_by_quadrature(x: float) -> float:
     """Independent oracle: K0(x) = int_0^inf exp(-x cosh t) dt."""
-    return integrate_1d(lambda t: math.exp(-x * math.cosh(t)),
+    return integrate_1d(lambda t: np.exp(-x * np.cosh(t)),
                         0.0, math.inf).real
 
 
@@ -55,6 +55,26 @@ class TestBesselK0:
         assert envelope * (1.0 - 1.0 / (8.0 * x)) <= value
         assert value <= envelope * (1.0 + 1.0 / (8.0 * x))
 
+    @pytest.mark.parametrize("bessel", [bessel_k0, bessel_k1])
+    def test_array_equals_scalar(self, bessel):
+        rng = np.random.default_rng(20241018)
+        xs = np.exp(rng.uniform(math.log(1e-6), math.log(800.0), 400))
+        got = bessel(xs)
+        assert got.shape == xs.shape
+        assert (got == np.array([bessel(float(x)) for x in xs])).all()
+        assert (got[xs > 700.0] == 0.0).all() and (got[xs <= 700.0] > 0.0).all()
+
+    @pytest.mark.parametrize("bessel", [bessel_k0, bessel_k1])
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan])
+    def test_array_domain_error(self, bessel, bad):
+        with pytest.raises(ValueError, match="requires x > 0"):
+            bessel(np.array([0.5, bad, 2.0]))
+
+    def test_scalar_input_returns_float(self):
+        for x in (1.0, np.float64(1.0), np.array(1.0), 701.0):
+            assert type(bessel_k0(x)) is float
+            assert type(bessel_k1(x)) is float
+
     def test_k1_is_minus_k0_derivative(self):
         h = 1e-6
         x = 1.7
@@ -73,17 +93,22 @@ class TestQuadratureSpec:
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=-1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                QuadratureSpec(rel_tol=bad)
+            with pytest.raises(ValueError):
+                QuadratureSpec(abs_tol=bad)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
 
 
 class TestIntegrate1D:
     def test_exponential_tail(self):
-        assert integrate_1d(lambda t: math.exp(-t), 0.0, math.inf).real == \
+        assert integrate_1d(lambda t: np.exp(-t), 0.0, math.inf).real == \
             pytest.approx(1.0, rel=1e-12)
 
     def test_k0_identity(self):
-        got = integrate_1d(lambda t: math.exp(-math.cosh(t)), 0.0, math.inf)
+        got = integrate_1d(lambda t: np.exp(-np.cosh(t)), 0.0, math.inf)
         assert got.real == pytest.approx(K0_AT_1, rel=1e-12)
         assert got.imag == 0.0
 
@@ -97,7 +122,7 @@ class TestIntegrate1D:
         assert got == pytest.approx(1.0 / (1.0 + 2.0j), rel=1e-9)
 
     def test_deterministic_bitwise(self):
-        runs = [integrate_1d(lambda t: math.exp(-math.cosh(t)), 0.0, math.inf)
+        runs = [integrate_1d(lambda t: np.exp(-np.cosh(t)), 0.0, math.inf)
                 for _ in range(2)]
         assert runs[0] == runs[1]
 
@@ -116,6 +141,31 @@ class TestIntegrate1D:
             integrate_1d(lambda t: 1.0, 3.0, 1.0)
         with pytest.raises(ValueError):
             integrate_1d(lambda t: 1.0, -math.inf, 1.0)
+        with pytest.raises(ValueError):
+            integrate_1d(lambda t: np.exp(-t), 0.0, -math.inf)
+        for lo, hi in ((math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                integrate_1d(lambda t: 1.0, lo, hi)
+
+    def test_one_call_per_panel(self):
+        # a budget of 3 subdivisions evaluates 1 + 2 * 3 panels
+        calls = []
+
+        def recording(t):
+            calls.append(t)
+            return t ** -0.5
+
+        with pytest.raises(ConvergenceError):
+            integrate_1d(recording, 0.0, 1.0,
+                         QuadratureSpec(abs_tol=0.0, max_subdivisions=3))
+        assert len(calls) == 7
+        for t in calls:
+            assert isinstance(t, np.ndarray)
+            assert t.dtype == np.float64 and t.shape == (31,)
+
+    def test_constant_integrand(self):
+        assert integrate_1d(lambda t: 2.5, 1.0, 3.0) == pytest.approx(5.0, rel=1e-14)
+        assert integrate_1d(lambda t: 1j, 0.0, 2.0) == pytest.approx(2j, rel=1e-14)
 
 
 class TestIntegrate2DPolar:
@@ -129,9 +179,21 @@ class TestIntegrate2DPolar:
         assert got.real == pytest.approx(2.0 * math.pi, rel=1e-8)
 
     def test_gaussian(self):
-        got = integrate_2d_polar(lambda r, th: math.exp(-r * r), 10.0)
+        got = integrate_2d_polar(lambda r, th: np.exp(-r * r), 10.0)
         assert got.real == pytest.approx(math.pi * (1.0 - math.exp(-100.0)),
                                          rel=1e-10)
+
+    def test_radial_array_and_one_angle(self):
+        seen = []
+
+        def g(r, theta):
+            seen.append((r, theta))
+            return np.ones_like(r)
+
+        got = integrate_2d_polar(g, 2.0)
+        assert got.real == pytest.approx(4.0 * math.pi, rel=1e-10)
+        for r, theta in seen:
+            assert r.shape == (31,) and type(theta) is float
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
