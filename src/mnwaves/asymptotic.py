@@ -149,10 +149,7 @@ def _surface_pair(trace: SurfaceTrace | None) -> tuple[complex, complex]:
     """(g(0), g'(0)) of a trace; a missing trace contributes zeros."""
     if trace is None:
         return 0j, 0j
-    if trace.eta_derivative is None:
-        raise ValueError("boundary-layer coefficients need traces with "
-                         "analytic eta derivatives")
-    return complex(trace.eval(0.0)), complex(trace.eta_derivative(0.0))
+    return complex(trace.amplitude), complex(-trace.decay * trace.amplitude)
 
 
 def bl_coeffs(surface_sigma11: SurfaceTrace, surface_pi12: SurfaceTrace | None,

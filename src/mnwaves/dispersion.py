@@ -40,7 +40,6 @@ __all__ = [
     "amplitude_ratios",
     "sweep",
     "curve_to_csv",
-    "curve_from_csv",
 ]
 
 _BRACKET_LO = 0.01     # of c2; excludes the trivial double root at v = 0
@@ -274,12 +273,9 @@ def sweep(m: MaterialParams, omega_lo: float, omega_hi: float, n: int,
                            fingerprint=material_fingerprint(m))
 
 
-_CSV_HEADER = "omega,k,v,mode,r1,r2,r3_re,r3_im,secular_residual,admissible"
-
-
 def curve_to_csv(curve: DispersionCurve) -> str:
     """One row per point; r1, r2 print their real parts, r3 both parts."""
-    lines = [_CSV_HEADER]
+    lines = ["omega,k,v,mode,r1,r2,r3_re,r3_im,secular_residual,admissible"]
     for p in curve.points:
         if p.exponents is None:
             r1 = r2 = r3re = r3im = math.nan
@@ -297,22 +293,3 @@ def curve_to_csv(curve: DispersionCurve) -> str:
             f"{'true' if p.admissible else 'false'}"
         )
     return "\n".join(lines) + "\n"
-
-
-def curve_from_csv(text: str) -> list[dict]:
-    """Parse a curve CSV back into row dictionaries (for round-trip checks)."""
-    lines = text.strip().split("\n")
-    if not lines or lines[0] != _CSV_HEADER:
-        raise ValueError("curve CSV must start with the canonical header")
-    cols = _CSV_HEADER.split(",")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(cols):
-            raise ValueError("curve CSV row has the wrong number of fields")
-        row: dict = dict(zip(cols, parts))
-        for key in ("omega", "k", "v", "r1", "r2", "r3_re", "r3_im",
-                    "secular_residual"):
-            row[key] = float(row[key])
-        rows.append(row)
-    return rows

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -36,7 +35,6 @@ __all__ = [
     "approx_trace_integral",
     "boundary_operator",
     "field_to_csv",
-    "field_from_csv",
 ]
 
 TRUNCATION_RADII = 12.0   # kernel cut at 12 a, where K0 < 2e-6 of K0(1)
@@ -86,37 +84,32 @@ class ScalarField2D:
 
 @dataclass(frozen=True)
 class SurfaceTrace:
-    """Depth profile g(eta) of a surface quantity e^{i chi w} g(eta).
+    """Depth profile g(eta) = amplitude e^{-decay eta} of a surface quantity
+    e^{i chi w} g(eta); Re decay >= 0 keeps g bounded as eta -> inf."""
 
-    eval takes an array of depths and returns an array of the same shape (or
-    a scalar that broadcasts); g must decay or stay bounded as eta -> inf.
-    eta_derivative, when present, is the analytic g'(eta); operators that
-    differentiate the trace require it.
-    """
+    decay: complex
+    chi_wavenumber: float = 1.0
+    amplitude: complex = 1.0 + 0.0j
 
-    eval: Callable[[np.ndarray], np.ndarray]
-    chi_wavenumber: float
-    eta_derivative: Callable[[float], complex] | None = None
+    def __post_init__(self):
+        if not complex(self.decay).real >= 0.0:
+            raise ValueError(f"decay {self.decay!r} has a negative real part")
 
     @classmethod
     def exponential(cls, decay: complex, chi_wavenumber: float = 1.0,
                     amplitude: complex = 1.0 + 0.0j) -> "SurfaceTrace":
-        """Trace amplitude * e^{-decay * eta} with its analytic derivative."""
-        return cls(
-            eval=lambda eta: amplitude * np.exp(-decay * eta),
-            chi_wavenumber=chi_wavenumber,
-            eta_derivative=lambda eta: -decay * amplitude * np.exp(-decay * eta),
-        )
+        """Trace amplitude * e^{-decay * eta}."""
+        return cls(decay, chi_wavenumber, amplitude)
 
     @classmethod
     def constant(cls, value: complex = 1.0 + 0.0j,
                  chi_wavenumber: float = 1.0) -> "SurfaceTrace":
-        """Depth-independent trace (zero derivative)."""
-        return cls(
-            eval=lambda eta: complex(value),
-            chi_wavenumber=chi_wavenumber,
-            eta_derivative=lambda eta: 0j,
-        )
+        """Depth-independent trace (decay 0)."""
+        return cls(0.0, chi_wavenumber, value)
+
+    def eval(self, eta):
+        """g at a depth or an array of depths."""
+        return self.amplitude * np.exp(-self.decay * eta)
 
 
 def kernel_weight(r, a_nl: float):
@@ -288,10 +281,21 @@ def approx_trace_integral(trace: SurfaceTrace, eps: float, eta: float,
         bracket = 1.0 - 0.5 * eps * eps * (1.0 + dist / eps) * w2
         return bracket * trace.eval(etap) * np.exp(-dist / eps)
 
-    # split at the kink of |eta' - eta|
-    total = integrate_1d(integrand, eta, math.inf, spec)
-    if eta > 0.0:
-        total += integrate_1d(integrand, 0.0, eta, spec)
+    # Off its peak the integrand falls like e^{-rate |eta' - peak|}; a peak
+    # between the Gauss nodes would pass as converged, so each piece is cut
+    # 40/rate from its peak if that lies inside ((eta, inf) maps to length 1)
+    decay, slope = complex(trace.decay).real, 1.0 / eps
+    points = [eta, math.inf]
+    if decay + slope > 40.0:
+        points.insert(1, eta + 40.0 / (decay + slope))
+    if eta > 0.0:  # split at the kink of |eta' - eta|
+        rate = abs(decay - slope)
+        if rate * eta > 40.0:
+            points.insert(0, 40.0 / rate if decay > slope else eta - 40.0 / rate)
+        points.insert(0, 0.0)
+    total = integrate_1d(integrand, points[0], points[1], spec)
+    for lo, hi in zip(points[1:], points[2:]):
+        total += integrate_1d(integrand, lo, hi, spec)
     return total / (2.0 * eps)
 
 
@@ -301,11 +305,7 @@ def boundary_operator(trace: SurfaceTrace, eps: float) -> complex:
     d_chi^2 acts on the carrier as -w^2, so the operator evaluates to
     g(0) - eps g'(0) + (eps^3/2) w^2 g'(0).
     """
-    if trace.eta_derivative is None:
-        raise ValueError("boundary_operator needs a trace with an analytic "
-                         "eta derivative")
-    g0 = complex(trace.eval(0.0))
-    g1 = complex(trace.eta_derivative(0.0))
+    g0, g1 = complex(trace.amplitude), complex(-trace.decay * trace.amplitude)
     w2 = trace.chi_wavenumber * trace.chi_wavenumber
     return g0 - eps * g1 + 0.5 * eps ** 3 * w2 * g1
 
@@ -320,31 +320,3 @@ def field_to_csv(f: ScalarField2D) -> str:
             v = f.values[iz, ix]
             lines.append(f"{x!r},{z!r},{float(v.real)!r},{float(v.imag)!r}")
     return "\n".join(lines) + "\n"
-
-
-def field_from_csv(text: str) -> ScalarField2D:
-    lines = [ln for ln in text.strip().split("\n")]
-    if not lines or lines[0] != "x,z,re,im":
-        raise ValueError("field CSV must start with header 'x,z,re,im'")
-    xs, zs, vals = [], [], []
-    for ln in lines[1:]:
-        sx, sz, sre, sim = ln.split(",")
-        xs.append(float(sx))
-        zs.append(float(sz))
-        vals.append(complex(float(sre), float(sim)))
-    zs_arr = np.array(zs)
-    nx = int(np.argmax(zs_arr != zs_arr[0])) if np.any(zs_arr != zs_arr[0]) else len(zs)
-    if nx <= 0 or len(vals) % nx != 0:
-        raise ValueError("field CSV rows do not form a rectangular grid")
-    nz = len(vals) // nx
-    values = np.array(vals).reshape(nz, nx)
-    dx = xs[1] - xs[0] if nx > 1 else 1.0
-    dz = zs[nx] - zs[0] if nz > 1 else 1.0
-    # every node must sit at (x0 + ix dx, z0 + iz dz), up to rounding
-    off_x = np.reshape(xs, (nz, nx)) - (xs[0] + dx * np.arange(nx))
-    off_z = np.reshape(zs, (nz, nx)) - (zs[0] + dz * np.arange(nz))[:, None]
-    if (np.max(np.abs(off_x)) > 1e-9 * abs(dx)
-            or np.max(np.abs(off_z)) > 1e-9 * abs(dz)):
-        raise ValueError("field CSV grid is not uniformly spaced")
-    return ScalarField2D(nx=nx, nz=nz, dx=dx, dz=dz, x0=xs[0], z0=zs[0],
-                         values=values)

@@ -443,17 +443,15 @@ def blayer_closed_form(r: complex, r0: complex, eps: float, eta: float) -> compl
 
 
 def blayer_quadrature_form(r: complex, eps: float, eta: float,
-                           spec: QuadratureSpec = DEFAULT_QUAD_SPEC,
-                           corrector: bool = True) -> complex:
+                           spec: QuadratureSpec = DEFAULT_QUAD_SPEC) -> complex:
     """Boundary-layer integral by direct quadrature of the trace operator.
 
     This is the depth-smoothing operator applied to the profile e^{-r eta'}
     with unit chi-wavenumber carrier (the primed depth variable appears in
     the decaying exponential, consistent with the trace approximation the
-    closed form is derived from).  corrector=False drops the eps^2 bracket.
+    closed form is derived from).
     """
-    trace = SurfaceTrace.exponential(r, chi_wavenumber=1.0 if corrector else 0.0)
-    return approx_trace_integral(trace, eps, eta, spec)
+    return approx_trace_integral(SurfaceTrace.exponential(r), eps, eta, spec)
 
 
 def _pick_exponents(i: int, de: DecayExponents) -> tuple[complex, complex]:

@@ -9,7 +9,6 @@ from mnwaves.dispersion import (
     LeakyRegimeWarning,
     NoSurfaceModeError,
     amplitude_ratios,
-    curve_from_csv,
     curve_to_csv,
     micropolar_velocity,
     secular_leading,
@@ -226,27 +225,6 @@ class TestSweep:
         a = sweep(sample_material, 1e5, 1e6, 5, "elastic")
         b = sweep(sample_material, 1e5, 1e6, 5, "elastic")
         assert curve_to_csv(a) == curve_to_csv(b)
-
-
-class TestCurveCsv:
-    def test_round_trip_identical_bytes(self, sample_material):
-        sc = derive_scales(sample_material)
-        curve = sweep(sample_material, 0.8 * sc.omega_cutoff,
-                      3.0 * sc.omega_cutoff, 6, "micropolar")
-        text = curve_to_csv(curve)
-        rows = curve_from_csv(text)
-        # re-emit from the parsed rows with the same float formatting
-        lines = [text.split("\n")[0]]
-        for row in rows:
-            lines.append(
-                f"{row['omega']!r},{row['k']!r},{row['v']!r},{row['mode']},"
-                f"{row['r1']!r},{row['r2']!r},{row['r3_re']!r},{row['r3_im']!r},"
-                f"{row['secular_residual']!r},{row['admissible']}")
-        assert "\n".join(lines) + "\n" == text
-
-    def test_header_enforced(self):
-        with pytest.raises(ValueError):
-            curve_from_csv("a,b,c\n1,2,3\n")
 
 
 class TestCurveInvariants:

@@ -372,10 +372,6 @@ class TestBoundaryLayerIntegrals:
                 for eta in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0):
                     assert blayer_closed_form(r, r, eps, eta).real > 0.0
 
-    def test_halving_without_corrector(self):
-        got = blayer_quadrature_form(0.0, 0.1, 0.0, corrector=False)
-        assert got == pytest.approx(0.5, abs=1e-11)
-
     def test_halving_with_corrector(self):
         # exact antiderivative: (1 - eps^2)/2
         eps = 0.1
