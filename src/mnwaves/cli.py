@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 malformed input or config, 2 physical
 infeasibility (below cutoff, no surface mode), 3 numerical convergence
 failure.  All numeric output uses shortest round-trip floats, so repeated
 runs produce identical bytes.  MNW_QUAD_TOL overrides the default
-quadrature relative tolerance.
+quadrature relative tolerance.  residuals and blayer print a warning to
+stderr when eps exceeds 0.3, outside the a*k << 1 regime.
 """
 
 from __future__ import annotations
@@ -207,10 +208,23 @@ def _residual_wavenumber(m: material.MaterialParams,
     return eps / m.a_nl, eps
 
 
+_EPS_REGIME_MAX = 0.3   # above it, a*k << 1 (the expansion's regime) fails
+
+
+def _warn_eps_regime(eps: float) -> None:
+    """One stderr line when eps leaves the asymptotic regime; called after
+    the report is computed, so a rejected input still gets one error line."""
+    if eps > _EPS_REGIME_MAX:
+        print(f"warning: eps = {eps!r} is above {_EPS_REGIME_MAX!r}, outside "
+              "the a*k << 1 regime of the expansion", file=sys.stderr)
+
+
 def _cmd_residuals(args) -> int:
     m = _load_material(args.material)
     k, eps = _residual_wavenumber(m, args.eps)
-    _emit(asymptotic.residual_report_json(m, k, eps) + "\n", args.out)
+    report = asymptotic.residual_report_json(m, k, eps)
+    _warn_eps_regime(eps)
+    _emit(report + "\n", args.out)
     return _EXIT_OK
 
 
@@ -221,6 +235,7 @@ def _cmd_blayer(args) -> int:
     if any(not e > 0 for e in eps_grid):
         raise _UsageError("--eps must be positive")
     payload = asymptotic.blayer_convergence(m, eps_grid, spec)
+    _warn_eps_regime(max(eps_grid))
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return _EXIT_OK
 

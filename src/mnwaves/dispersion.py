@@ -90,6 +90,11 @@ class DispersionCurve:
         return sum(1 for p in self.points if p.propagating)
 
 
+def _secular(d, r10, r20, r20_sq):
+    """(1 + d)^2 r10 r20 - (r20^2 + d)^2 for scalars or numpy arrays."""
+    return (1.0 + d) ** 2 * r10 * r20 - (r20_sq + d) ** 2
+
+
 def secular_leading(m: MaterialParams, v: float) -> float:
     """The leading-order elastic-mode secular function at phase velocity v.
 
@@ -103,14 +108,11 @@ def secular_leading(m: MaterialParams, v: float) -> float:
     r10_sq = 1.0 - (v / sc.c1) ** 2
     r20_sq = 1.0 - (v / sc.c2) ** 2
     if r20_sq >= 0.0 and r10_sq >= 0.0:
-        r10 = math.sqrt(r10_sq)
-        r20 = math.sqrt(r20_sq)
-        return (1.0 + d) ** 2 * r10 * r20 - (r20_sq + d) ** 2
+        return _secular(d, math.sqrt(r10_sq), math.sqrt(r20_sq), r20_sq)
     warnings.warn("evaluating the secular function in the leaky regime "
                   f"(v = {v!r} >= c2)", LeakyRegimeWarning, stacklevel=2)
     r10, r20 = leading_exponents(m, v)
-    value = (1.0 + d) ** 2 * r10 * r20 - (r20_sq + d) ** 2
-    return value.real
+    return _secular(d, r10, r20, r20_sq).real
 
 
 def bisect(f, a: float, b: float, fa: float, width: float) -> float:
@@ -151,21 +153,22 @@ def solve_rayleigh(m: MaterialParams, tol: float = 1e-10) -> DispersionPoint:
     _check_tol(tol)
     sc = derive_scales(m)
     lo = _BRACKET_LO * sc.c2
-    grid = [float(v) for v in np.linspace(lo, BRACKET_HI * sc.c2, _SCAN_POINTS)]
-    grid.append(sc.c2)
-    vals = [secular_leading(m, v) for v in grid]
-    for i in range(len(grid) - 2, -1, -1):
-        if vals[i] == 0.0:
-            v = grid[i]
-            break
-        if vals[i] * vals[i + 1] < 0.0:
-            v = bisect(lambda u: secular_leading(m, u), grid[i], grid[i + 1],
-                       vals[i], tol * sc.c2)
-            break
-    else:
+    # one array expression for the scan; the grid stops at c2, so r10^2 and
+    # r20^2 stay >= 0 and np.sqrt stays real
+    grid = np.append(np.linspace(lo, BRACKET_HI * sc.c2, _SCAN_POINTS), sc.c2)
+    r20_sq = 1.0 - (grid / sc.c2) ** 2
+    vals = _secular(sc.d, np.sqrt(1.0 - (grid / sc.c1) ** 2), np.sqrt(r20_sq),
+                    r20_sq)
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    if hits.size == 0:
         raise NoSurfaceModeError(
             "no sign change of the secular function in "
             f"({lo!r}, {sc.c2!r}); no elastic surface mode for this material")
+    i = hits[-1]
+    v = float(grid[i])
+    if vals[i] != 0.0:
+        v = bisect(lambda u: secular_leading(m, u), v, float(grid[i + 1]),
+                   float(vals[i]), tol * sc.c2)
     return DispersionPoint(
         omega=math.nan, k=math.nan, v=v, mode_tag="elastic", exponents=None,
         secular_residual=abs(secular_leading(m, v)),

@@ -4,7 +4,9 @@ The modified Bessel function K0 is the radial profile of the 2D non-local
 kernel; it is exposed here behind a strict domain contract (K0 has a
 logarithmic singularity at 0 and underflows past x ~ 700).  K1 is provided
 because the integral of the kernel over a disk of radius R is
-1 - (R/a) K1(R/a).
+1 - (R/a) K1(R/a).  Both come from scipy.special, which is imported on the
+first Bessel call: `import mnwaves` loads numpy only, and only the commands
+that evaluate the kernel pay for scipy.
 
 Quadrature is a heap-driven adaptive Gauss-Legendre pair (orders 10 and 21,
 nodes from numpy.polynomial.legendre, so no tabulated constants enter the
@@ -23,8 +25,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import k0 as _scipy_k0
-from scipy.special import k1 as _scipy_k1
 
 __all__ = [
     "QuadratureSpec",
@@ -69,12 +69,16 @@ class ConvergenceError(RuntimeError):
         self.error_bound = error_bound
 
 
-def _bessel(fn, name: str, x):
-    """fn(x) for a scalar or an array x > 0, with 0.0 (underflow) past 700."""
+def _bessel(order: int, x):
+    """K0 (order 0) or K1 (order 1) of a scalar or an array x > 0, with 0.0
+    (underflow) past 700.  scipy is imported here, on the first call, so
+    that `import mnwaves` does not pay for it."""
+    from scipy.special import k0, k1
+
     xs = np.asarray(x, dtype=float)
     if not (xs > 0.0).all():
-        raise ValueError(f"{name} requires x > 0, got {x}")
-    values = np.where(xs > _UNDERFLOW_X, 0.0, fn(xs))
+        raise ValueError(f"bessel_k{order} requires x > 0, got {x}")
+    values = np.where(xs > _UNDERFLOW_X, 0.0, (k0, k1)[order](xs))
     return float(values) if values.ndim == 0 else values
 
 
@@ -84,12 +88,12 @@ def bessel_k0(x):
     Relative error <= 1e-12 on [1e-6, 700]; returns 0.0 (underflow) for
     x > 700.  x <= 0 is a domain error: K0 diverges logarithmically at 0.
     """
-    return _bessel(_scipy_k0, "bessel_k0", x)
+    return _bessel(0, x)
 
 
 def bessel_k1(x):
     """Modified Bessel function K1(x) = -K0'(x) for x > 0, as bessel_k0."""
-    return _bessel(_scipy_k1, "bessel_k1", x)
+    return _bessel(1, x)
 
 
 # Gauss-Legendre node/weight pairs on [-1, 1].  The order-21 rule is the

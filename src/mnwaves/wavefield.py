@@ -45,7 +45,6 @@ __all__ = [
     "ModeSolution",
     "ShearRoot",
     "ShearRoots",
-    "make_mode_params",
     "leading_exponents",
     "decay_exponents",
     "exact_shear_exponents",
@@ -77,12 +76,6 @@ class ModeParams:
             raise ValueError("v must equal omega/k")
         if self.mode_tag not in ("elastic", "micropolar"):
             raise ValueError(f"unknown mode tag {self.mode_tag!r}")
-
-
-def make_mode_params(m: MaterialParams, k: float, omega: float,
-                     mode_tag: str = "elastic") -> ModeParams:
-    return ModeParams(k=k, omega=omega, v=omega / k, eps=m.a_nl * k,
-                      mode_tag=mode_tag)
 
 
 @dataclass(frozen=True)

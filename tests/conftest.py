@@ -6,6 +6,7 @@ import pytest
 
 from mnwaves.kernel import gaussian_field, roundtrip_error
 from mnwaves.material import MaterialParams
+from mnwaves.wavefield import ModeParams
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -87,3 +88,10 @@ def fit_slope(eps_values, deviations) -> float:
     """Least-squares slope of log(deviation) against log(eps)."""
     return float(np.polyfit(np.log(np.asarray(eps_values, dtype=float)),
                             np.log(np.asarray(deviations, dtype=float)), 1)[0])
+
+
+def make_mode_params(m: MaterialParams, k: float, omega: float,
+                     mode_tag: str = "elastic") -> ModeParams:
+    """Mode state at (k, omega) with v = omega/k and eps = a*k."""
+    return ModeParams(k=k, omega=omega, v=omega / k, eps=m.a_nl * k,
+                      mode_tag=mode_tag)

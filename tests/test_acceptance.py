@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, GOLDEN_DIR, fit_slope, subprocess_env
+from conftest import (DATA_DIR, GOLDEN_DIR, fit_slope, make_mode_params,
+                      subprocess_env)
 from test_dispersion import classical_rayleigh_oracle
 
 from mnwaves.asymptotic import (
@@ -43,7 +44,6 @@ from mnwaves.wavefield import (
     ModeSolution,
     decay_exponents,
     exact_shear_exponents,
-    make_mode_params,
     pde_residual,
 )
 

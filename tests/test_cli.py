@@ -196,6 +196,32 @@ class TestBlayerCommand:
             assert "MNW_QUAD_TOL" in err
 
 
+class TestEpsRegimeWarning:
+    @pytest.mark.parametrize("command", ["residuals", "blayer"])
+    @pytest.mark.parametrize("eps", [None, "0.3", "50"])
+    def test_warns_only_above_regime(self, command, eps, capsys):
+        extra = [] if eps is None else ["--eps", eps]
+        code, out, err = run_cli([command, "--material", SAMPLE, *extra],
+                                 capsys)
+        assert code == 0
+        m = load_material(SAMPLE)
+        eps_value = 0.1 if eps is None else float(eps)
+        if command == "residuals":
+            want = cli.asymptotic.residual_report_json(
+                m, eps_value / m.a_nl, eps_value)
+        else:
+            grid = cli.asymptotic.SLOPE_EPS_GRID if eps is None else (
+                eps_value,)
+            want = json.dumps(cli.asymptotic.blayer_convergence(
+                m, grid, cli.specfun.DEFAULT_QUAD_SPEC), indent=2)
+        assert out == want + "\n"
+        if eps == "50":
+            assert err.startswith("warning: eps = 50.0 ")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
+
+
 class TestKernelCheckCommand:
     def test_runs_and_reports(self, tmp_path, capsys):
         out_csv = tmp_path / "field.csv"
@@ -279,6 +305,46 @@ class TestArgumentHandling:
 
     def test_missing_material_flag(self, capsys):
         assert run_cli(["speeds"], capsys)[0] == 1
+
+    def test_scipy_loads_only_for_kernel_check(self, tmp_path):
+        """import mnwaves and every command but kernel-check leave scipy
+        unloaded.  One child process runs the commands in turn and prints
+        the first step after which scipy is in sys.modules."""
+        script = """\
+import contextlib, io, sys
+import mnwaves
+from mnwaves import cli
+material, csv = sys.argv[1:]
+steps = {
+    "validate": ["validate", material],
+    "speeds": ["speeds"],
+    "dispersion elastic": ["dispersion", "--omega-min", "2e5",
+                           "--omega-max", "2e6", "--num", "5"],
+    "dispersion micropolar": ["dispersion", "--mode", "micropolar",
+                              "--omega-min", "3e5", "--omega-max", "2e6",
+                              "--num", "6"],
+    "residuals": ["residuals"],
+    "blayer": ["blayer"],
+    "kernel-check": ["kernel-check", "--out", csv],
+}
+first = "import mnwaves" if "scipy" in sys.modules else None
+for name, args in steps.items():
+    if first is not None:
+        break
+    if name != "validate":
+        args += ["--material", material]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(args) == 0, name
+    if "scipy" in sys.modules:
+        first = name
+print(first)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, SAMPLE, str(tmp_path / "f.csv")],
+            capture_output=True, text=True, env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        # kernel-check evaluates K0 and K1, so it alone pays for scipy
+        assert proc.stdout == "kernel-check\n"
 
     def test_entry_point_subprocess(self):
         # the installed console script behaves like cli.run

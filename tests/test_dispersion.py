@@ -5,10 +5,12 @@ import pytest
 
 from mnwaves.asymptotic import bc_slope_study
 from mnwaves.dispersion import (
+    BRACKET_HI,
     CutoffError,
     LeakyRegimeWarning,
     NoSurfaceModeError,
     amplitude_ratios,
+    bisect,
     curve_to_csv,
     micropolar_velocity,
     secular_leading,
@@ -39,6 +41,37 @@ def classical_rayleigh_oracle(c1_over_c2: float, lo=0.5, hi=0.9999,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def material_draws(seed):
+    """(lambda/mu, kappa/mu) and the material: kappa/mu = 16 (root above
+    0.9999 c2), then 40 draws over the valid material space."""
+    rng = np.random.default_rng(seed)
+    log_kappa = rng.uniform(-4.0, math.log10(30.0), 40)
+    ratios = [(1.0, 16.0)] + list(zip(rng.uniform(-0.95, 20.0, 40),
+                                      10.0 ** log_kappa))
+    for lam_mu, kappa_mu in ratios:
+        yield (lam_mu, kappa_mu), MaterialParams(
+            lambda_lame=float(lam_mu) * 1e9, mu=1e9,
+            kappa=float(kappa_mu) * 1e9, alpha_mp=1.0, beta_mp=1.0,
+            gamma_mp=100.0, rho=1000.0, j_inertia=1e-6, a_nl=1e-4)
+
+
+def scalar_scan_root(m, tol=1e-10):
+    """The root search one `secular_leading` call per scan point: the
+    bracket (grid[i], grid[i + 1]) of the largest sign change, and v."""
+    sc = derive_scales(m)
+    grid = [float(v) for v in np.linspace(0.01 * sc.c2, BRACKET_HI * sc.c2,
+                                          512)] + [sc.c2]
+    vals = [secular_leading(m, v) for v in grid]
+    for i in range(len(grid) - 2, -1, -1):
+        if vals[i] == 0.0:
+            return (grid[i], grid[i + 1]), grid[i]
+        if vals[i] * vals[i + 1] < 0.0:
+            return (grid[i], grid[i + 1]), bisect(
+                lambda u: secular_leading(m, u), grid[i], grid[i + 1],
+                vals[i], tol * sc.c2)
+    raise AssertionError("no sign change")
 
 
 class TestSecularLeading:
@@ -113,19 +146,25 @@ class TestSolveRayleigh:
         Bisection to 1e-10 c2 leaves |secular| <= ~2e-10 / r20, and r20 at
         the root stays above ~1e-3 on this range: 1e-6 bounds it.
         """
-        rng = np.random.default_rng(seed)
-        log_kappa = rng.uniform(-4.0, math.log10(30.0), 40)
-        ratios = [(1.0, 16.0)] + list(zip(rng.uniform(-0.95, 20.0, 40),
-                                          10.0 ** log_kappa))
-        for lam_mu, kappa_mu in ratios:
-            m = MaterialParams(lambda_lame=float(lam_mu) * 1e9, mu=1e9,
-                               kappa=float(kappa_mu) * 1e9, alpha_mp=1.0,
-                               beta_mp=1.0, gamma_mp=100.0, rho=1000.0,
-                               j_inertia=1e-6, a_nl=1e-4)
+        for ratios, m in material_draws(seed):
             point = solve_rayleigh(m)
-            assert 0.0 < point.v < derive_scales(m).c2, (lam_mu, kappa_mu)
-            assert abs(secular_leading(m, point.v)) < 1e-6, (lam_mu, kappa_mu)
+            assert 0.0 < point.v < derive_scales(m).c2, ratios
+            assert abs(secular_leading(m, point.v)) < 1e-6, ratios
             bc_slope_study(m, 2000.0, point.v)
+
+    def test_array_scan_takes_the_scalar_bracket(self, seed, sample_material,
+                                                 poisson_material,
+                                                 study_material):
+        """The array scan may differ from the scalar one in the last bit
+        (numpy squares by x*x, float ** 2 calls pow), but it picks the same
+        bracket, so the scalar bisection returns the same v."""
+        cases = [("sample", sample_material), ("poisson", poisson_material),
+                 ("study", study_material), *material_draws(seed)]
+        for name, m in cases:
+            (a, b), want = scalar_scan_root(m)
+            got = solve_rayleigh(m).v
+            assert type(got) is float, name
+            assert a <= got <= b and got == want, name
 
 
 class TestMicropolarVelocity:

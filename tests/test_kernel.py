@@ -181,9 +181,15 @@ class TestConvolveHalfplane:
         assert proc.stdout == "False\n"
 
     def test_only_specfun_imports_scipy(self):
+        # and only inside a function body, so `import mnwaves` skips scipy
         importers = set()
         for path in Path(mnwaves.__file__).parent.glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            in_functions = {id(node) for fn in ast.walk(tree)
+                            if isinstance(fn, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef))
+                            for node in ast.walk(fn)}
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):
@@ -192,6 +198,9 @@ class TestConvolveHalfplane:
                     continue
                 if any(n.split(".")[0] == "scipy" for n in names):
                     importers.add(path.name)
+                    assert id(node) in in_functions, (
+                        f"{path.name}:{node.lineno} imports scipy at module "
+                        "level")
         assert importers == {"specfun.py"}
 
     def test_edge_decay_precondition(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fit_slope
+from conftest import fit_slope, make_mode_params
 from mnwaves.dispersion import DispersionPoint, amplitude_ratios, solve_rayleigh
 from mnwaves.material import derive_scales
 from mnwaves.wavefield import (
@@ -17,7 +17,6 @@ from mnwaves.wavefield import (
     decay_exponents,
     exact_shear_exponents,
     local_stresses,
-    make_mode_params,
     mode_fields,
     nonlocal_stresses,
     pde_residual,
