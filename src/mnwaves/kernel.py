@@ -64,8 +64,14 @@ class ScalarField2D:
     def __post_init__(self):
         if self.nx < 4 or self.nz < 4:
             raise ValueError("grid must be at least 4 x 4")
-        if not (self.dx > 0 and self.dz > 0):
-            raise ValueError("grid spacings must be positive")
+        for name, value in (("dx", self.dx), ("dz", self.dz)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"grid spacing {name} must be positive and "
+                                 f"finite, got {value!r}")
+        for name, value in (("x0", self.x0), ("z0", self.z0)):
+            if not math.isfinite(value):
+                raise ValueError(f"grid origin {name} must be finite, got "
+                                 f"{value!r}")
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (self.nz, self.nx):
             raise ValueError(f"values must have shape (nz, nx) = {(self.nz, self.nx)}")
@@ -112,10 +118,18 @@ class SurfaceTrace:
         return self.amplitude * np.exp(-self.decay * eta)
 
 
+def _check_length(a_nl: float, allow_zero: bool = False) -> None:
+    """a_nl must be finite and positive, or zero where that is the local
+    limit; an infinite a_nl would reach K0 as r/a = 0 or overflow."""
+    above_zero = a_nl >= 0 if allow_zero else a_nl > 0
+    if not (above_zero and a_nl < math.inf):
+        bound = "non-negative" if allow_zero else "positive"
+        raise ValueError(f"a_nl must be finite and {bound}, got {a_nl!r}")
+
+
 def kernel_weight(r, a_nl: float):
     """K0(r/a) / (2 pi a^2) at r > 0, a scalar or an array; singular as r -> 0."""
-    if not a_nl > 0:
-        raise ValueError("a_nl must be positive")
+    _check_length(a_nl)
     if not (np.asarray(r) > 0).all():
         raise ValueError("kernel_weight is singular at r = 0; integrate over "
                          "the cell instead of evaluating at the origin")
@@ -146,7 +160,10 @@ def _kernel_stencil(dx: float, dz: float, a: float) -> np.ndarray:
 
     Entry [j + mz, i + mx] is the kernel mass of the cell centered at
     (i*dx, j*dz).  Off-center cells use a 6x6 Gauss product rule; the center
-    cell is integrated exactly in the radial direction.
+    cell is integrated exactly in the radial direction.  Only the quadrant
+    i, j >= 0 inside the disk is integrated; the kernel is even in x and in
+    z, so the other three quadrants are its mirror images and the stencil is
+    exactly symmetric.
     """
     r_cut = TRUNCATION_RADII * a
     mx = max(1, int(math.ceil(r_cut / dx)))
@@ -154,23 +171,37 @@ def _kernel_stencil(dx: float, dz: float, a: float) -> np.ndarray:
     if 2 * max(mx, mz) + 1 > _MAX_STENCIL_SIDE:
         raise ValueError(f"spacing too fine for a = {a!r}: the kernel stencil "
                          f"would exceed {_MAX_STENCIL_SIDE} cells per side")
-    ii, jj = np.meshgrid(np.arange(-mx, mx + 1) * dx,
-                         np.arange(-mz, mz + 1) * dz)
+    ii, jj = np.meshgrid(np.arange(mx + 1) * dx, np.arange(mz + 1) * dz)
+    inside = np.hypot(ii, jj) <= r_cut  # the truncation disk on cell centers
+    ii, jj = ii[inside], jj[inside]
     # 6x6 tensor Gauss points relative to each cell center
     gx = 0.5 * dx * _GAUSS_CELL_X
     gz = 0.5 * dz * _GAUSS_CELL_X
     wx = 0.5 * dx * _GAUSS_CELL_W
     wz = 0.5 * dz * _GAUSS_CELL_W
-    weights = np.zeros_like(ii)
+    cells = np.zeros_like(ii)
     for p in range(gx.size):
         for q in range(gz.size):
             r = np.hypot(ii + gx[p], jj + gz[q])
-            weights += (wx[p] * wz[q]) * bessel_k0(r / a)
-    weights /= 2.0 * math.pi * a * a
-    weights[mz, mx] = _cell_self_weight(dx, dz, a)
-    # enforce the truncation disk on cell centers
-    weights[np.hypot(ii, jj) > r_cut] = 0.0
-    return weights
+            cells += (wx[p] * wz[q]) * bessel_k0(r / a)
+    quad = np.zeros(inside.shape)
+    quad[inside] = cells / (2.0 * math.pi * a * a)
+    quad[0, 0] = _cell_self_weight(dx, dz, a)
+    half = np.concatenate([quad[:, :0:-1], quad], axis=1)
+    return np.concatenate([half[:0:-1], half], axis=0)
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^i 3^j 5^k >= n, a length the FFT factors into small steps."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def convolve_halfplane(f: ScalarField2D, a_nl: float) -> ScalarField2D:
@@ -182,8 +213,7 @@ def convolve_halfplane(f: ScalarField2D, a_nl: float) -> ScalarField2D:
     warning is attached to the output metadata.  The cell weights come from
     fixed-order rules, not from an adaptive quadrature.
     """
-    if not a_nl > 0:
-        raise ValueError("a_nl must be positive")
+    _check_length(a_nl)
     vals = f.values
     peak = float(np.max(np.abs(vals)))
     if peak > 0.0:
@@ -196,8 +226,11 @@ def convolve_halfplane(f: ScalarField2D, a_nl: float) -> ScalarField2D:
     mx = (stencil.shape[1] - 1) // 2
     # the stencil is symmetric, so correlation is convolution.  Centered at
     # index 0 of n + m or more cells per axis, the circular convolution never
-    # wraps into the kept [0, n), and the zeros past f cut z' < 0 off
-    shape = (max(f.nz + mz, 2 * mz + 1), max(f.nx + mx, 2 * mx + 1))
+    # wraps into the kept [0, n), and the zeros past f cut z' < 0 off.  Each
+    # axis is padded up to a 5-smooth length: n + m is often prime (97 for
+    # n = 73 at h = a/2), and a prime-length FFT is several times slower
+    shape = (_fft_length(max(f.nz + mz, 2 * mz + 1)),
+             _fft_length(max(f.nx + mx, 2 * mx + 1)))
     taps = np.zeros(shape)
     taps[:2 * mz + 1, :2 * mx + 1] = stencil
     spectrum = np.fft.rfft2(np.roll(taps, (-mz, -mx), axis=(0, 1)))
@@ -217,6 +250,7 @@ def convolve_halfplane(f: ScalarField2D, a_nl: float) -> ScalarField2D:
 
 def apply_helmholtz(f: ScalarField2D, a_nl: float) -> ScalarField2D:
     """(1 - a^2 laplacian) f with the 5-point stencil, on the interior sub-grid."""
+    _check_length(a_nl, allow_zero=True)
     if f.nx < 6 or f.nz < 6:
         raise ValueError("grid too small for an interior Laplacian stencil")
     v = f.values

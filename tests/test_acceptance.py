@@ -2,18 +2,25 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they execute.  Measured values (including the boundary-condition
-slope study) are archived to acceptance_report.json at the repository root.
+slope study) are archived to acceptance_report.json at the repository root,
+as {"provenance": {...}, "criteria": [...]}: the provenance names the
+package, Python, numpy and scipy versions and the sha256 of the sample
+material file, so the file changes only when one of those does.
 """
 
+import hashlib
 import json
 import math
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import mnwaves
 from conftest import (DATA_DIR, GOLDEN_DIR, fit_slope, make_mode_params,
                       subprocess_env)
 from test_dispersion import classical_rayleigh_oracle
@@ -57,10 +64,20 @@ def record(criterion: str, passed: bool, detail: dict) -> None:
     RESULTS.append({"criterion": criterion, "status": status, **detail})
 
 
+def provenance() -> dict:
+    material = (DATA_DIR / "sample_material.json").read_bytes()
+    return {"mnwaves": mnwaves.__version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "sample_material_sha256": hashlib.sha256(material).hexdigest()}
+
+
 @pytest.fixture(scope="module", autouse=True)
 def archive_report():
     yield
-    REPORT_PATH.write_text(json.dumps(RESULTS, indent=2) + "\n",
+    report = {"provenance": provenance(), "criteria": RESULTS}
+    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n",
                            encoding="utf-8")
     print(f"\nacceptance report written to {REPORT_PATH}")
 

@@ -1,5 +1,6 @@
 import ast
 import cmath
+import itertools
 import math
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from conftest import fit_slope, subprocess_env
 from mnwaves.kernel import (
     ScalarField2D,
     SurfaceTrace,
+    _cell_self_weight,
+    _fft_length,
     _kernel_stencil,
     apply_helmholtz,
     approx_trace_integral,
@@ -23,7 +26,8 @@ from mnwaves.kernel import (
     kernel_weight,
 )
 from mnwaves.asymptotic import bl_coeffs
-from mnwaves.specfun import ConvergenceError, integrate_2d_polar
+from mnwaves import kernel
+from mnwaves.specfun import ConvergenceError, bessel_k0, integrate_2d_polar
 from mnwaves.wavefield import blayer_closed_form
 
 K0_AT_1 = 0.421024438240708
@@ -42,6 +46,39 @@ def direct_convolution(f: ScalarField2D, a: float) -> np.ndarray:
                                x0 - ix + mx:x1 - ix + mx]
                              * f.values[z0:z1, x0:x1])
     return out
+
+
+def full_square_stencil(dx: float, dz: float, a: float) -> np.ndarray:
+    """Reference for _kernel_stencil: the 6x6 Gauss sum over every cell of
+    the (2m+1)^2 square, zeroed outside the 12 a disk, with the centre cell
+    from _cell_self_weight."""
+    r_cut = 12.0 * a
+    mx, mz = math.ceil(r_cut / dx), math.ceil(r_cut / dz)
+    ii, jj = np.meshgrid(np.arange(-mx, mx + 1) * dx,
+                         np.arange(-mz, mz + 1) * dz)
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    w = np.zeros_like(ii)
+    for (xp, wp), (xq, wq) in itertools.product(zip(nodes, weights), repeat=2):
+        r = np.hypot(ii + 0.5 * dx * xp, jj + 0.5 * dz * xq)
+        w += 0.25 * dx * dz * wp * wq * bessel_k0(r / a)
+    w /= 2.0 * math.pi * a * a
+    w[np.hypot(ii, jj) > r_cut] = 0.0
+    w[mz, mx] = _cell_self_weight(dx, dz, a)
+    return w
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def is_5_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+STENCIL_SPACINGS = [(0.5, 0.5), (1 / 3, 1 / 3), (0.25, 0.25), (0.3, 0.45)]
 
 
 class TestKernelWeight:
@@ -75,6 +112,40 @@ class TestKernelWeight:
         mass = integrate_2d_polar(lambda r, th: kernel_weight(r, a), 40.0 * a)
         assert mass.real == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("a_nl", [0.0, -0.1, math.inf, math.nan])
+    def test_length_must_be_finite_and_positive(self, a_nl):
+        with pytest.raises(ValueError, match="a_nl"):
+            kernel_weight(1.0, a_nl)
+
+
+class TestKernelStencil:
+    @pytest.mark.parametrize("hx, hz", STENCIL_SPACINGS)
+    def test_matches_full_square_sum(self, hx, hz):
+        a = 1e-4
+        got = _kernel_stencil(hx * a, hz * a, a)
+        want = full_square_stencil(hx * a, hz * a, a)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("hx, hz", STENCIL_SPACINGS)
+    def test_exactly_symmetric(self, hx, hz):
+        w = _kernel_stencil(hx * 1e-4, hz * 1e-4, 1e-4)
+        assert np.array_equal(w, w[::-1])
+        assert np.array_equal(w, w[:, ::-1])
+
+    @pytest.mark.parametrize("hx, hz", STENCIL_SPACINGS)
+    def test_integrates_one_quadrant(self, hx, hz, monkeypatch):
+        calls = []
+
+        def counting_k0(x):
+            calls.append(np.size(x))
+            return bessel_k0(x)
+
+        monkeypatch.setattr(kernel, "bessel_k0", counting_k0)
+        w = _kernel_stencil(hx * 1e-4, hz * 1e-4, 1e-4)
+        mz, mx = w.shape[0] // 2, w.shape[1] // 2
+        assert 0 < sum(calls) <= 36 * (mx + 1) * (mz + 1)
+
 
 class TestScalarField2D:
     def test_shape_validation(self):
@@ -90,6 +161,14 @@ class TestScalarField2D:
         vals[1, 1] = math.inf
         with pytest.raises(ValueError):
             ScalarField2D(nx=4, nz=4, dx=0.1, dz=0.1, x0=0.0, values=vals)
+
+    @pytest.mark.parametrize("name, value", [
+        ("dx", math.inf), ("dx", 0.0), ("dz", math.nan), ("dz", -0.1),
+        ("x0", math.nan), ("x0", math.inf), ("z0", -math.inf)])
+    def test_nonfinite_geometry_rejected(self, name, value):
+        geometry = {"dx": 0.1, "dz": 0.1, "x0": 0.0, "z0": 0.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            ScalarField2D(nx=4, nz=4, values=np.zeros((4, 4)), **geometry)
 
     def test_csv_round_trip(self):
         rng = np.random.default_rng(7)
@@ -146,6 +225,35 @@ class TestConvolveHalfplane:
         out = convolve_halfplane(f, 0.02).values
         want = direct_convolution(f, 0.02)
         assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("nx, nz, dx, dz, a", [
+        (73, 73, 0.5e-4, 0.5e-4, 1e-4),   # the benchmark's a/2 class
+        (25, 27, 2.0, 3.0, 1.0)])
+    def test_prime_padding_lengths_match_direct_sum(self, nx, nz, dx, dz, a):
+        # n + m is prime on both axes, so the FFT runs on a padded length.
+        # n + m - 1 is 5-smooth and the outermost axis taps sit on the 12 a
+        # circle: a length one short would wrap those taps onto the far
+        # edge, which holds just under the 1e-6 decay limit
+        rng = np.random.default_rng(nx * nz)
+        vals = rng.normal(size=(nz, nx)) + 1j * rng.normal(size=(nz, nx))
+        edge = 0.9e-6 * np.max(np.abs(vals[1:-1, 1:-1]))
+        vals[0, :] = vals[-1, :] = vals[:, 0] = vals[:, -1] = edge
+        f = ScalarField2D(nx=nx, nz=nz, dx=dx, dz=dz, x0=0.0, values=vals)
+        mz, mx = (side // 2 for side in _kernel_stencil(dx, dz, a).shape)
+        assert is_prime(nx + mx) and is_prime(nz + mz)
+        out = convolve_halfplane(f, a).values
+        want = direct_convolution(f, a)
+        assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_fft_length_is_smallest_5_smooth(self):
+        for n in range(1, 3001):
+            want = next(m for m in itertools.count(n) if is_5_smooth(m))
+            assert _fft_length(n) == want, n
+
+    @pytest.mark.parametrize("a_nl", [0.0, -0.01, math.inf, math.nan])
+    def test_length_must_be_finite_and_positive(self, a_nl):
+        with pytest.raises(ValueError, match="a_nl"):
+            convolve_halfplane(gaussian_field(16, 0.01, 0.02), a_nl)
 
     def test_corner_delta_on_grid_smaller_than_stencil(self):
         # the stencil (95 x 123 cells) is larger than the 24 x 24 grid, so a
@@ -262,6 +370,11 @@ class TestApplyHelmholtz:
                           values=np.zeros((4, 4), dtype=complex))
         with pytest.raises(ValueError):
             apply_helmholtz(f, 0.1)
+
+    @pytest.mark.parametrize("a_nl", [-0.01, math.inf, math.nan])
+    def test_length_must_be_finite_and_non_negative(self, a_nl):
+        with pytest.raises(ValueError, match="a_nl"):
+            apply_helmholtz(gaussian_field(16, 0.1, 0.4), a_nl)
 
 
 class TestRoundtrip:
