@@ -171,7 +171,10 @@ def _kernel_stencil(dx: float, dz: float, a: float) -> np.ndarray:
     if 2 * max(mx, mz) + 1 > _MAX_STENCIL_SIDE:
         raise ValueError(f"spacing too fine for a = {a!r}: the kernel stencil "
                          f"would exceed {_MAX_STENCIL_SIDE} cells per side")
-    ii, jj = np.meshgrid(np.arange(mx + 1) * dx, np.arange(mz + 1) * dz)
+    # ceil(12a/h) overshoots the disk unless 12a/h is an integer: the
+    # stencil ends at the largest offsets that the disk test keeps
+    xs, zs = np.arange(mx + 1) * dx, np.arange(mz + 1) * dz
+    ii, jj = np.meshgrid(xs[xs <= r_cut], zs[zs <= r_cut])
     inside = np.hypot(ii, jj) <= r_cut  # the truncation disk on cell centers
     ii, jj = ii[inside], jj[inside]
     # 6x6 tensor Gauss points relative to each cell center

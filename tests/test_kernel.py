@@ -50,8 +50,8 @@ def direct_convolution(f: ScalarField2D, a: float) -> np.ndarray:
 
 def full_square_stencil(dx: float, dz: float, a: float) -> np.ndarray:
     """Reference for _kernel_stencil: the 6x6 Gauss sum over every cell of
-    the (2m+1)^2 square, zeroed outside the 12 a disk, with the centre cell
-    from _cell_self_weight."""
+    the (2m+1)^2 square, m = ceil(12 a/h), zeroed outside the 12 a disk,
+    with the centre cell from _cell_self_weight; empty outer lines cut off."""
     r_cut = 12.0 * a
     mx, mz = math.ceil(r_cut / dx), math.ceil(r_cut / dz)
     ii, jj = np.meshgrid(np.arange(-mx, mx + 1) * dx,
@@ -64,7 +64,10 @@ def full_square_stencil(dx: float, dz: float, a: float) -> np.ndarray:
     w /= 2.0 * math.pi * a * a
     w[np.hypot(ii, jj) > r_cut] = 0.0
     w[mz, mx] = _cell_self_weight(dx, dz, a)
-    return w
+    # the stencil ends at the outermost rows and columns that hold a cell
+    rows = np.flatnonzero(w.any(axis=1))
+    cols = np.flatnonzero(w.any(axis=0))
+    return w[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
 
 
 def is_prime(n: int) -> bool:
@@ -132,6 +135,18 @@ class TestKernelStencil:
         w = _kernel_stencil(hx * 1e-4, hz * 1e-4, 1e-4)
         assert np.array_equal(w, w[::-1])
         assert np.array_equal(w, w[:, ::-1])
+
+    @pytest.mark.parametrize("dx, dz, a", [
+        (0.38, 0.38, 1.0), (0.28, 0.28, 1.0),  # the fresh-* benchmark classes
+        (0.011, 0.017, 0.02)])
+    def test_outer_rows_and_columns_hold_cells(self, dx, dz, a):
+        # 12 a/h is not an integer here, so ceil(12 a/h) offsets would end
+        # in a row and a column of cells outside the disk
+        w = _kernel_stencil(dx, dz, a)
+        assert w.shape[0] < 2 * math.ceil(12.0 * a / dz) + 1
+        assert w.shape[1] < 2 * math.ceil(12.0 * a / dx) + 1
+        for line in (w[0], w[-1], w[:, 0], w[:, -1]):
+            assert np.any(line > 0.0)
 
     @pytest.mark.parametrize("hx, hz", STENCIL_SPACINGS)
     def test_integrates_one_quadrant(self, hx, hz, monkeypatch):
@@ -256,7 +271,7 @@ class TestConvolveHalfplane:
             convolve_halfplane(gaussian_field(16, 0.01, 0.02), a_nl)
 
     def test_corner_delta_on_grid_smaller_than_stencil(self):
-        # the stencil (95 x 123 cells) is larger than the 24 x 24 grid, so a
+        # the stencil (93 x 121 cells) is larger than the 24 x 24 grid, so a
         # circular convolution that wrapped would put mass in the far corner
         vals = np.zeros((24, 24), dtype=complex)
         vals[1, 1] = 1.0
