@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (BRACKET_HI, DispersionPoint, bisect, secular_leading,
+from .dispersion import (BRACKET_HI, DispersionPoint, bracketed_root,
                          solve_rayleigh)
 from .kernel import SurfaceTrace
 from .material import MaterialParams, derive_scales
@@ -336,8 +336,10 @@ def first_order_elastic_solution(m: MaterialParams, k: float, eps: float,
 
         sigma31 - (eps/2) d_chi sigma11 = 0   at the surface
 
-    is a real equation in the phase velocity, solved by bisection near the
-    classical root v0 = `solve_rayleigh(m).v`, which the caller solves once.
+    is a real equation in the phase velocity, solved by `bracketed_root`
+    to 1e-13 c2 on [0.8 v0, 1.1 v0] around the classical root
+    v0 = `solve_rayleigh(m).v`, which the caller solves once, or on
+    [0.05 c2, c2] when the row keeps its sign on the first bracket.
     Branch exponents are the leading-order (eps-free) ones of the slow
     problem at the corrected velocity.
     """
@@ -369,7 +371,7 @@ def first_order_elastic_solution(m: MaterialParams, k: float, eps: float,
         if flo * fhi > 0.0:
             raise ValueError("no first-order-corrected root near the "
                              "classical one for this eps")
-    v = bisect(residual, lo, hi, flo, 1e-13 * sc.c2)
+    v = bracketed_root(residual, lo, hi, flo, fhi, 1e-13 * sc.c2)
     de0, _, amp = assemble(v)
     mp = ModeParams(k=k, omega=v * k, v=v, eps=eps)
     return ModeSolution(m=m, mp=mp, amp=amp, de=de0)
@@ -470,7 +472,7 @@ def residual_report_json(m: MaterialParams, k: float, eps: float,
     de = decay_exponents(m, mp)
     point = DispersionPoint(omega=omega, k=k, v=v, mode_tag="elastic",
                             exponents=de,
-                            secular_residual=abs(secular_leading(m, v)),
+                            secular_residual=root.secular_residual,
                             admissible=de.admissible)
     amp = amplitude_ratios(m, point, eps)
     sol = ModeSolution(m=m, mp=mp, amp=amp, de=de)

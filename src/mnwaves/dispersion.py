@@ -115,29 +115,63 @@ def secular_leading(m: MaterialParams, v: float) -> float:
     return _secular(d, r10, r20, r20_sq).real
 
 
-def bisect(f, a: float, b: float, fa: float, width: float) -> float:
-    """Midpoint of a sign-change bracket [a, b] of f (fa = f(a)) halved
-    until it is at most width wide; an exact zero of f ends the search."""
+def bracketed_root(f, a: float, b: float, fa: float, fb: float,
+                   width: float) -> float:
+    """Midpoint of a sign-change bracket [a, b] of f (fa = f(a) and
+    fb = f(b) of opposite signs) narrowed until it is at most width wide;
+    an exact zero of f ends the search.
+
+    Each step is an Illinois step (regula falsi that halves the stored
+    value of an end kept twice in a row), moved at least width/2 inside
+    the bracket so that a root within width/2 of an end is closed off by
+    the next step.  The bracket must keep up with bisection at half pace:
+    after 2j evaluations it may be at most 2^-j of its first width, and
+    while it is wider the steps are midpoints.  So where plain bisection
+    takes n evaluations this takes at most 2n + 1, on any f.
+    """
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if (fa < 0.0) == (fb < 0.0):
+        raise ValueError("f(a) and f(b) must differ in sign")
+    half = 0.5 * width
+    budget = b - a     # widest bracket allowed before the next step
+    kept = 0           # end kept by the last step: -1 for a, +1 for b
+    steps = 0
     while b - a > width:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b = mid
+        w = b - a
+        if w > budget:
+            x = 0.5 * (a + b)
         else:
-            a, fa = mid, fm
+            # max before min, so a NaN step (inf values) falls on a + half
+            x = min(b - half, max(a + half, a - fa * w / (fb - fa)))
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
+        else:
+            b, fb = x, fx
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
+        steps += 1
+        if steps % 2 == 0:
+            budget *= 0.5
     return 0.5 * (a + b)
 
 
 def _check_tol(tol: float) -> None:
     if not 0 < tol < _SCAN_STEP:
         raise ValueError(f"tol must lie in (0, {_SCAN_STEP!r}), below the "
-                         "root scan step relative to c2")
+                         "root scan step relative to c2, or the root loop "
+                         "would never run")
 
 
 def solve_rayleigh(m: MaterialParams, tol: float = 1e-10) -> DispersionPoint:
-    """Bisect the elastic-mode root of `secular_leading` in (0.01, 1) c2.
+    """The elastic-mode root of `secular_leading` in (0.01, 1) c2.
 
     The secular function is positive just above the trivial v = 0 double
     root (its leading term is +v^2 (1+d)[2/c2^2 - (1+d)(1/(2 c1^2)
@@ -147,8 +181,9 @@ def solve_rayleigh(m: MaterialParams, tol: float = 1e-10) -> DispersionPoint:
     With several sign changes the largest-velocity bracket (the physical
     Rayleigh branch) is taken.  The leading-order mode is non-dispersive:
     omega and k of the returned point are NaN metadata, exponents are
-    attached by `sweep`.  tol, relative to c2, must be positive and below
-    the scan step, or the bisection would never run.
+    attached by `sweep`.  The bracket of the scan is narrowed by
+    `bracketed_root` to tol, relative to c2, which must be positive and
+    below the scan step, or the root loop would never run.
     """
     _check_tol(tol)
     sc = derive_scales(m)
@@ -165,10 +200,9 @@ def solve_rayleigh(m: MaterialParams, tol: float = 1e-10) -> DispersionPoint:
             "no sign change of the secular function in "
             f"({lo!r}, {sc.c2!r}); no elastic surface mode for this material")
     i = hits[-1]
-    v = float(grid[i])
-    if vals[i] != 0.0:
-        v = bisect(lambda u: secular_leading(m, u), v, float(grid[i + 1]),
-                   float(vals[i]), tol * sc.c2)
+    v = bracketed_root(lambda u: secular_leading(m, u), float(grid[i]),
+                       float(grid[i + 1]), float(vals[i]), float(vals[i + 1]),
+                       tol * sc.c2)
     return DispersionPoint(
         omega=math.nan, k=math.nan, v=v, mode_tag="elastic", exponents=None,
         secular_residual=abs(secular_leading(m, v)),
@@ -259,7 +293,7 @@ def sweep(m: MaterialParams, omega_lo: float, omega_hi: float, n: int,
         root = solve_rayleigh(m, tol)
         for omega in map(float, omegas):
             points.append(_solved_point(m, omega, root.v, "elastic",
-                                        abs(secular_leading(m, root.v))))
+                                        root.secular_residual))
     else:
         sc = derive_scales(m)
         for omega in map(float, omegas):

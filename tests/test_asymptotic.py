@@ -276,6 +276,23 @@ class TestFirstOrderSolution:
         sol = first_order_elastic_solution(study_material, 2000.0, 0.2, v0)
         assert sol.mp.v != pytest.approx(v0, rel=1e-6)
 
+    def test_wide_bracket_fallback(self, study_material):
+        """From v0 = root/2 the root lies outside [0.8 v0, 1.1 v0], so it can
+        only be found on the wide bracket [0.05 c2, c2]."""
+        c2 = derive_scales(study_material).c2
+        v0 = solve_rayleigh(study_material).v
+        near = first_order_elastic_solution(study_material, 2000.0, 0.1, v0)
+        assert not 0.8 * 0.5 * v0 <= near.mp.v <= 1.1 * 0.5 * v0
+        far = first_order_elastic_solution(study_material, 2000.0, 0.1,
+                                           0.5 * v0)
+        assert abs(far.mp.v - near.mp.v) <= 1e-12 * c2
+
+    def test_no_sign_change_raises(self, study_material):
+        # at eps = 2 the corrected row keeps one sign on both brackets
+        v0 = solve_rayleigh(study_material).v
+        with pytest.raises(ValueError, match="no first-order-corrected root"):
+            first_order_elastic_solution(study_material, 2000.0, 2.0, v0)
+
 
 class TestReport:
     def test_report_structure_and_normalization(self, sample_material):

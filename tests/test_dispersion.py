@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from mnwaves.asymptotic import bc_slope_study
+from mnwaves import asymptotic, dispersion
+from mnwaves.asymptotic import bc_slope_study, residual_report_json
 from mnwaves.dispersion import (
     BRACKET_HI,
     CutoffError,
     LeakyRegimeWarning,
     NoSurfaceModeError,
     amplitude_ratios,
-    bisect,
+    bracketed_root,
     curve_to_csv,
     micropolar_velocity,
     secular_leading,
@@ -18,6 +19,25 @@ from mnwaves.dispersion import (
     sweep,
 )
 from mnwaves.material import MaterialParams, derive_scales
+
+
+def plain_bisection(f, a, b, fa, width):
+    """Midpoint of a sign-change bracket [a, b] of f (fa = f(a)) halved until
+    at most width wide, and the number of evaluations of f.  Written apart
+    from the library: the oracle's root loop and the reference that
+    `bracketed_root` is checked against."""
+    evals = 0
+    while b - a > width:
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        evals += 1
+        if fm == 0.0:
+            return mid, evals
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b), evals
 
 
 def classical_rayleigh_oracle(c1_over_c2: float, lo=0.5, hi=0.9999,
@@ -34,13 +54,7 @@ def classical_rayleigh_oracle(c1_over_c2: float, lo=0.5, hi=0.9999,
 
     flo = f(lo)
     assert flo * f(hi) < 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if flo * f(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return plain_bisection(f, lo, hi, flo, tol)[0]
 
 
 def material_draws(seed):
@@ -68,10 +82,34 @@ def scalar_scan_root(m, tol=1e-10):
         if vals[i] == 0.0:
             return (grid[i], grid[i + 1]), grid[i]
         if vals[i] * vals[i + 1] < 0.0:
-            return (grid[i], grid[i + 1]), bisect(
+            return (grid[i], grid[i + 1]), bracketed_root(
                 lambda u: secular_leading(m, u), grid[i], grid[i + 1],
-                vals[i], tol * sc.c2)
+                vals[i], vals[i + 1], tol * sc.c2)
     raise AssertionError("no sign change")
+
+
+@pytest.fixture
+def root_solves(monkeypatch):
+    """Record every call of the library root loop, from both of its callers,
+    as (f, a, b, fa, fb, width, result, evaluations)."""
+    calls = []
+    loop = dispersion.bracketed_root
+
+    def recording(f, a, b, fa, fb, width):
+        evals = 0
+
+        def counted(x):
+            nonlocal evals
+            evals += 1
+            return f(x)
+
+        x = loop(counted, a, b, fa, fb, width)
+        calls.append((f, a, b, fa, fb, width, x, evals))
+        return x
+
+    monkeypatch.setattr(dispersion, "bracketed_root", recording)
+    monkeypatch.setattr(asymptotic, "bracketed_root", recording)
+    return calls
 
 
 class TestSecularLeading:
@@ -129,7 +167,7 @@ class TestSolveRayleigh:
             pass
 
     def test_bad_tolerance_rejected(self, sample_material):
-        # from the scan step (about 1.94e-3 c2) up, the bisection never runs
+        # from the scan step (about 1.94e-3 c2) up, the root loop never runs
         for tol in (0.0, 1e-2, 1e300):
             with pytest.raises(ValueError):
                 solve_rayleigh(sample_material, tol=tol)
@@ -143,7 +181,7 @@ class TestSolveRayleigh:
         The secular function is positive just above v = 0 and equals -d^2 at
         c2, so a root always exists; from kappa/mu ~ 7.6 it lies above
         0.9999 c2 (the fixed kappa/mu = 16 draw guarantees one such case).
-        Bisection to 1e-10 c2 leaves |secular| <= ~2e-10 / r20, and r20 at
+        A root within 1e-10 c2 leaves |secular| <= ~2e-10 / r20, and r20 at
         the root stays above ~1e-3 on this range: 1e-6 bounds it.
         """
         for ratios, m in material_draws(seed):
@@ -157,7 +195,7 @@ class TestSolveRayleigh:
                                                  study_material):
         """The array scan may differ from the scalar one in the last bit
         (numpy squares by x*x, float ** 2 calls pow), but it picks the same
-        bracket, so the scalar bisection returns the same v."""
+        bracket, so the library root loop returns the same v."""
         cases = [("sample", sample_material), ("poisson", poisson_material),
                  ("study", study_material), *material_draws(seed)]
         for name, m in cases:
@@ -279,3 +317,105 @@ class TestCurveInvariants:
         a = sweep(sample_material, 1e5, 1e6, 2, "elastic")
         b = sweep(poisson_material, 1e5, 1e6, 2, "elastic")
         assert a.fingerprint != b.fingerprint
+
+
+def steep_flat_kinked(rng):
+    """Monotone test functions with one sign change at r in (0, 1), named,
+    in both orientations: high odd powers (flat at r), tanh(1e6 (x - r))
+    (a step at double precision), a kinked piecewise-linear function whose
+    slopes differ by up to 1e16, and jumps from -1 to +1 and from -inf to
+    +inf (where the interpolated step is NaN)."""
+    r = float(rng.uniform(0.0, 1.0))
+    left, right = 10.0 ** rng.uniform(-8.0, 0.0, 2)
+    cases = {
+        "power3": lambda x: (x - r) ** 3,
+        "power21": lambda x: (x - r) ** 21,
+        "power51": lambda x: (x - r) ** 51,
+        "tanh": lambda x: math.tanh(1e6 * (x - r)),
+        "kink": lambda x: left * (x - r) if x < r else 1e8 * right * (x - r),
+        "jump": lambda x: -1.0 if x < r else 1.0,
+        "infinite": lambda x: -math.inf if x < r else math.inf,
+    }
+    for name, f in list(cases.items()):
+        cases[name + "-"] = lambda x, f=f: -f(x)
+    return r, cases
+
+
+class TestBracketedRoot:
+    def test_synthetic_functions(self, seed):
+        """The result lies within width of the sign change (or is an exact
+        zero of f, as where (x - r)^51 underflows), every step lies at
+        least width/2 inside the current bracket, and the evaluations stay
+        within 2n + 1, n those of plain bisection on the same bracket."""
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            r, cases = steep_flat_kinked(rng)
+            a = r - float(rng.uniform(1e-3, 1.0))
+            b = r + float(rng.uniform(1e-3, 1.0))
+            width = (b - a) * 10.0 ** float(rng.uniform(-15.0, -1.0))
+            for name, f in cases.items():
+                steps = []
+
+                def logged(x):
+                    steps.append(x)
+                    return f(x)
+
+                fa, fb = f(a), f(b)
+                x = bracketed_root(logged, a, b, fa, fb, width)
+                label = (name, r, a, b, width)
+                assert f(x) == 0.0 or abs(x - r) <= width, label
+                # plain bisection's count on a function with no exact zero
+                _, n = plain_bisection(lambda u: -1.0 if u < r else 1.0,
+                                       a, b, -1.0, width)
+                assert len(steps) <= 2 * n + 1, (label, len(steps), n)
+                lo, hi, flo = a, b, fa
+                for u in steps:
+                    assert lo + 0.5 * width <= u <= hi - 0.5 * width, label
+                    if (f(u) < 0.0) == (flo < 0.0):
+                        lo, flo = u, f(u)
+                    else:
+                        hi = u
+
+    def test_exact_zero_ends_the_search(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.5
+
+        assert bracketed_root(f, 0.0, 1.0, -0.5, 0.5, 1e-12) == 0.5
+        assert calls == [0.5]
+        assert bracketed_root(f, 0.5, 1.0, 0.0, 0.5, 1e-12) == 0.5
+        assert bracketed_root(f, 0.0, 0.5, -0.5, 0.0, 1e-12) == 0.5
+        assert calls == [0.5]
+
+    def test_same_signs_rejected(self):
+        with pytest.raises(ValueError, match="sign"):
+            bracketed_root(lambda x: x, 1.0, 2.0, 1.0, 2.0, 1e-6)
+
+    def test_report_evaluation_budget(self, root_solves, sample_material):
+        """One `mnw residuals` report (eps = 0.1) solves four roots: the
+        classical one and three first-order ones.  Plain bisection took 151
+        evaluations for them."""
+        residual_report_json(sample_material, 0.1 / sample_material.a_nl,
+                             0.1)
+        assert len(root_solves) == 4
+        assert sum(call[-1] for call in root_solves) <= 45
+
+    def test_roots_agree_with_plain_bisection(self, seed, root_solves,
+                                              sample_material,
+                                              poisson_material,
+                                              study_material):
+        """Over the fixture materials and the sampled material space, every
+        root of both callers lies within width of plain bisection's on the
+        same bracket, in at most 20 evaluations."""
+        cases = [sample_material, poisson_material, study_material,
+                 *(m for _, m in material_draws(seed))]
+        for m in cases:
+            point = solve_rayleigh(m)
+            bc_slope_study(m, 2000.0, point.v)
+        assert len(root_solves) == 4 * len(cases)
+        for f, a, b, fa, _, width, x, evals in root_solves:
+            want, _ = plain_bisection(f, a, b, fa, width)
+            assert abs(x - want) <= width, (a, b, x, want)
+            assert evals <= 20, (a, b, evals)
