@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (BRACKET_HI, DispersionPoint, bracketed_root,
+from .dispersion import (DispersionPoint, amplitude_ratios, bracketed_root,
                          solve_rayleigh)
 from .kernel import SurfaceTrace
 from .material import MaterialParams, derive_scales
@@ -337,9 +337,9 @@ def first_order_elastic_solution(m: MaterialParams, k: float, eps: float,
         sigma31 - (eps/2) d_chi sigma11 = 0   at the surface
 
     is a real equation in the phase velocity, solved by `bracketed_root`
-    to 1e-13 c2 on [0.8 v0, 1.1 v0] around the classical root
-    v0 = `solve_rayleigh(m).v`, which the caller solves once, or on
-    [0.05 c2, c2] when the row keeps its sign on the first bracket.
+    to 1e-13 c2 on [0.8 v0, min(1.1 v0, c2)] around the classical root
+    v0 = `solve_rayleigh(m).v`, which the caller solves once; a ValueError
+    is raised when the row keeps its sign on that bracket.
     Branch exponents are the leading-order (eps-free) ones of the slow
     problem at the corrected velocity.
     """
@@ -363,14 +363,11 @@ def first_order_elastic_solution(m: MaterialParams, k: float, eps: float,
         s11 = sum(c * a for c, a in zip(rows["sigma11"], amps))
         return _first_order_row(s31, s11, eps).real
 
-    lo, hi = 0.8 * v0, min(1.1 * v0, BRACKET_HI * sc.c2)
+    lo, hi = 0.8 * v0, min(1.1 * v0, sc.c2)
     flo, fhi = residual(lo), residual(hi)
     if flo * fhi > 0.0:
-        lo, hi = 0.05 * sc.c2, sc.c2
-        flo, fhi = residual(lo), residual(hi)
-        if flo * fhi > 0.0:
-            raise ValueError("no first-order-corrected root near the "
-                             "classical one for this eps")
+        raise ValueError("no first-order-corrected root near the classical "
+                         "one for this eps")
     v = bracketed_root(residual, lo, hi, flo, fhi, 1e-13 * sc.c2)
     de0, _, amp = assemble(v)
     mp = ModeParams(k=k, omega=v * k, v=v, eps=eps)
@@ -463,12 +460,10 @@ def residual_report_json(m: MaterialParams, k: float, eps: float,
     Keys: classical, first_order, refined, extra, equivalence (arrays of
     re/im pairs), plus normalization, slopes and pde diagnostic blocks.
     """
-    from .dispersion import amplitude_ratios  # local import avoids a cycle
-
     root = solve_rayleigh(m)
     v = root.v
     omega = v * k
-    mp = ModeParams(k=k, omega=omega, v=v, eps=eps, mode_tag="elastic")
+    mp = ModeParams(k=k, omega=omega, v=v, eps=eps)
     de = decay_exponents(m, mp)
     point = DispersionPoint(omega=omega, k=k, v=v, mode_tag="elastic",
                             exponents=de,

@@ -43,9 +43,9 @@ __all__ = [
 ]
 
 _BRACKET_LO = 0.01     # of c2; excludes the trivial double root at v = 0
-BRACKET_HI = 0.9999    # of c2; top of the uniform scan grid
+_BRACKET_HI = 0.9999   # of c2; top of the uniform scan grid
 _SCAN_POINTS = 512
-_SCAN_STEP = (BRACKET_HI - _BRACKET_LO) / (_SCAN_POINTS - 1)   # of c2
+_SCAN_STEP = (_BRACKET_HI - _BRACKET_LO) / (_SCAN_POINTS - 1)   # of c2
 
 
 class CutoffError(ValueError):
@@ -190,7 +190,7 @@ def solve_rayleigh(m: MaterialParams, tol: float = 1e-10) -> DispersionPoint:
     lo = _BRACKET_LO * sc.c2
     # one array expression for the scan; the grid stops at c2, so r10^2 and
     # r20^2 stay >= 0 and np.sqrt stays real
-    grid = np.append(np.linspace(lo, BRACKET_HI * sc.c2, _SCAN_POINTS), sc.c2)
+    grid = np.append(np.linspace(lo, _BRACKET_HI * sc.c2, _SCAN_POINTS), sc.c2)
     r20_sq = 1.0 - (grid / sc.c2) ** 2
     vals = _secular(sc.d, np.sqrt(1.0 - (grid / sc.c1) ** 2), np.sqrt(r20_sq),
                     r20_sq)
@@ -264,7 +264,7 @@ def _micropolar_residual(m: MaterialParams, v: float, omega: float) -> float:
 def _solved_point(m: MaterialParams, omega: float, v: float,
                   mode_tag: str, residual: float) -> DispersionPoint:
     k = omega / v
-    mp = ModeParams(k=k, omega=omega, v=v, eps=m.a_nl * k, mode_tag=mode_tag)
+    mp = ModeParams(k=k, omega=omega, v=v, eps=m.a_nl * k)
     de = decay_exponents(m, mp)
     return DispersionPoint(omega=omega, k=k, v=v, mode_tag=mode_tag,
                            exponents=de, secular_residual=residual,

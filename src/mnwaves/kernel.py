@@ -5,7 +5,12 @@ over the plane is 1; it is the free-space Green's function of the modified
 Helmholtz operator 1 - a^2 laplacian.  `convolve_halfplane` applies the
 integral model to a sampled field on the half-plane z >= 0 (the region
 z' < 0 contributes nothing), `apply_helmholtz` applies the differential
-model, and the two are mutually inverse away from boundaries.
+model, and the two are mutually inverse away from boundaries.  Off the
+origin (1 - a^2 laplacian) K = 0 and grad K = -K1(r/a) r_hat / (2 pi a^3),
+so by the divergence theorem a grid cell's mass is [it holds the origin]
+- (1/2 pi) times the flux of u K1(u) d theta through its edges, theta the
+angle seen from the origin.  u K1(u) lies in (0, 1) and is smooth in theta,
+so one fixed Gauss rule needs no singularity subtraction, near 0 or not.
 
 `approx_trace_integral` and `boundary_operator` realize the 1D trace
 approximations used on surface profiles sigma(chi, eta) = e^{i chi w} g(eta):
@@ -39,8 +44,7 @@ __all__ = [
 
 TRUNCATION_RADII = 12.0   # kernel cut at 12 a, where K0 < 2e-6 of K0(1)
 _MAX_STENCIL_SIDE = 2401  # cells per stencil side: spacings down to a/100
-_GAUSS_CELL_X, _GAUSS_CELL_W = leggauss(6)
-_GAUSS_ANGLE_X, _GAUSS_ANGLE_W = leggauss(32)
+_GAUSS_EDGE_X, _GAUSS_EDGE_W = leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -136,34 +140,34 @@ def kernel_weight(r, a_nl: float):
     return bessel_k0(r / a_nl) / (2.0 * math.pi * a_nl * a_nl)
 
 
-def _cell_self_weight(dx: float, dz: float, a: float) -> float:
-    """Exact kernel mass of the rectangular cell containing the singularity.
-
-    In polar form the radial integral closes to 1 - u K1(u) with u = rho/a;
-    the remaining angular integral over the rectangle boundary rho(theta) is
-    smooth and is done with a fixed Gauss rule per smooth piece of one of
-    the four mirror-image quadrants.
-    """
-    split = math.atan2(dz, dx)
+def _edge_flux(dist, along, width: float, a: float):
+    """int u K1(u) dtheta over edges of length width centered at along on
+    lines at distance dist from the origin, u = dist / (a cos theta); an
+    edge centered on the perpendicular's foot (along = 0) is two halves."""
+    lo = np.arctan2(np.maximum(along - 0.5 * width, 0.0), dist)
+    half = 0.5 * (np.arctan2(along + 0.5 * width, dist) - lo)
     total = 0.0
-    # the boundary is x = dx/2 for theta in (0, split), z = dz/2 beyond
-    for lo, hi, side, trig in ((0.0, split, dx, np.cos),
-                               (split, 0.5 * math.pi, dz, np.sin)):
-        half = 0.5 * (hi - lo)
-        u = 0.5 * side / (a * trig(0.5 * (hi + lo) + half * _GAUSS_ANGLE_X))
-        total += half * np.dot(_GAUSS_ANGLE_W, 1.0 - u * bessel_k1(u))
-    return 4.0 * total / (2.0 * math.pi)
+    for node, weight in zip(_GAUSS_EDGE_X, _GAUSS_EDGE_W):
+        u = dist / (a * np.cos(lo + half * (1.0 + node)))
+        total = total + weight * (u * bessel_k1(u))
+    return np.where(along == 0.0, 2.0, 1.0) * (half * total)
+
+
+def _reach(h: float, r_cut: float) -> int:
+    """Largest m with m*h <= r_cut: the stencil's half-width on an axis."""
+    m = math.ceil(r_cut / h)
+    return m - 1 if m * h > r_cut else m
 
 
 def _kernel_stencil(dx: float, dz: float, a: float) -> np.ndarray:
     """Cell-integrated kernel weights on offsets within the truncation disk.
 
     Entry [j + mz, i + mx] is the kernel mass of the cell centered at
-    (i*dx, j*dz).  Off-center cells use a 6x6 Gauss product rule; the center
-    cell is integrated exactly in the radial direction.  Only the quadrant
-    i, j >= 0 inside the disk is integrated; the kernel is even in x and in
-    z, so the other three quadrants are its mirror images and the stencil is
-    exactly symmetric.
+    (i*dx, j*dz), from the fluxes through its four edges (module doc).
+    Only the quadrant i, j >= 0 inside the disk is integrated, each edge
+    once for the two cells that share it; the kernel is even in x and in
+    z, so the other three quadrants are its mirror images and the stencil
+    is exactly symmetric.
     """
     r_cut = TRUNCATION_RADII * a
     mx = max(1, int(math.ceil(r_cut / dx)))
@@ -171,25 +175,19 @@ def _kernel_stencil(dx: float, dz: float, a: float) -> np.ndarray:
     if 2 * max(mx, mz) + 1 > _MAX_STENCIL_SIDE:
         raise ValueError(f"spacing too fine for a = {a!r}: the kernel stencil "
                          f"would exceed {_MAX_STENCIL_SIDE} cells per side")
-    # ceil(12a/h) overshoots the disk unless 12a/h is an integer: the
-    # stencil ends at the largest offsets that the disk test keeps
-    xs, zs = np.arange(mx + 1) * dx, np.arange(mz + 1) * dz
-    ii, jj = np.meshgrid(xs[xs <= r_cut], zs[zs <= r_cut])
+    ii, jj = np.meshgrid(np.arange(_reach(dx, r_cut) + 1) * dx,
+                         np.arange(_reach(dz, r_cut) + 1) * dz)
     inside = np.hypot(ii, jj) <= r_cut  # the truncation disk on cell centers
-    ii, jj = ii[inside], jj[inside]
-    # 6x6 tensor Gauss points relative to each cell center
-    gx = 0.5 * dx * _GAUSS_CELL_X
-    gz = 0.5 * dz * _GAUSS_CELL_X
-    wx = 0.5 * dx * _GAUSS_CELL_W
-    wz = 0.5 * dz * _GAUSS_CELL_W
-    cells = np.zeros_like(ii)
-    for p in range(gx.size):
-        for q in range(gz.size):
-            r = np.hypot(ii + gx[p], jj + gz[q])
-            cells += (wx[p] * wz[q]) * bessel_k0(r / a)
-    quad = np.zeros(inside.shape)
-    quad[inside] = cells / (2.0 * math.pi * a * a)
-    quad[0, 0] = _cell_self_weight(dx, dz, a)
+    # kept cells' left and lower neighbours are kept, so every edge is a
+    # right or top edge; column 0's left edge and row 0's bottom mirror them
+    right, top = np.zeros(inside.shape), np.zeros(inside.shape)
+    right[inside] = _edge_flux(ii[inside] + 0.5 * dx, jj[inside], dz, a)
+    top[inside] = _edge_flux(jj[inside] + 0.5 * dz, ii[inside], dx, a)
+    left = np.concatenate([-right[:, :1], right[:, :-1]], axis=1)
+    bottom = np.concatenate([-top[:1], top[:-1]], axis=0)
+    net = (right - left) + (top - bottom)  # flux leaving each cell
+    quad = np.where(inside, -net / (2.0 * math.pi), 0.0)
+    quad[0, 0] += 1.0
     half = np.concatenate([quad[:, :0:-1], quad], axis=1)
     return np.concatenate([half[:0:-1], half], axis=0)
 
@@ -280,13 +278,14 @@ def gaussian_field(n: int, h: float, width: float) -> ScalarField2D:
 def roundtrip_error(f: ScalarField2D,
                     a_nl: float) -> tuple[ScalarField2D, int, float]:
     """(convolved f, margin, error): the error is max |apply_helmholtz(
-    convolved f) - f| / max |f| over the nodes at least margin = ceil(12 a/h)
-    from every edge, beyond the reach of the truncated kernel."""
+    convolved f) - f| / max |f| over the nodes at least margin = m + 1 from
+    every edge, m the stencil's half-width: the convolution at a checked
+    node's Laplacian neighbours then reaches no node past the grid."""
     if f.dx != f.dz:
         raise ValueError("the roundtrip check needs dx == dz")
     convolved = convolve_halfplane(f, a_nl)
     smoothed = apply_helmholtz(convolved, a_nl)
-    margin = int(math.ceil(TRUNCATION_RADII * a_nl / f.dx))
+    margin = _reach(f.dx, TRUNCATION_RADII * a_nl) + 1
     # apply_helmholtz drops one node on each side, shifting indices by one
     inner = smoothed.values[margin - 1:f.nz - 1 - margin,
                             margin - 1:f.nx - 1 - margin]

@@ -67,15 +67,12 @@ class ModeParams:
     omega: float      # rad/s
     v: float          # m/s, = omega/k
     eps: float        # dimensionless non-locality, a*k
-    mode_tag: str = "elastic"   # "elastic" | "micropolar"
 
     def __post_init__(self):
         if not (self.k > 0 and self.omega > 0):
             raise ValueError("k and omega must be positive")
         if abs(self.v - self.omega / self.k) > 1e-14 * abs(self.v):
             raise ValueError("v must equal omega/k")
-        if self.mode_tag not in ("elastic", "micropolar"):
-            raise ValueError(f"unknown mode tag {self.mode_tag!r}")
 
 
 @dataclass(frozen=True)

@@ -90,8 +90,6 @@ def fit_slope(eps_values, deviations) -> float:
                             np.log(np.asarray(deviations, dtype=float)), 1)[0])
 
 
-def make_mode_params(m: MaterialParams, k: float, omega: float,
-                     mode_tag: str = "elastic") -> ModeParams:
+def make_mode_params(m: MaterialParams, k: float, omega: float) -> ModeParams:
     """Mode state at (k, omega) with v = omega/k and eps = a*k."""
-    return ModeParams(k=k, omega=omega, v=omega / k, eps=m.a_nl * k,
-                      mode_tag=mode_tag)
+    return ModeParams(k=k, omega=omega, v=omega / k, eps=m.a_nl * k)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import fit_slope
+from mnwaves import asymptotic
 from mnwaves.asymptotic import (
     bc_residual_order,
     bc_residual_refined,
@@ -20,6 +21,7 @@ from mnwaves.asymptotic import (
 from mnwaves.dispersion import (
     DispersionPoint,
     amplitude_ratios,
+    bracketed_root,
     micropolar_velocity,
     secular_leading,
     solve_rayleigh,
@@ -36,7 +38,7 @@ from mnwaves.wavefield import (
 
 def _point_at(m, v: float, k: float, tag="elastic") -> DispersionPoint:
     omega = v * k
-    mp = ModeParams(k=k, omega=omega, v=v, eps=m.a_nl * k, mode_tag=tag)
+    mp = ModeParams(k=k, omega=omega, v=v, eps=m.a_nl * k)
     de = decay_exponents(m, mp)
     return DispersionPoint(omega=omega, k=k, v=v, mode_tag=tag, exponents=de,
                            secular_residual=abs(secular_leading(m, v)),
@@ -47,7 +49,7 @@ def _printed_mode(m, k: float, eps: float) -> ModeSolution:
     """Elastic mode with the closed-form amplitude ratios at the leading root."""
     root = solve_rayleigh(m)
     omega = root.v * k
-    mp = ModeParams(k=k, omega=omega, v=root.v, eps=eps, mode_tag="elastic")
+    mp = ModeParams(k=k, omega=omega, v=root.v, eps=eps)
     de = decay_exponents(m, mp)
     point = _point_at(m, root.v, k)
     amp = amplitude_ratios(m, point, eps)
@@ -276,16 +278,36 @@ class TestFirstOrderSolution:
         sol = first_order_elastic_solution(study_material, 2000.0, 0.2, v0)
         assert sol.mp.v != pytest.approx(v0, rel=1e-6)
 
-    def test_wide_bracket_fallback(self, study_material):
-        """From v0 = root/2 the root lies outside [0.8 v0, 1.1 v0], so it can
-        only be found on the wide bracket [0.05 c2, c2]."""
-        c2 = derive_scales(study_material).c2
+    def test_no_search_beyond_the_bracket(self, study_material):
+        """From v0 = root/2 the root lies outside [0.8 v0, 1.1 v0], and no
+        wider bracket is searched, so the solve raises."""
         v0 = solve_rayleigh(study_material).v
         near = first_order_elastic_solution(study_material, 2000.0, 0.1, v0)
         assert not 0.8 * 0.5 * v0 <= near.mp.v <= 1.1 * 0.5 * v0
-        far = first_order_elastic_solution(study_material, 2000.0, 0.1,
-                                           0.5 * v0)
-        assert abs(far.mp.v - near.mp.v) <= 1e-12 * c2
+        with pytest.raises(ValueError, match="no first-order-corrected root"):
+            first_order_elastic_solution(study_material, 2000.0, 0.1, 0.5 * v0)
+
+    def test_bracket_reaches_c2(self, study_material, monkeypatch):
+        # the bracket top is min(1.1 v0, c2), not the scan grid's 0.9999 c2
+        brackets = []
+
+        def recording_root(f, a, b, fa, fb, width):
+            brackets.append((a, b))
+            return bracketed_root(f, a, b, fa, fb, width)
+
+        monkeypatch.setattr(asymptotic, "bracketed_root", recording_root)
+        v0 = solve_rayleigh(study_material).v
+        c2 = derive_scales(study_material).c2
+        sol = first_order_elastic_solution(study_material, 2000.0, 0.05, v0)
+        assert brackets == [(0.8 * v0, c2)]
+        assert 0.8 * v0 < sol.mp.v < c2
+
+    def test_eps_one_raises(self, study_material):
+        # a search on [0.05 c2, c2] finds a sign change at 0.666 c2 here,
+        # far from the classical 0.964 c2 (eps = 0.5 gives 0.917 c2)
+        v0 = solve_rayleigh(study_material).v
+        with pytest.raises(ValueError, match="no first-order-corrected root"):
+            first_order_elastic_solution(study_material, 2000.0, 1.0, v0)
 
     def test_no_sign_change_raises(self, study_material):
         # at eps = 2 the corrected row keeps one sign on both brackets

@@ -6,7 +6,6 @@ import pytest
 from mnwaves import asymptotic, dispersion
 from mnwaves.asymptotic import bc_slope_study, residual_report_json
 from mnwaves.dispersion import (
-    BRACKET_HI,
     CutoffError,
     LeakyRegimeWarning,
     NoSurfaceModeError,
@@ -75,7 +74,7 @@ def scalar_scan_root(m, tol=1e-10):
     """The root search one `secular_leading` call per scan point: the
     bracket (grid[i], grid[i + 1]) of the largest sign change, and v."""
     sc = derive_scales(m)
-    grid = [float(v) for v in np.linspace(0.01 * sc.c2, BRACKET_HI * sc.c2,
+    grid = [float(v) for v in np.linspace(0.01 * sc.c2, 0.9999 * sc.c2,
                                           512)] + [sc.c2]
     vals = [secular_leading(m, v) for v in grid]
     for i in range(len(grid) - 2, -1, -1):

@@ -14,7 +14,6 @@ from conftest import fit_slope, subprocess_env
 from mnwaves.kernel import (
     ScalarField2D,
     SurfaceTrace,
-    _cell_self_weight,
     _fft_length,
     _kernel_stencil,
     apply_helmholtz,
@@ -24,10 +23,12 @@ from mnwaves.kernel import (
     field_to_csv,
     gaussian_field,
     kernel_weight,
+    roundtrip_error,
 )
 from mnwaves.asymptotic import bl_coeffs
 from mnwaves import kernel
-from mnwaves.specfun import ConvergenceError, bessel_k0, integrate_2d_polar
+from mnwaves.specfun import (ConvergenceError, bessel_k0, bessel_k1,
+                              integrate_2d_polar)
 from mnwaves.wavefield import blayer_closed_form
 
 K0_AT_1 = 0.421024438240708
@@ -48,26 +49,83 @@ def direct_convolution(f: ScalarField2D, a: float) -> np.ndarray:
     return out
 
 
+EDGE_NODES, EDGE_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def segment_flux(dist, s0, s1, a: float):
+    """int u K1(u) dtheta over s0 <= s <= s1 on lines at distance dist from
+    the origin, theta = atan(s/dist) and u = dist/(a cos theta): an 8-point
+    Gauss rule on each side of the foot of the perpendicular (s = 0)."""
+    total = 0.0
+    for lo, hi in ((np.maximum(s0, 0.0), np.maximum(s1, 0.0)),
+                   (np.maximum(-s1, 0.0), np.maximum(-s0, 0.0))):
+        start = np.arctan2(lo, dist)
+        half = 0.5 * (np.arctan2(hi, dist) - start)
+        piece = 0.0
+        for node, weight in zip(EDGE_NODES, EDGE_WEIGHTS):
+            u = dist / (a * np.cos(start + half * (1.0 + node)))
+            piece = piece + weight * (u * bessel_k1(u))
+        total = total + half * piece
+    return total
+
+
+def side_flux(x, s0, s1, a: float):
+    """Flux of u K1(u) dtheta through the sides x (!= 0), s0 <= s <= s1,
+    along +x: r_hat . x_hat has the sign of x."""
+    return np.copysign(segment_flux(np.abs(x), s0, s1, a), x)
+
+
+def outward_flux(x0, x1, z0, z1, a: float):
+    """Flux out of the rectangles [x0, x1] x [z0, z1], no side on an axis:
+    far side minus near side along each axis."""
+    return ((side_flux(x1, z0, z1, a) - side_flux(x0, z0, z1, a))
+            + (side_flux(z1, x0, x1, a) - side_flux(z0, x0, x1, a)))
+
+
 def full_square_stencil(dx: float, dz: float, a: float) -> np.ndarray:
-    """Reference for _kernel_stencil: the 6x6 Gauss sum over every cell of
-    the (2m+1)^2 square, m = ceil(12 a/h), zeroed outside the 12 a disk,
-    with the centre cell from _cell_self_weight; empty outer lines cut off."""
+    """Reference for _kernel_stencil: every cell of the (2m+1)^2 square,
+    m = ceil(12 a/h), integrated through its own four edges, with no edge
+    shared and no quadrant mirrored; zeroed outside the 12 a disk, and the
+    empty outer lines cut off."""
     r_cut = 12.0 * a
     mx, mz = math.ceil(r_cut / dx), math.ceil(r_cut / dz)
-    ii, jj = np.meshgrid(np.arange(-mx, mx + 1) * dx,
-                         np.arange(-mz, mz + 1) * dz)
-    nodes, weights = np.polynomial.legendre.leggauss(6)
-    w = np.zeros_like(ii)
-    for (xp, wp), (xq, wq) in itertools.product(zip(nodes, weights), repeat=2):
-        r = np.hypot(ii + 0.5 * dx * xp, jj + 0.5 * dz * xq)
-        w += 0.25 * dx * dz * wp * wq * bessel_k0(r / a)
-    w /= 2.0 * math.pi * a * a
-    w[np.hypot(ii, jj) > r_cut] = 0.0
-    w[mz, mx] = _cell_self_weight(dx, dz, a)
+    x, z = np.meshgrid(np.arange(-mx, mx + 1) * dx,
+                       np.arange(-mz, mz + 1) * dz)
+    flux = outward_flux(x - 0.5 * dx, x + 0.5 * dx, z - 0.5 * dz, z + 0.5 * dz,
+                        a)
+    w = (x == 0.0) * (z == 0.0) - flux / (2.0 * math.pi)
+    w[np.hypot(x, z) > r_cut] = 0.0
     # the stencil ends at the outermost rows and columns that hold a cell
     rows = np.flatnonzero(w.any(axis=1))
     cols = np.flatnonzero(w.any(axis=0))
     return w[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+
+
+def accurate_cell_mass(i: int, j: int, dx: float, dz: float,
+                       a: float) -> float:
+    """Kernel mass of the cell centered at (i dx, j dz), i, j >= 0, to about
+    1e-15: the center cell in polar form, 1 - (1/2 pi) int (u K1(u)) dtheta
+    with 64 Gauss nodes per smooth piece of its boundary; any other cell by
+    a 16 x 16 Gauss rule on each of 4 x 4 sub-cells of K0 itself."""
+    if i == j == 0:
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        split = math.atan2(dz, dx)
+        total = 0.0
+        for lo, hi, side, trig in ((0.0, split, dx, np.cos),
+                                   (split, 0.5 * math.pi, dz, np.sin)):
+            half = 0.5 * (hi - lo)
+            u = 0.5 * side / (a * trig(lo + half * (1.0 + nodes)))
+            total += half * np.dot(weights, 1.0 - u * bessel_k1(u))
+        return 4.0 * total / (2.0 * math.pi)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    sub = 4
+    offsets = ((np.arange(sub)[:, None] + 0.5 * (1.0 + nodes)) / sub
+               - 0.5).ravel()
+    w = np.tile(weights, sub) / (2 * sub)
+    r = np.hypot(i * dx + dx * offsets[None, :],
+                 j * dz + dz * offsets[:, None])
+    return (dx * dz * float(w @ bessel_k0(r / a) @ w)
+            / (2.0 * math.pi * a * a))
 
 
 def is_prime(n: int) -> bool:
@@ -150,16 +208,48 @@ class TestKernelStencil:
 
     @pytest.mark.parametrize("hx, hz", STENCIL_SPACINGS)
     def test_integrates_one_quadrant(self, hx, hz, monkeypatch):
+        # 8 angular nodes on each of a quadrant cell's right and top edges
         calls = []
 
-        def counting_k0(x):
+        def counting_k1(x):
             calls.append(np.size(x))
-            return bessel_k0(x)
+            return bessel_k1(x)
 
-        monkeypatch.setattr(kernel, "bessel_k0", counting_k0)
+        monkeypatch.setattr(kernel, "bessel_k1", counting_k1)
         w = _kernel_stencil(hx * 1e-4, hz * 1e-4, 1e-4)
         mz, mx = w.shape[0] // 2, w.shape[1] // 2
-        assert 0 < sum(calls) <= 36 * (mx + 1) * (mz + 1)
+        assert 0 < sum(calls) <= 16 * (mx + 1) * (mz + 1)
+
+    @pytest.mark.parametrize("hx, hz", STENCIL_SPACINGS)
+    def test_near_cells_match_accurate_reference(self, hx, hz):
+        # a 6 x 6 Gauss rule on K0 misses these cells by 1.5e-7 to 5e-6
+        a = 1e-4
+        w = _kernel_stencil(hx * a, hz * a, a)
+        mz, mx = w.shape[0] // 2, w.shape[1] // 2
+        for i, j in itertools.product(range(4), repeat=2):
+            want = accurate_cell_mass(i, j, hx * a, hz * a, a)
+            assert abs(w[mz + j, mx + i] - want) <= 1e-9 * want, (i, j)
+
+    @pytest.mark.parametrize("hx, hz", STENCIL_SPACINGS)
+    def test_block_sum_is_boundary_flux(self, hx, hz):
+        # the fluxes through interior edges cancel, so a block of cells
+        # inside the disk holds [origin] - (1/2 pi) its boundary's flux
+        a = 1e-4
+        dx, dz = hx * a, hz * a
+        w = _kernel_stencil(dx, dz, a)
+        mz, mx = w.shape[0] // 2, w.shape[1] // 2
+        for i0, i1, j0, j1 in ((-3, 3, -2, 2), (2, 6, 1, 4), (-2, 2, -7, -3),
+                               (-10, 4, 5, 5)):
+            xs, zs = np.arange(i0, i1 + 1) * dx, np.arange(j0, j1 + 1) * dz
+            flux = sum(np.sum(side_flux(hi, s - 0.5 * ds, s + 0.5 * ds, a)
+                              - side_flux(lo, s - 0.5 * ds, s + 0.5 * ds, a))
+                       for lo, hi, s, ds in (
+                           ((i0 - 0.5) * dx, (i1 + 0.5) * dx, zs, dz),
+                           ((j0 - 0.5) * dz, (j1 + 0.5) * dz, xs, dx)))
+            holds_origin = i0 <= 0 <= i1 and j0 <= 0 <= j1
+            block = w[mz + j0:mz + j1 + 1, mx + i0:mx + i1 + 1].sum()
+            assert abs(block - (holds_origin - flux / (2.0 * math.pi))) \
+                <= 1e-13, (i0, i1, j0, j1)
 
 
 class TestScalarField2D:
@@ -395,6 +485,17 @@ class TestApplyHelmholtz:
 class TestRoundtrip:
     def test_greens_function_roundtrip(self, roundtrip_result):
         assert roundtrip_result["error"] < 1e-3
+
+    @pytest.mark.parametrize("a, h_ratio, want", [
+        (1e-4, 0.5, 25),    # mnw kernel-check: 12 a/h is exactly 24
+        (0.05, 0.25, 49),   # C3: 12 a/h = 48.00000000000001
+        (1.0, 0.38, 32)])
+    def test_margin_is_one_past_the_stencil_reach(self, a, h_ratio, want):
+        # a checked node needs the convolution at its Laplacian neighbours,
+        # and the one nearest the edge reaches m + 1 nodes out
+        h = h_ratio * a
+        _, margin, _ = roundtrip_error(gaussian_field(120, h, 3.0 * a), a)
+        assert margin == _kernel_stencil(h, h, a).shape[1] // 2 + 1 == want
 
 
 def _exact_trace_integral(r: complex, eps: float, eta: float,
