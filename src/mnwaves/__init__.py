@@ -71,7 +71,6 @@ from .asymptotic import (
     BCResidualReport,
     BoundaryLayerCoeffs,
     bc_residual_order,
-    bc_residual_refined,
     bl_coeffs,
     equivalence_residual_elastic,
     equivalence_residual_micropolar,

@@ -12,8 +12,9 @@ is nonzero whenever the other mode's relation is (they never vanish
 together).  The cure is a surface-layer analysis: fast corrections
 proportional to e^{-eta_f} with coefficients assembled here (`bl_coeffs`),
 extra operator conditions on tau11 and M12 (`extra_bc_residual`), and the
-refined traction conditions carrying the O(eps) and O(eps^2) corrections
-(`bc_residual_refined`).
+traction conditions as one expansion in eps: the classical conditions are
+its O(1) terms, the first-order ones its O(eps) terms and the refined ones
+its O(eps^2) terms (`bc_residual_order` with order 0, 1 and 2).
 
 `first_order_elastic_solution` constructs, for a given eps, the mode that
 satisfies the refined conditions through O(eps) exactly (a one-dimensional
@@ -37,6 +38,7 @@ from .material import MaterialParams, derive_scales
 from .specfun import QuadratureSpec
 from .wavefield import (
     Amplitudes,
+    DecayExponents,
     ModeParams,
     ModeSolution,
     _branches,
@@ -59,7 +61,6 @@ __all__ = [
     "bl_coeffs",
     "bc_residual_order",
     "extra_bc_residual",
-    "bc_residual_refined",
     "bc_residual_report",
     "first_order_elastic_solution",
     "bc_slope_study",
@@ -147,9 +148,7 @@ def equivalence_residual_micropolar(m: MaterialParams, v: float,
 
 def _surface_pair(trace: SurfaceTrace | None) -> tuple[complex, complex]:
     """(g(0), g'(0)) of a trace; a missing trace contributes zeros."""
-    if trace is None:
-        return 0j, 0j
-    return complex(trace.amplitude), complex(-trace.decay * trace.amplitude)
+    return (0j, 0j) if trace is None else trace.surface_values()
 
 
 def bl_coeffs(surface_sigma11: SurfaceTrace, surface_pi12: SurfaceTrace | None,
@@ -197,43 +196,63 @@ def _amp_norm(amp: Amplitudes) -> float:
     return max(abs(amp.P), abs(amp.R), 1.0)
 
 
-def _surface_values(sol: ModeSolution) -> dict[str, complex]:
-    """Dimensionless surface stresses of the solution at chi = 0.
+# The surface conditions in row order (sigma31, sigma33, Pi32): the stress
+# each one constrains, its companion and whether it is shear-like
+_CONDITIONS = (("sigma31", "sigma11", True),
+               ("sigma33", "sigma11", False),
+               ("pi32", "pi12", True))
 
-    Force components per k^2 (mu+kappa), couple components per k (mu+kappa);
-    homogeneous of degree one in the amplitudes (report-level output divides
-    by |Q| separately).
+
+def _surface_condition(rows: dict[str, tuple[complex, ...]],
+                       amps: tuple[complex, ...], de: DecayExponents,
+                       eps: float, order: int, row: int) -> complex:
+    """Surface condition `row` through O(eps^order) on the branch ansatz
+    (d_chi -> i, d_eta -> -r per branch).  With main and comp the sums over
+    branches of coefficient x amplitude of the constrained stress and its
+    companion in `rows`:
+
+        shear-like: main - (eps/2) i comp
+                    + eps^2 (sum (r^2 - 1) main - (i/2) sum r comp)
+        normal:     main + eps^2 (sum (r^2 - 1) main + 1/2 comp)
     """
-    rows = stress_branch_coeffs(sol.m, sol.de, sol.mp.k)
-    amps = [a for a, _, _ in _branches(sol.amp, sol.de)]
-    return {comp: sum(c * a for c, a in zip(row, amps))
-            for comp, row in rows.items()}
+    main_row, comp_row, shear = _CONDITIONS[row]
+    main = sum(c * a for c, a in zip(rows[main_row], amps))
+    if order == 0 or (order == 1 and not shear):
+        return main
+    comp = sum(c * a for c, a in zip(rows[comp_row], amps))
+    if order == 1:
+        return main - 0.5 * eps * 1j * comp
+    lap = sum(c * a * (r * r - 1.0)
+              for c, a, (r, _) in zip(rows[main_row], amps, de._pairs))
+    if not shear:
+        return main + eps * eps * (lap + 0.5 * comp)
+    bend = sum(c * a * r
+               for c, a, (r, _) in zip(rows[comp_row], amps, de._pairs))
+    return main - 0.5 * eps * 1j * comp + eps * eps * (lap - 0.5j * bend)
 
 
 def bc_residual_order(sol: ModeSolution, order: int) -> tuple[complex, complex, complex]:
-    """Residuals of the classical (order 0) or first-order surface conditions.
+    """Residuals of the traction-free surface conditions through O(a^order):
 
-    Order 0 is the classical traction triple (sigma31, sigma33, Pi32) at the
-    surface; order 1, the conditions through O(a), replaces the first
-    component by sigma31 - (eps/2) d_chi sigma11 with eps = sol.mp.eps, the
-    correction the boundary layer induces.  Values are dimensionless (force
-    rows per k^2 (mu+kappa), couple row per k (mu+kappa)) and homogeneous of
-    degree one in the amplitudes.
+        sigma31 - (a/2) sigma11,x + a^2 (sigma31,xx + sigma31,zz
+                                          + 1/2 sigma11,xz)        = 0
+        sigma33 + a^2 (sigma33,xx + sigma33,zz - 1/2 sigma11,xx)   = 0
+        Pi32   - (a/2) Pi12,x   + a^2 (Pi32,xx  + Pi32,zz
+                                          + 1/2 Pi12,xz)           = 0
+
+    Order 0 keeps the classical terms (sigma31, sigma33, Pi32), order 1
+    adds the O(a) terms the boundary layer induces, and order 2 gives the
+    refined conditions, all evaluated analytically on the branch ansatz at
+    eps = sol.mp.eps.  Values are dimensionless (force rows per
+    k^2 (mu+kappa), couple row per k (mu+kappa)) and homogeneous of degree
+    one in the amplitudes; at a_nl = 0 every order is the classical triple.
     """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    vals = _surface_values(sol)
-    first = vals["sigma31"]
-    if order == 1:
-        first = _first_order_row(first, vals["sigma11"], sol.mp.eps)
-    return (first, vals["sigma33"], vals["pi32"])
-
-
-def _first_order_row(sigma31: complex, sigma11: complex, eps: float) -> complex:
-    """sigma31 - (eps/2) d_chi sigma11 with d_chi -> i: the first surface
-    condition through O(a), shared by `bc_residual_order` and the solver of
-    `first_order_elastic_solution`."""
-    return sigma31 - 0.5 * eps * 1j * sigma11
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
+    rows = stress_branch_coeffs(sol.m, sol.de, sol.mp.k)
+    amps = tuple(a for a, _, _ in _branches(sol.amp, sol.de))
+    return tuple(_surface_condition(rows, amps, sol.de, sol.mp.eps, order, row)
+                 for row in range(3))
 
 
 def extra_bc_residual(sol: ModeSolution) -> tuple[complex, complex]:
@@ -264,48 +283,6 @@ def extra_bc_residual(sol: ModeSolution) -> tuple[complex, complex]:
     return (tau11 * norm_sigma, m12 * norm_pi)
 
 
-def bc_residual_refined(sol: ModeSolution) -> tuple[complex, complex, complex]:
-    """Residuals of the refined traction-free surface conditions:
-
-        sigma31 - (a/2) sigma11,x + a^2 (sigma31,xx + sigma31,zz
-                                          + 1/2 sigma11,xz)        = 0
-        sigma33 + a^2 (sigma33,xx + sigma33,zz - 1/2 sigma11,xx)   = 0
-        Pi32   - (a/2) Pi12,x   + a^2 (Pi32,xx  + Pi32,zz
-                                          + 1/2 Pi12,xz)           = 0
-
-    evaluated analytically on the branch ansatz (d_chi -> i,
-    d_eta -> -r_b per branch) at eps = sol.mp.eps, normalized like
-    `bc_residual_order`.  At a_nl = 0 every correction vanishes and the
-    triple equals the classical one on the same evaluation path.
-    """
-    eps = sol.mp.eps
-    rows = stress_branch_coeffs(sol.m, sol.de, sol.mp.k)
-    branches = _branches(sol.amp, sol.de)
-    e2 = eps * eps
-
-    def combo(main: str, shear_like: bool, companion: str) -> complex:
-        total = 0j
-        for c_main, c_comp, (a_b, r, _) in zip(rows[main], rows[companion],
-                                               branches):
-            if a_b == 0:
-                continue
-            lap = c_main * (r * r - 1.0)
-            if shear_like:
-                term = (c_main
-                        - 0.5 * eps * (1j * c_comp)
-                        + e2 * (lap - 0.5j * r * c_comp))
-            else:
-                term = c_main + e2 * (lap + 0.5 * c_comp)
-            total += a_b * term
-        return total
-
-    return (
-        combo("sigma31", True, "sigma11"),
-        combo("sigma33", False, "sigma11"),
-        combo("pi32", True, "pi12"),
-    )
-
-
 def bc_residual_report(sol: ModeSolution) -> BCResidualReport:
     """All four surface-condition residual groups at eps = sol.mp.eps,
     normalized by |Q|."""
@@ -321,7 +298,7 @@ def bc_residual_report(sol: ModeSolution) -> BCResidualReport:
     return BCResidualReport(
         classical=scaled(bc_residual_order(sol, 0)),
         first_order=scaled(bc_residual_order(sol, 1)),
-        refined=scaled(bc_residual_refined(sol)),
+        refined=scaled(bc_residual_order(sol, 2)),
         extra=(raw_extra[0] / norm_sigma, raw_extra[1] / norm_pi),
         normalization=norm_sigma,
     )
@@ -351,17 +328,11 @@ def first_order_elastic_solution(m: MaterialParams, k: float, eps: float,
         rows = stress_branch_coeffs(m, de0, k)
         # sigma33 row: c_P (i p) + c_Q = 0, with c_P real and c_Q imaginary
         p = (1j * rows["sigma33"][1] / rows["sigma33"][0]).real
-        amp = Amplitudes(P=1j * p, Q=1.0 + 0j, R=0j)
-        return de0, rows, amp
+        return de0, rows, (1j * p, 1.0 + 0j, 0j)
 
     def residual(v: float) -> float:
-        # the sums of _surface_values on this step's table; building a
-        # ModeSolution for bc_residual_order would double the cost of a step
-        _, rows, amp = assemble(v)
-        amps = (amp.P, amp.Q, amp.R)
-        s31 = sum(c * a for c, a in zip(rows["sigma31"], amps))
-        s11 = sum(c * a for c, a in zip(rows["sigma11"], amps))
-        return _first_order_row(s31, s11, eps).real
+        de0, rows, amps = assemble(v)
+        return _surface_condition(rows, amps, de0, eps, 1, 0).real
 
     lo, hi = 0.8 * v0, min(1.1 * v0, sc.c2)
     flo, fhi = residual(lo), residual(hi)
@@ -369,9 +340,9 @@ def first_order_elastic_solution(m: MaterialParams, k: float, eps: float,
         raise ValueError("no first-order-corrected root near the classical "
                          "one for this eps")
     v = bracketed_root(residual, lo, hi, flo, fhi, 1e-13 * sc.c2)
-    de0, _, amp = assemble(v)
+    de0, _, amps = assemble(v)
     mp = ModeParams(k=k, omega=v * k, v=v, eps=eps)
-    return ModeSolution(m=m, mp=mp, amp=amp, de=de0)
+    return ModeSolution(m=m, mp=mp, amp=Amplitudes(*amps), de=de0)
 
 
 def bc_slope_study(m: MaterialParams, k: float, v0: float,
@@ -388,7 +359,7 @@ def bc_slope_study(m: MaterialParams, k: float, v0: float,
     for eps in eps_values:
         sol = first_order_elastic_solution(m, k, eps, v0)
         classical = bc_residual_order(sol, 0)
-        refined = bc_residual_refined(sol)
+        refined = bc_residual_order(sol, 2)
         classical_mags.append(max(abs(c) for c in classical))
         refined_mags.append(max(abs(c) for c in refined))
     log_eps = np.log(np.asarray(eps_values))

@@ -26,7 +26,8 @@ import numpy as np
 
 from .material import MaterialParams, derive_scales, material_fingerprint
 from .wavefield import (Amplitudes, DecayExponents, ModeParams, _branch_sqrt,
-                        decay_exponents, leading_exponents)
+                        _micropolar_factor, _r30_squared, decay_exponents,
+                        leading_exponents)
 
 __all__ = [
     "CutoffError",
@@ -217,7 +218,7 @@ def micropolar_velocity(m: MaterialParams, omega: float) -> float:
         raise CutoffError(
             f"mode does not propagate: omega = {omega!r} is at or below the "
             f"cutoff {sc.omega_cutoff!r}")
-    return sc.c4 / math.sqrt(1.0 - (sc.omega_cutoff / omega) ** 2)
+    return sc.c4 / math.sqrt(_micropolar_factor(sc, omega))
 
 
 def amplitude_ratios(m: MaterialParams, point: DispersionPoint,
@@ -245,8 +246,7 @@ def amplitude_ratios(m: MaterialParams, point: DispersionPoint,
     if point.mode_tag == "micropolar":
         if not math.isfinite(point.omega):
             raise ValueError("micropolar amplitudes need the point frequency")
-        micro = 1.0 - (sc.omega_cutoff / point.omega) ** 2
-        r30 = _branch_sqrt(1.0 - (point.v / sc.c4) ** 2 * micro)
+        r30 = _branch_sqrt(_r30_squared(sc, point.v, point.omega))
         p = (1j * (1.0 + d) * r20 * (1.0 + (r10 - r20) * corr)
              / (r20 * r20 + d))
         r_amp = (((r20 * r20 + d) ** 2 - (1.0 + d) ** 2 * r10 * r20)
@@ -256,9 +256,7 @@ def amplitude_ratios(m: MaterialParams, point: DispersionPoint,
 
 
 def _micropolar_residual(m: MaterialParams, v: float, omega: float) -> float:
-    sc = derive_scales(m)
-    micro = 1.0 - (sc.omega_cutoff / omega) ** 2
-    return abs(1.0 - (v / sc.c4) ** 2 * micro)
+    return abs(_r30_squared(derive_scales(m), v, omega))
 
 
 def _solved_point(m: MaterialParams, omega: float, v: float,

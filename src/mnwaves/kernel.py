@@ -106,12 +106,6 @@ class SurfaceTrace:
             raise ValueError(f"decay {self.decay!r} has a negative real part")
 
     @classmethod
-    def exponential(cls, decay: complex, chi_wavenumber: float = 1.0,
-                    amplitude: complex = 1.0 + 0.0j) -> "SurfaceTrace":
-        """Trace amplitude * e^{-decay * eta}."""
-        return cls(decay, chi_wavenumber, amplitude)
-
-    @classmethod
     def constant(cls, value: complex = 1.0 + 0.0j,
                  chi_wavenumber: float = 1.0) -> "SurfaceTrace":
         """Depth-independent trace (decay 0)."""
@@ -120,6 +114,10 @@ class SurfaceTrace:
     def eval(self, eta):
         """g at a depth or an array of depths."""
         return self.amplitude * np.exp(-self.decay * eta)
+
+    def surface_values(self) -> tuple[complex, complex]:
+        """(g(0), g'(0)) = (amplitude, -decay * amplitude)."""
+        return complex(self.amplitude), complex(-self.decay * self.amplitude)
 
 
 def _check_length(a_nl: float, allow_zero: bool = False) -> None:
@@ -341,7 +339,7 @@ def boundary_operator(trace: SurfaceTrace, eps: float) -> complex:
     d_chi^2 acts on the carrier as -w^2, so the operator evaluates to
     g(0) - eps g'(0) + (eps^3/2) w^2 g'(0).
     """
-    g0, g1 = complex(trace.amplitude), complex(-trace.decay * trace.amplitude)
+    g0, g1 = trace.surface_values()
     w2 = trace.chi_wavenumber * trace.chi_wavenumber
     return g0 - eps * g1 + 0.5 * eps ** 3 * w2 * g1
 

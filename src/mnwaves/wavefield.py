@@ -11,13 +11,13 @@ with depth-attenuation exponents
 
     r1^2 = 1 - v^2/(c1^2 - eps^2 v^2)
     r2^2 = 1 - v^2/(c2^2 - eps^2 v^2)
-    r3^2 = 1 - v^2/(c4^2 - eps^2 v^2) * (1 - 2 c3^2/(j omega^2))
+    r3^2 = 1 - v^2/(c4^2 - eps^2 v^2) * (1 - omega_c^2/omega^2)
     s    = (v^2/c3^2) [1 - (c2^2 - eps^2 v^2)/(c4^2 - eps^2 v^2)
-                           * (1 - 2 c3^2/(j omega^2))]
+                           * (1 - omega_c^2/omega^2)]
 
-and their eps = 0 leading-order values r10, r20, r30.  Square roots take
-the Re >= 0 branch (ties resolved to Im > 0) so that admissible modes decay
-with depth.
+with omega_c^2 = 2 c3^2/j, and their eps = 0 leading-order values r10,
+r20, r30.  Square roots take the Re >= 0 branch (ties resolved to Im > 0)
+so that admissible modes decay with depth.
 
 The coupling amplitude s above annihilates neither shear equation exactly;
 `shear_balance_s` gives the value that forces the psi-equation to vanish on
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .kernel import SurfaceTrace, approx_trace_integral
-from .material import MaterialParams, derive_scales
+from .material import DerivedScales, MaterialParams, derive_scales
 from .specfun import DEFAULT_QUAD_SPEC, QuadratureSpec
 
 __all__ = [
@@ -164,6 +164,17 @@ def leading_exponents(m: MaterialParams, v: float) -> tuple[complex, complex]:
             _branch_sqrt(1.0 - (v / sc.c2) ** 2))
 
 
+def _micropolar_factor(sc: DerivedScales, omega: float) -> float:
+    """1 - omega_c^2/omega^2, the cutoff factor of the micropolar branch."""
+    return 1.0 - (sc.omega_cutoff / omega) ** 2
+
+
+def _r30_squared(sc: DerivedScales, v: float, omega: float) -> float:
+    """r30^2 = 1 - (v/c4)^2 (1 - omega_c^2/omega^2); zero on the micropolar
+    mode."""
+    return 1.0 - (v / sc.c4) ** 2 * _micropolar_factor(sc, omega)
+
+
 def decay_exponents(m: MaterialParams, mp: ModeParams) -> DecayExponents:
     """Depth-attenuation exponents of the three branches, plus coupling s."""
     sc = derive_scales(m)
@@ -179,9 +190,9 @@ def decay_exponents(m: MaterialParams, mp: ModeParams) -> DecayExponents:
     r10, r20 = leading_exponents(m, mp.v)
     if m.kappa == 0.0:
         return DecayExponents(r1=r1, r2=r2, r10=r10, r20=r20)
-    micro = 1.0 - 2.0 * sc.c3 ** 2 / (m.j_inertia * mp.omega ** 2)
+    micro = _micropolar_factor(sc, mp.omega)
     r3 = _branch_sqrt(1.0 - (v2 / d4) * micro)
-    r30 = _branch_sqrt(1.0 - (v2 / sc.c4 ** 2) * micro)
+    r30 = _branch_sqrt(_r30_squared(sc, mp.v, mp.omega))
     s = (v2 / sc.c3 ** 2) * (1.0 - (d2 / d4) * micro)
     return DecayExponents(r1=r1, r2=r2, r3=r3, s=s, r10=r10, r20=r20, r30=r30)
 
@@ -441,7 +452,7 @@ def blayer_quadrature_form(r: complex, eps: float, eta: float,
     the decaying exponential, consistent with the trace approximation the
     closed form is derived from).
     """
-    return approx_trace_integral(SurfaceTrace.exponential(r), eps, eta, spec)
+    return approx_trace_integral(SurfaceTrace(r), eps, eta, spec)
 
 
 def _pick_exponents(i: int, de: DecayExponents) -> tuple[complex, complex]:
@@ -483,22 +494,21 @@ def blayer_closed_form_deta(r: complex, r0: complex, eps: float,
 
 
 def nonlocal_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
-                      m: MaterialParams, x: float, z: float,
-                      eps: float) -> StressState:
+                      m: MaterialParams, x: float, z: float) -> StressState:
     """Non-local stresses of the mode: the explicit k^2 [...] I_i structure.
 
     The branch coefficients of `stress_branch_coeffs`, with each branch's
     depth decay e^{-k r_i z} replaced by the boundary-layer integral
-    I_i(k z): tau = k^2 (mu+kappa) sum_b coeff_b A_b I_b e^{ikx}, and
-    k (mu+kappa) in place of k^2 (mu+kappa) for the couple stresses M.  As
-    eps -> 0 the I_i collapse to the bare exponentials and tau -> sigma
-    pointwise for z > 0.
+    I_i(k z) at eps = mp.eps: tau = k^2 (mu+kappa) sum_b coeff_b A_b I_b
+    e^{ikx}, and k (mu+kappa) in place of k^2 (mu+kappa) for the couple
+    stresses M.  As eps -> 0 the I_i collapse to the bare exponentials and
+    tau -> sigma pointwise for z > 0.
     """
     if z < 0:
         raise ValueError("the half-space is z >= 0")
     k = mp.k
     carrier = cmath.exp(1j * k * x)
-    weights = [a * blayer_closed_form(r, r0, eps, k * z) * carrier
+    weights = [a * blayer_closed_form(r, r0, mp.eps, k * z) * carrier
                for a, r, r0 in _branches(amp, de)]
     rows = stress_branch_coeffs(m, de, k)
     mk = m.mu + m.kappa

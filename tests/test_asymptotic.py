@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from conftest import fit_slope
 from mnwaves import asymptotic
 from mnwaves.asymptotic import (
     bc_residual_order,
-    bc_residual_refined,
     bc_residual_report,
     bc_slope_study,
     bl_coeffs,
@@ -33,6 +33,7 @@ from mnwaves.wavefield import (
     ModeParams,
     ModeSolution,
     decay_exponents,
+    stress_branch_coeffs,
 )
 
 
@@ -43,6 +44,13 @@ def _point_at(m, v: float, k: float, tag="elastic") -> DispersionPoint:
     return DispersionPoint(omega=omega, k=k, v=v, mode_tag=tag, exponents=de,
                            secular_residual=abs(secular_leading(m, v)),
                            admissible=de.admissible)
+
+
+def _surface_stress(sol: ModeSolution, comp: str) -> complex:
+    """Dimensionless surface value of one stress row, summed over branches."""
+    rows = stress_branch_coeffs(sol.m, sol.de, sol.mp.k)
+    amps = (sol.amp.P, sol.amp.Q, sol.amp.R)
+    return sum(c * a for c, a in zip(rows[comp], amps))
 
 
 def _printed_mode(m, k: float, eps: float) -> ModeSolution:
@@ -136,14 +144,14 @@ class TestBoundaryLayerCoeffs:
     def test_decaying_trace_first_order(self):
         # the -d_eta term contributes r/2 with the overall -1/2 sign
         r = 0.7
-        coeffs = bl_coeffs(SurfaceTrace.exponential(r, 1.0), None, 0.1)
+        coeffs = bl_coeffs(SurfaceTrace(r, 1.0), None, 0.1)
         assert coeffs.q11_1 == pytest.approx(-0.5 * r, rel=1e-14)
         assert coeffs.q31_1 == pytest.approx(-0.5j * r, rel=1e-14)
 
     def test_first_order_trace_contributes_surface_value(self):
         r = 0.7
         coeffs = bl_coeffs(
-            SurfaceTrace.exponential(r, 1.0), None, 0.1,
+            SurfaceTrace(r, 1.0), None, 0.1,
             sigma11_first_order=SurfaceTrace.constant(2.0, 1.0))
         assert coeffs.q11_1 == pytest.approx(-0.5 * (2.0 + r), rel=1e-14)
 
@@ -155,7 +163,7 @@ class TestBoundaryLayerCoeffs:
     def test_couple_coefficients(self):
         r = 0.4
         coeffs = bl_coeffs(SurfaceTrace.constant(1.0, 1.0),
-                           SurfaceTrace.exponential(r, 1.0), 0.1)
+                           SurfaceTrace(r, 1.0), 0.1)
         assert coeffs.s12_0 == pytest.approx(-0.5 * r, rel=1e-14)
         assert coeffs.s32_0 == pytest.approx(-0.5j * r, rel=1e-14)
 
@@ -172,17 +180,22 @@ class TestBcResidualOrder:
         zero = ModeSolution(m=sol.m, mp=sol.mp,
                             amp=Amplitudes(0.0, 0.0, 0.0), de=sol.de)
         assert bc_residual_order(zero, 0) == (0, 0, 0)
-        assert bc_residual_refined(zero) == (0, 0, 0)
+        assert bc_residual_order(zero, 2) == (0, 0, 0)
 
     def test_order_one_shifts_by_half_chi_derivative(self, sample_material):
-        sol = _printed_mode(sample_material, 2000.0, 0.1)
+        printed = _printed_mode(sample_material, 2000.0, 0.1)
+        sol = ModeSolution(m=printed.m, mp=printed.mp,
+                           amp=Amplitudes(printed.amp.P, 1.0, 0.3j),
+                           de=printed.de)
         zero_order = bc_residual_order(sol, 0)
         first_order = bc_residual_order(sol, 1)
-        from mnwaves.asymptotic import _surface_values
-        shift = 0.5 * sol.mp.eps * 1j * _surface_values(sol)["sigma11"]
-        assert first_order[0] == zero_order[0] - shift
+        half = 0.5 * sol.mp.eps * 1j
+        couple_shift = half * _surface_stress(sol, "pi12")
+        assert couple_shift != 0
+        assert first_order[0] == (zero_order[0]
+                                  - half * _surface_stress(sol, "sigma11"))
         assert first_order[1] == zero_order[1]
-        assert first_order[2] == zero_order[2]
+        assert first_order[2] == zero_order[2] - couple_shift
 
     def test_decoupled_limit_rejects_rotation(self, poisson_material):
         sol = _printed_mode(poisson_material, 100.0, 0.0)
@@ -190,12 +203,12 @@ class TestBcResidualOrder:
                                amp=Amplitudes(sol.amp.P, sol.amp.Q, 0.1),
                                de=sol.de)
         with pytest.raises(ValueError, match="R must vanish"):
-            bc_residual_refined(rotated)
+            bc_residual_order(rotated, 2)
 
     def test_rejects_unknown_order(self, sample_material):
         sol = _printed_mode(sample_material, 100.0, 0.0)
         with pytest.raises(ValueError):
-            bc_residual_order(sol, 2)
+            bc_residual_order(sol, 3)
 
 
 class TestExtraBc:
@@ -203,7 +216,7 @@ class TestExtraBc:
         from mnwaves.wavefield import nonlocal_stresses
         sol = _printed_mode(sample_material, 2000.0, 0.0)
         pair = extra_bc_residual(sol)
-        st = nonlocal_stresses(sol.amp, sol.de, sol.mp, sol.m, 0.0, 0.0, 0.0)
+        st = nonlocal_stresses(sol.amp, sol.de, sol.mp, sol.m, 0.0, 0.0)
         # at a = 0 the operator is the identity on the bare surface values
         assert pair[0] == pytest.approx(st.tau11, rel=1e-12)
         assert pair[1] == st.m12 == 0
@@ -228,7 +241,7 @@ class TestBcResidualRefined:
         # a_nl = 0: refined and classical coincide on the same path
         sol = _printed_mode(sample_material, 2000.0, 0.0)
         classical = bc_residual_order(sol, 0)
-        refined = bc_residual_refined(sol)
+        refined = bc_residual_order(sol, 2)
         assert all(a == b for a, b in zip(classical, refined))
 
     def test_linearity_in_amplitudes(self, sample_material):
@@ -239,7 +252,7 @@ class TestBcResidualRefined:
             de=sol.de)
         for op in (lambda s: bc_residual_order(s, 0),
                    lambda s: bc_residual_order(s, 1),
-                   bc_residual_refined,
+                   lambda s: bc_residual_order(s, 2),
                    extra_bc_residual):
             base = op(sol)
             twice = op(doubled)
@@ -253,6 +266,27 @@ class TestBcResidualRefined:
         assert study["classical"] >= 0.9
         assert study["refined"] >= 1.8
 
+    def test_refined_adds_exactly_order_eps_squared(self, sample_material):
+        """With de and the amplitudes fixed (R != 0), order 2 differs from
+        order 1 by eps^2 times an eps-free term on every row, the couple
+        row included: order 1 carries all the O(eps) terms."""
+        sc = derive_scales(sample_material)
+        v = 0.3 * sc.c2
+        omega = 3.0 * sc.omega_cutoff
+        mp = ModeParams(k=omega / v, omega=omega, v=v, eps=0.1)
+        de = decay_exponents(sample_material, mp)
+        amp = Amplitudes(0.4 + 0.3j, 1.0, 0.2j)
+        scaled = []
+        for eps in (0.1, 0.05):
+            sol = ModeSolution(m=sample_material, mp=replace(mp, eps=eps),
+                               amp=amp, de=de)
+            first = bc_residual_order(sol, 1)
+            refined = bc_residual_order(sol, 2)
+            scaled.append([(b - a) / eps ** 2 for a, b in zip(first, refined)])
+        for coarse, fine in zip(*scaled):
+            assert coarse != 0
+            assert fine == pytest.approx(coarse, rel=1e-9)
+
 
 class TestFirstOrderSolution:
     def test_satisfies_first_order_conditions_exactly(self, study_material):
@@ -260,9 +294,8 @@ class TestFirstOrderSolution:
         sol = first_order_elastic_solution(study_material, 2000.0, eps,
                                            solve_rayleigh(study_material).v)
         first = bc_residual_order(sol, 0)
-        from mnwaves.asymptotic import _surface_values
-        vals = _surface_values(sol)
-        corrected = vals["sigma31"] - 0.5 * eps * 1j * vals["sigma11"]
+        corrected = (_surface_stress(sol, "sigma31")
+                     - 0.5 * eps * 1j * _surface_stress(sol, "sigma11"))
         assert abs(corrected) < 1e-10
         assert abs(first[1]) < 1e-12  # sigma33 row solved exactly
         assert first[2] == 0          # no rotation branch

@@ -1,18 +1,44 @@
-"""The benchmark's per-layer tracer (bench/tracer.py) wraps mnwaves
-functions by "module.name"; a rename in the library must not leave it
-pointing at nothing."""
+"""The benchmark wraps and calls mnwaves functions by "module.name": the
+tracer (bench/tracer.py) lists the ones it times, and the workloads
+(bench/workloads.py) reach the library only through module attributes.  A
+rename in the library must not leave either pointing at nothing."""
 
+import ast
 import importlib
 import runpy
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
+WORKLOADS = BENCH / "workloads.py"
+
+
+def _assert_resolves(qualified: str) -> None:
+    module_name, name = qualified.split(".")
+    module = importlib.import_module("mnwaves." + module_name)
+    assert callable(getattr(module, name, None)), qualified
 
 
 def test_traced_names_resolve():
     traced = runpy.run_path(str(TRACER))["TRACED"]  # source only, no .pyc
     assert traced
     for qualified in traced:
-        module_name, func_name = qualified.split(".")
-        module = importlib.import_module("mnwaves." + module_name)
-        assert callable(getattr(module, func_name, None)), qualified
+        _assert_resolves(qualified)
+
+
+def test_workload_names_resolve():
+    """Every `module.name` the workloads reach on an mnwaves module, found
+    in the source of workloads.py (`from mnwaves import module`)."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {alias.asname or alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "mnwaves"
+               for alias in node.names}
+    reached = {f"{node.value.id}.{node.attr}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name)
+               and node.value.id in modules}
+    assert reached
+    for qualified in sorted(reached):
+        _assert_resolves(qualified)

@@ -544,14 +544,14 @@ class TestApproxTraceIntegral:
         eps_values = (0.2, 0.1, 0.05)
         devs = []
         for eps in eps_values:
-            trace = SurfaceTrace.exponential(r, chi_wavenumber=1.0)
+            trace = SurfaceTrace(r, chi_wavenumber=1.0)
             got = approx_trace_integral(trace, eps, 0.7)
             want = blayer_closed_form(r, r, eps, 0.7)
             devs.append(abs(got - want) / abs(want))
         assert fit_slope(eps_values, devs) >= 2.0
 
     def test_pointwise_recovery_as_eps_vanishes(self):
-        trace = SurfaceTrace.exponential(0.6, chi_wavenumber=0.0)
+        trace = SurfaceTrace(0.6, chi_wavenumber=0.0)
         eta = 2.0  # deep enough that the surface term does not interfere
         exact = trace.eval(eta)
         errs = [abs(approx_trace_integral(trace, eps, eta) - exact)
@@ -569,7 +569,7 @@ class TestApproxTraceIntegral:
             eta = (0.0, 0.5, 2.0)[rng.integers(3)]
             eps = (0.05, 0.1, 0.2)[rng.integers(3)]
             w = float(rng.integers(2))  # the eps^2 corrector on or off
-            trace = SurfaceTrace.exponential(r, chi_wavenumber=w)
+            trace = SurfaceTrace(r, chi_wavenumber=w)
             try:
                 got = approx_trace_integral(trace, eps, eta)
             except ConvergenceError:
@@ -590,11 +590,11 @@ class TestApproxTraceIntegral:
 
 class TestBoundaryOperator:
     def test_exponential_no_carrier(self):
-        trace = SurfaceTrace.exponential(1.0, chi_wavenumber=0.0)
+        trace = SurfaceTrace(1.0, chi_wavenumber=0.0)
         assert boundary_operator(trace, 0.1) == pytest.approx(1.1, rel=1e-14)
 
     def test_exponential_with_carrier(self):
-        trace = SurfaceTrace.exponential(1.0, chi_wavenumber=1.0)
+        trace = SurfaceTrace(1.0, chi_wavenumber=1.0)
         want = 1.0 + 0.1 - 0.5 * 0.1 ** 3
         assert boundary_operator(trace, 0.1) == pytest.approx(want, rel=1e-14)
 
@@ -605,9 +605,9 @@ class TestBoundaryOperator:
     def test_derivative_from_decay(self):
         # g'(0) = -decay * amplitude, in the operator and in bl_coeffs
         decay, amp, w, eps = 0.7 + 0.4j, 2.0 - 0.5j, 1.3, 0.1
-        trace = SurfaceTrace.exponential(decay, chi_wavenumber=w,
-                                         amplitude=amp)
+        trace = SurfaceTrace(decay, chi_wavenumber=w, amplitude=amp)
         g1 = -decay * amp
+        assert trace.surface_values() == (amp, g1)
         want = amp - eps * g1 + 0.5 * eps ** 3 * w * w * g1
         assert boundary_operator(trace, eps) == pytest.approx(want, rel=1e-14)
         coeffs = bl_coeffs(trace, trace, eps)
@@ -627,10 +627,10 @@ class TestBoundaryOperator:
         eps_values = (0.2, 0.1, 0.05)
         devs = []
         for eps in eps_values:
-            tau = SurfaceTrace.exponential(r, chi_wavenumber=1.0)
+            tau = SurfaceTrace(r, chi_wavenumber=1.0)
             image_amp = 1.0 - eps * eps * (r * r - 1.0)
-            image = SurfaceTrace.exponential(r, chi_wavenumber=1.0,
-                                             amplitude=image_amp)
+            image = SurfaceTrace(r, chi_wavenumber=1.0,
+                                 amplitude=image_amp)
             smoothed = approx_trace_integral(image, eps, 0.0)
             half_op = 0.5 * boundary_operator(tau, eps)
             devs.append(abs(half_op - (tau.eval(0.0) - smoothed)))

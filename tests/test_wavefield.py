@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ class TestDecoupledLimit:
         amp = Amplitudes(0.5, 1.0, 0.1)
         for call in (lambda: mode_fields(amp, de, mp, 0.0, 0.1),
                      lambda: local_stresses(amp, de, mp, m, 0.0, 0.1),
-                     lambda: nonlocal_stresses(amp, de, mp, m, 0.0, 0.1, 0.1)):
+                     lambda: nonlocal_stresses(amp, de, mp, m, 0.0, 0.1)):
             with pytest.raises(ValueError, match="R must vanish"):
                 call()
 
@@ -415,18 +416,19 @@ class TestBoundaryLayerIntegrals:
 class TestNonlocalStresses:
     def test_couple_stresses_proportional_to_r(self, sample_material,
                                                generic_state):
-        de = decay_exponents(sample_material, generic_state)
-        st = nonlocal_stresses(Amplitudes(0.5, 1.0, 0.0), de, generic_state,
-                               sample_material, 0.1, 0.1, eps=0.1)
+        mp = replace(generic_state, eps=0.1)
+        de = decay_exponents(sample_material, mp)
+        st = nonlocal_stresses(Amplitudes(0.5, 1.0, 0.0), de, mp,
+                               sample_material, 0.1, 0.1)
         assert st.m12 == 0 and st.m32 == 0
 
     def test_local_limit(self, sample_material, generic_state):
-        de = decay_exponents(sample_material, generic_state)
+        mp = replace(generic_state, eps=1e-9)
+        de = decay_exponents(sample_material, mp)
         amp = Amplitudes(0.4 + 0.3j, 1.0, 0.2j)
-        z = 0.8 / generic_state.k
-        nl = nonlocal_stresses(amp, de, generic_state, sample_material,
-                               0.05, z, eps=1e-9)
-        loc = local_stresses(amp, de, generic_state, sample_material, 0.05, z)
+        z = 0.8 / mp.k
+        nl = nonlocal_stresses(amp, de, mp, sample_material, 0.05, z)
+        loc = local_stresses(amp, de, mp, sample_material, 0.05, z)
         for tau_name, sigma_name in (("tau11", "sigma11"), ("tau13", "sigma13"),
                                      ("tau31", "sigma31"), ("tau33", "sigma33"),
                                      ("m12", "pi12"), ("m32", "pi32")):
@@ -451,7 +453,7 @@ class TestNonlocalStresses:
                                 mode_tag="elastic", exponents=de,
                                 secular_residual=0.0, admissible=True)
         amp = amplitude_ratios(m, point, eps)
-        st = nonlocal_stresses(amp, de, mp, m, 0.0, 0.0, eps)
+        st = nonlocal_stresses(amp, de, mp, m, 0.0, 0.0)
         norm = k * k * (m.mu + m.kappa) * abs(amp.Q)
         assert abs(st.tau31) < 1e-8 * norm
         assert abs(st.tau33) < 1e-8 * norm
