@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (DispersionPoint, amplitude_ratios, bracketed_root,
-                         solve_rayleigh)
+from .dispersion import (DispersionPoint, _secular, amplitude_ratios,
+                         bracketed_root, solve_rayleigh)
 from .kernel import SurfaceTrace
 from .material import MaterialParams, derive_scales
 from .specfun import QuadratureSpec
@@ -41,7 +41,9 @@ from .wavefield import (
     DecayExponents,
     ModeParams,
     ModeSolution,
+    _branch_sqrt,
     _branches,
+    _leading_radicands,
     blayer_closed_form,
     blayer_closed_form_deta,
     blayer_integral_closed,
@@ -122,8 +124,8 @@ def equivalence_residual_elastic(m: MaterialParams,
                          "or attach k before computing the residual")
     sc = derive_scales(m)
     d = sc.d
-    r10, _ = leading_exponents(m, point.v)
-    r20sq = 1.0 - (point.v / sc.c2) ** 2
+    r10_sq, r20sq = _leading_radicands(sc, point.v)
+    r10 = _branch_sqrt(r10_sq)
     if r10 == 0:
         raise ZeroDivisionError("residual is singular: r10 = 0")
     bracket = ((1.0 + d) ** 2 * r10 * r10
@@ -141,9 +143,7 @@ def equivalence_residual_micropolar(m: MaterialParams, v: float,
     """
     d = derive_scales(m).d
     r10, r20 = leading_exponents(m, v)
-    r20sq = r20 * r20
-    return (k ** 3 / (r20sq + d)
-            * ((1.0 + d) ** 2 * r10 * r20 - (r20sq + d) ** 2))
+    return k ** 3 / (r20 * r20 + d) * _secular(d, r10, r20, r20 * r20)
 
 
 def _surface_pair(trace: SurfaceTrace | None) -> tuple[complex, complex]:
@@ -424,8 +424,7 @@ def blayer_convergence(m: MaterialParams, eps_values: tuple[float, ...],
     }
 
 
-def residual_report_json(m: MaterialParams, k: float, eps: float,
-                         slopes: bool = True) -> str:
+def residual_report_json(m: MaterialParams, k: float, eps: float) -> str:
     """Full surface-residual report for the elastic mode at wavenumber k.
 
     Keys: classical, first_order, refined, extra, equivalence (arrays of
@@ -455,7 +454,7 @@ def residual_report_json(m: MaterialParams, k: float, eps: float,
             _cpair(equivalence_residual_micropolar(m, v, k)),
         ],
         "normalization": report.normalization,
-        "slopes": bc_slope_study(m, k, v) if slopes else None,
+        "slopes": bc_slope_study(m, k, v),
         "pde": {
             "res1": _cpair(pde[0]),
             "res2": _cpair(pde[1]),

@@ -61,9 +61,8 @@ def _build_parser() -> _Parser:
     p_val = sub.add_parser("validate", help="validate a material config file")
     p_val.add_argument("path", help="material JSON file")
 
-    def common(p, need_material=True):
-        p.add_argument("--material", required=need_material,
-                       help="material JSON file")
+    def common(p):
+        p.add_argument("--material", required=True, help="material JSON file")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p_speed = sub.add_parser("speeds", help="derived scales of a material")

@@ -26,8 +26,8 @@ import numpy as np
 
 from .material import MaterialParams, derive_scales, material_fingerprint
 from .wavefield import (Amplitudes, DecayExponents, ModeParams, _branch_sqrt,
-                        _micropolar_factor, _r30_squared, decay_exponents,
-                        leading_exponents)
+                        _leading_radicands, _micropolar_factor, _r30,
+                        _r30_squared, decay_exponents, leading_exponents)
 
 __all__ = [
     "CutoffError",
@@ -58,7 +58,7 @@ class NoSurfaceModeError(RuntimeError):
 
 
 class LeakyRegimeWarning(UserWarning):
-    """secular_leading evaluated at v >= c2 (complex r20, real part returned)."""
+    """secular_leading evaluated at v > c2 (complex r20, real part returned)."""
 
 
 @dataclass(frozen=True)
@@ -99,21 +99,19 @@ def _secular(d, r10, r20, r20_sq):
 def secular_leading(m: MaterialParams, v: float) -> float:
     """The leading-order elastic-mode secular function at phase velocity v.
 
-    Real-valued for 0 <= v < c2; past c2 the shear exponent turns imaginary
-    and the real part is returned under a LeakyRegimeWarning.
+    Real for 0 <= v <= c2; past c2 r20 turns imaginary and the real part is
+    returned under a LeakyRegimeWarning.  Radicands, roots and expression
+    have one home each: `_leading_radicands`, `_branch_sqrt`, `_secular`.
     """
     if v < 0:
         raise ValueError("phase velocity must be >= 0")
     sc = derive_scales(m)
-    d = sc.d
-    r10_sq = 1.0 - (v / sc.c1) ** 2
-    r20_sq = 1.0 - (v / sc.c2) ** 2
-    if r20_sq >= 0.0 and r10_sq >= 0.0:
-        return _secular(d, math.sqrt(r10_sq), math.sqrt(r20_sq), r20_sq)
-    warnings.warn("evaluating the secular function in the leaky regime "
-                  f"(v = {v!r} >= c2)", LeakyRegimeWarning, stacklevel=2)
-    r10, r20 = leading_exponents(m, v)
-    return _secular(d, r10, r20, r20_sq).real
+    r10_sq, r20_sq = _leading_radicands(sc, v)
+    if not r20_sq >= 0.0:
+        warnings.warn("evaluating the secular function in the leaky regime "
+                      f"(v = {v!r} > c2)", LeakyRegimeWarning, stacklevel=2)
+    return _secular(sc.d, _branch_sqrt(r10_sq), _branch_sqrt(r20_sq),
+                    r20_sq).real
 
 
 def bracketed_root(f, a: float, b: float, fa: float, fb: float,
@@ -192,9 +190,8 @@ def solve_rayleigh(m: MaterialParams, tol: float = 1e-10) -> DispersionPoint:
     # one array expression for the scan; the grid stops at c2, so r10^2 and
     # r20^2 stay >= 0 and np.sqrt stays real
     grid = np.append(np.linspace(lo, _BRACKET_HI * sc.c2, _SCAN_POINTS), sc.c2)
-    r20_sq = 1.0 - (grid / sc.c2) ** 2
-    vals = _secular(sc.d, np.sqrt(1.0 - (grid / sc.c1) ** 2), np.sqrt(r20_sq),
-                    r20_sq)
+    r10_sq, r20_sq = _leading_radicands(sc, grid)
+    vals = _secular(sc.d, np.sqrt(r10_sq), np.sqrt(r20_sq), r20_sq)
     hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
     if hits.size == 0:
         raise NoSurfaceModeError(
@@ -246,17 +243,13 @@ def amplitude_ratios(m: MaterialParams, point: DispersionPoint,
     if point.mode_tag == "micropolar":
         if not math.isfinite(point.omega):
             raise ValueError("micropolar amplitudes need the point frequency")
-        r30 = _branch_sqrt(_r30_squared(sc, point.v, point.omega))
+        r30 = _r30(sc, point.v, point.omega)
         p = (1j * (1.0 + d) * r20 * (1.0 + (r10 - r20) * corr)
              / (r20 * r20 + d))
-        r_amp = (((r20 * r20 + d) ** 2 - (1.0 + d) ** 2 * r10 * r20)
-                 / (r20 * r20 + d)) * (1.0 + (r30 - r20) * corr)
+        r_amp = (-_secular(d, r10, r20, r20 * r20) / (r20 * r20 + d)
+                 * (1.0 + (r30 - r20) * corr))
         return Amplitudes(P=p, Q=1.0 + 0j, R=r_amp)
     raise ValueError(f"unknown mode tag {point.mode_tag!r}")
-
-
-def _micropolar_residual(m: MaterialParams, v: float, omega: float) -> float:
-    return abs(_r30_squared(derive_scales(m), v, omega))
 
 
 def _solved_point(m: MaterialParams, omega: float, v: float,
@@ -303,7 +296,7 @@ def sweep(m: MaterialParams, omega_lo: float, omega_hi: float, n: int,
                 continue
             v = micropolar_velocity(m, omega)
             points.append(_solved_point(m, omega, v, "micropolar",
-                                        _micropolar_residual(m, v, omega)))
+                                        abs(_r30_squared(sc, v, omega))))
     return DispersionCurve(points=tuple(points),
                            fingerprint=material_fingerprint(m))
 

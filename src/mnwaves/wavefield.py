@@ -157,11 +157,15 @@ def _branch_sqrt(z: complex) -> complex:
     return w
 
 
+def _leading_radicands(sc: DerivedScales, v):
+    """r10^2, r20^2 = 1 - (v/c1)^2, 1 - (v/c2)^2 for a float or array v."""
+    return 1.0 - (v / sc.c1) ** 2, 1.0 - (v / sc.c2) ** 2
+
+
 def leading_exponents(m: MaterialParams, v: float) -> tuple[complex, complex]:
-    """Leading-order (eps = 0) exponents r10, r20 at phase velocity v."""
-    sc = derive_scales(m)
-    return (_branch_sqrt(1.0 - (v / sc.c1) ** 2),
-            _branch_sqrt(1.0 - (v / sc.c2) ** 2))
+    """Leading-order r10, r20 at v: `_branch_sqrt` of `_leading_radicands`."""
+    r10_sq, r20_sq = _leading_radicands(derive_scales(m), v)
+    return _branch_sqrt(r10_sq), _branch_sqrt(r20_sq)
 
 
 def _micropolar_factor(sc: DerivedScales, omega: float) -> float:
@@ -173,6 +177,11 @@ def _r30_squared(sc: DerivedScales, v: float, omega: float) -> float:
     """r30^2 = 1 - (v/c4)^2 (1 - omega_c^2/omega^2); zero on the micropolar
     mode."""
     return 1.0 - (v / sc.c4) ** 2 * _micropolar_factor(sc, omega)
+
+
+def _r30(sc: DerivedScales, v: float, omega: float) -> complex:
+    """Leading-order exponent r30 of the micropolar branch."""
+    return _branch_sqrt(_r30_squared(sc, v, omega))
 
 
 def decay_exponents(m: MaterialParams, mp: ModeParams) -> DecayExponents:
@@ -192,7 +201,7 @@ def decay_exponents(m: MaterialParams, mp: ModeParams) -> DecayExponents:
         return DecayExponents(r1=r1, r2=r2, r10=r10, r20=r20)
     micro = _micropolar_factor(sc, mp.omega)
     r3 = _branch_sqrt(1.0 - (v2 / d4) * micro)
-    r30 = _branch_sqrt(_r30_squared(sc, mp.v, mp.omega))
+    r30 = _r30(sc, mp.v, mp.omega)
     s = (v2 / sc.c3 ** 2) * (1.0 - (d2 / d4) * micro)
     return DecayExponents(r1=r1, r2=r2, r3=r3, s=s, r10=r10, r20=r20, r30=r30)
 

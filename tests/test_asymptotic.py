@@ -360,10 +360,13 @@ class TestReport:
         assert len(report.extra) == 2
 
     def test_json_keys(self, sample_material):
-        text = residual_report_json(sample_material, 2000.0, 0.1, slopes=False)
+        text = residual_report_json(sample_material, 2000.0, 0.1)
         payload = json.loads(text)
         for key in ("classical", "first_order", "refined", "extra",
                     "equivalence", "normalization", "slopes", "pde"):
             assert key in payload
+        assert set(payload["slopes"]) == {"eps", "classical_residuals",
+                                          "refined_residuals", "classical",
+                                          "refined"}
         assert payload["pde"]["s_balance"]["re"] == pytest.approx(
             -payload["pde"]["s_printed"]["re"], rel=1e-10)

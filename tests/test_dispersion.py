@@ -1,4 +1,6 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from mnwaves import asymptotic, dispersion
 from mnwaves.asymptotic import bc_slope_study, residual_report_json
 from mnwaves.dispersion import (
     CutoffError,
+    DispersionPoint,
     LeakyRegimeWarning,
     NoSurfaceModeError,
     amplitude_ratios,
@@ -132,6 +135,27 @@ class TestSecularLeading:
             value = secular_leading(sample_material, 1.1 * sc.c2)
         assert math.isfinite(value)
 
+    def test_leaky_value_is_real_part(self, seed, sample_material):
+        # Re[(1+d)^2 r10 r20 - (r20^2 + d)^2] with r20 = i sqrt((v/c2)^2 - 1)
+        for m in [sample_material, *(m for _, m in material_draws(seed))]:
+            sc = derive_scales(m)
+            v = 1.1 * sc.c2
+            r10 = cmath.sqrt(1.0 - (v / sc.c1) ** 2)
+            r20 = 1j * math.sqrt((v / sc.c2) ** 2 - 1.0)
+            r20sq = 1.0 - (v / sc.c2) ** 2
+            want = ((1.0 + sc.d) ** 2 * r10 * r20 - (r20sq + sc.d) ** 2).real
+            with pytest.warns(LeakyRegimeWarning):
+                got = secular_leading(m, v)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_warns_only_above_c2(self, sample_material):
+        sc = derive_scales(sample_material)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LeakyRegimeWarning)
+            assert secular_leading(sample_material, sc.c2) == -sc.d ** 2
+        with pytest.warns(LeakyRegimeWarning):
+            secular_leading(sample_material, math.nextafter(sc.c2, math.inf))
+
     def test_negative_velocity_rejected(self, sample_material):
         with pytest.raises(ValueError):
             secular_leading(sample_material, -1.0)
@@ -255,6 +279,35 @@ class TestAmplitudeRatios:
         amp = amplitude_ratios(sample_material, point, 0.05)
         # R carries the secular expression, nonzero off the elastic root
         assert abs(amp.R) > 1e-3
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+    def test_micropolar_amplitudes_match_docstring(self, seed, eps,
+                                                   sample_material):
+        # P = i (1+d) r20 (1 + (r10 - r20) c) / (r20^2 + d),
+        # R = [(r20^2 + d)^2 - (1+d)^2 r10 r20] / (r20^2 + d)
+        #     * (1 + (r30 - r20) c), c = eps - eps^2 r20; on the mode and off
+        for m in [sample_material, *(m for _, m in material_draws(seed))]:
+            sc = derive_scales(m)
+            for omega in (1.5 * sc.omega_cutoff, 3.0 * sc.omega_cutoff):
+                for v in (micropolar_velocity(m, omega), 0.5 * sc.c2):
+                    r10 = cmath.sqrt(1.0 - (v / sc.c1) ** 2)
+                    r20 = cmath.sqrt(1.0 - (v / sc.c2) ** 2)
+                    r30 = cmath.sqrt(1.0 - (v / sc.c4) ** 2
+                                     * (1.0 - (sc.omega_cutoff / omega) ** 2))
+                    c = eps - eps * eps * r20
+                    base = r20 * r20 + sc.d
+                    want_p = (1j * (1.0 + sc.d) * r20 * (1.0 + (r10 - r20) * c)
+                              / base)
+                    want_r = ((base ** 2 - (1.0 + sc.d) ** 2 * r10 * r20)
+                              / base * (1.0 + (r30 - r20) * c))
+                    point = DispersionPoint(
+                        omega=omega, k=omega / v, v=v, mode_tag="micropolar",
+                        exponents=None, secular_residual=math.nan,
+                        admissible=True)
+                    amp = amplitude_ratios(m, point, eps)
+                    assert amp.P == pytest.approx(want_p, rel=1e-12)
+                    assert amp.R == pytest.approx(want_r, rel=1e-12)
+                    assert amp.Q == 1.0
 
 
 class TestSweep:
