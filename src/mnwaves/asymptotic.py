@@ -33,7 +33,7 @@ import numpy as np
 
 from .dispersion import (DispersionPoint, _secular, amplitude_ratios,
                          bracketed_root, solve_rayleigh)
-from .kernel import SurfaceTrace
+from .kernel import SurfaceTrace, boundary_operator
 from .material import MaterialParams, derive_scales
 from .specfun import QuadratureSpec
 from .wavefield import (
@@ -42,10 +42,9 @@ from .wavefield import (
     ModeParams,
     ModeSolution,
     _branch_sqrt,
+    _blayer_closed,
     _branches,
     _leading_radicands,
-    blayer_closed_form,
-    blayer_closed_form_deta,
     blayer_integral_closed,
     blayer_integral_quadrature,
     decay_exponents,
@@ -80,8 +79,7 @@ class BoundaryLayerCoeffs:
 
     q*_0 are the leading force-stress coefficients, q*_1 the first-order
     ones, s*_0 the couple-stress coefficients; all vanish when the driving
-    surface traces vanish.  eps is retained so the composite surface
-    corrections (eps q31_0 + eps^2 q31_1 and so on) can be assembled.
+    surface traces vanish.
     """
 
     q11_0: complex
@@ -92,7 +90,6 @@ class BoundaryLayerCoeffs:
     q33_1: complex
     s12_0: complex
     s32_0: complex
-    eps: float
 
 
 @dataclass(frozen=True)
@@ -151,41 +148,32 @@ def _surface_pair(trace: SurfaceTrace | None) -> tuple[complex, complex]:
     return (0j, 0j) if trace is None else trace.surface_values()
 
 
-def bl_coeffs(surface_sigma11: SurfaceTrace, surface_pi12: SurfaceTrace | None,
-              eps: float,
+def bl_coeffs(surface_sigma11: SurfaceTrace | None,
+              surface_pi12: SurfaceTrace | None,
               sigma11_first_order: SurfaceTrace | None = None,
               pi12_first_order: SurfaceTrace | None = None) -> BoundaryLayerCoeffs:
     """Coefficients of the decaying fast-layer solutions  C e^{-eta_f}.
 
     Leading order, from the surface value of the dimensionless sigma11 trace
-    (chi-derivatives act on the carrier as multiplication by i w):
+    (chi-derivatives act on the carrier as multiplication by i):
 
-        Q11_0 = -1/2 sigma11|0,   Q31_0 = -1/2 d_chi sigma11|0,
-        Q33_0 = -1/2 d_chi^2 sigma11|0.
+        Q11_0 = -1/2 sigma11|0,   Q31_0 = -1/2 d_chi sigma11|0 = i Q11_0,
+        Q33_0 = -1/2 d_chi^2 sigma11|0 = -Q11_0.
 
     First order, each a surface value of the first-order trace minus the
     eta-derivative of the leading trace (first-order traces default to
     zero); the couple coefficients S12_0, S32_0 follow the same pattern from
-    the Pi12 traces.
+    the Pi12 traces.  A missing trace contributes zeros.
     """
     g0, g0p = _surface_pair(surface_sigma11)
     g1, _ = _surface_pair(sigma11_first_order)
     h0, h0p = _surface_pair(surface_pi12)
     h1, _ = _surface_pair(pi12_first_order)
-    iw = 1j * surface_sigma11.chi_wavenumber
-    iwp = iw if surface_pi12 is None else 1j * surface_pi12.chi_wavenumber
-    first = g1 - g0p
-    first_pi = h1 - h0p
+    q11_0, q11_1, s12_0 = -0.5 * g0, -0.5 * (g1 - g0p), -0.5 * (h1 - h0p)
     return BoundaryLayerCoeffs(
-        q11_0=-0.5 * g0,
-        q31_0=-0.5 * iw * g0,
-        q33_0=-0.5 * iw * iw * g0,
-        q11_1=-0.5 * first,
-        q31_1=-0.5 * iw * first,
-        q33_1=-0.5 * iw * iw * first,
-        s12_0=-0.5 * first_pi,
-        s32_0=-0.5 * iwp * first_pi,
-        eps=eps,
+        q11_0=q11_0, q31_0=1j * q11_0, q33_0=-q11_0,
+        q11_1=q11_1, q31_1=1j * q11_1, q33_1=-q11_1,
+        s12_0=s12_0, s32_0=1j * s12_0,
     )
 
 
@@ -258,49 +246,39 @@ def bc_residual_order(sol: ModeSolution, order: int) -> tuple[complex, complex, 
 def extra_bc_residual(sol: ModeSolution) -> tuple[complex, complex]:
     """The operator [1 - a d_z - (a^3/2) d_x^2 d_z] on tau11 and M12 at z = 0.
 
-    On the e^{ikx} carrier the operator collapses to
-    f(0) - (eps - eps^3/2) f'(0) in the dimensionless depth eta = k z, with
-    eps = sol.mp.eps and f the boundary-layer-integral representation of
-    each non-local stress.  Returned raw (dimensional); both components
-    shrink with eps because the integral representation is compatible with
-    these two conditions.
+    `boundary_operator` at eps = sol.mp.eps on the surface value and
+    eta-slope (eta = k z) of each branch's boundary-layer integral, summed
+    with the coefficients of `stress_branch_coeffs`.  Values are
+    dimensionless like those of `bc_residual_order`: tau11 per
+    k^2 (mu+kappa), M12 per k (mu+kappa).  Both components shrink with eps
+    because the integral representation is compatible with these two
+    conditions.
     """
-    m, mp, eps = sol.m, sol.mp, sol.mp.eps
-    rows = stress_branch_coeffs(m, sol.de, mp.k)
-    norm_sigma = mp.k ** 2 * (m.mu + m.kappa)
-    norm_pi = mp.k * (m.mu + m.kappa)
-    coeff = eps - 0.5 * eps ** 3
-
-    tau11 = 0j
-    m12 = 0j
+    eps = sol.mp.eps
+    rows = stress_branch_coeffs(sol.m, sol.de, sol.mp.k)
+    tau11 = m12 = 0j
     for c11, c12, (a, r, r0) in zip(rows["sigma11"], rows["pi12"],
                                     _branches(sol.amp, sol.de)):
-        i0 = blayer_closed_form(r, r0, eps, 0.0)
-        i0p = blayer_closed_form_deta(r, r0, eps, 0.0)
-        op = i0 - coeff * i0p
+        op = boundary_operator(*_blayer_closed(r, r0, eps, 0.0), eps)
         tau11 += c11 * a * op
         m12 += c12 * a * op
-    return (tau11 * norm_sigma, m12 * norm_pi)
+    return tau11, m12
 
 
 def bc_residual_report(sol: ModeSolution) -> BCResidualReport:
     """All four surface-condition residual groups at eps = sol.mp.eps,
     normalized by |Q|."""
-    m, mp = sol.m, sol.mp
     amp_norm = _amp_norm(sol.amp)
-    norm_sigma = mp.k ** 2 * (m.mu + m.kappa) * amp_norm
-    norm_pi = mp.k * (m.mu + m.kappa) * amp_norm
-    raw_extra = extra_bc_residual(sol)
 
-    def scaled(triple):
-        return tuple(z / amp_norm for z in triple)
+    def scaled(values):
+        return tuple(z / amp_norm for z in values)
 
     return BCResidualReport(
         classical=scaled(bc_residual_order(sol, 0)),
         first_order=scaled(bc_residual_order(sol, 1)),
         refined=scaled(bc_residual_order(sol, 2)),
-        extra=(raw_extra[0] / norm_sigma, raw_extra[1] / norm_pi),
-        normalization=norm_sigma,
+        extra=scaled(extra_bc_residual(sol)),
+        normalization=sol.mp.k ** 2 * (sol.m.mu + sol.m.kappa) * amp_norm,
     )
 
 

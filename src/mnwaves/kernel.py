@@ -13,8 +13,8 @@ angle seen from the origin.  u K1(u) lies in (0, 1) and is smooth in theta,
 so one fixed Gauss rule needs no singularity subtraction, near 0 or not.
 
 `approx_trace_integral` and `boundary_operator` realize the 1D trace
-approximations used on surface profiles sigma(chi, eta) = e^{i chi w} g(eta):
-the chi-derivatives act on the carrier as multiplication by i*w, so only the
+approximations used on surface profiles sigma(chi, eta) = e^{i chi} g(eta):
+the chi-derivatives act on the carrier as multiplication by i, so only the
 depth profile g is handled numerically.
 """
 
@@ -95,21 +95,14 @@ class ScalarField2D:
 @dataclass(frozen=True)
 class SurfaceTrace:
     """Depth profile g(eta) = amplitude e^{-decay eta} of a surface quantity
-    e^{i chi w} g(eta); Re decay >= 0 keeps g bounded as eta -> inf."""
+    e^{i chi} g(eta); Re decay >= 0 keeps g bounded as eta -> inf."""
 
     decay: complex
-    chi_wavenumber: float = 1.0
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         if not complex(self.decay).real >= 0.0:
             raise ValueError(f"decay {self.decay!r} has a negative real part")
-
-    @classmethod
-    def constant(cls, value: complex = 1.0 + 0.0j,
-                 chi_wavenumber: float = 1.0) -> "SurfaceTrace":
-        """Depth-independent trace (decay 0)."""
-        return cls(0.0, chi_wavenumber, value)
 
     def eval(self, eta):
         """g at a depth or an array of depths."""
@@ -296,23 +289,22 @@ def approx_trace_integral(trace: SurfaceTrace, eps: float, eta: float,
                           spec: QuadratureSpec = DEFAULT_QUAD_SPEC) -> complex:
     """Depth-smoothed trace at eta:
 
-        (1/2eps) int_0^inf [1 - (eps^2/2)(1 + |eta'-eta|/eps) w^2]
+        (1/2eps) int_0^inf [1 - (eps^2/2)(1 + |eta'-eta|/eps)]
                            g(eta') exp(-|eta'-eta|/eps) deta'
 
     i.e. the 1D non-local trace operator with the chi-derivatives applied
-    analytically to the e^{i chi w} carrier (a factor -w^2).
+    analytically to the e^{i chi} carrier (a factor -1).
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     if not math.isfinite(eps * eps):
         raise ValueError(f"eps = {eps!r} is too large: eps^2 overflows")
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError("eta must be >= 0")
-    w2 = trace.chi_wavenumber * trace.chi_wavenumber
 
     def integrand(etap: np.ndarray) -> np.ndarray:
         dist = np.abs(etap - eta)
-        bracket = 1.0 - 0.5 * eps * eps * (1.0 + dist / eps) * w2
+        bracket = 1.0 - 0.5 * eps * eps * (1.0 + dist / eps)
         return bracket * trace.eval(etap) * np.exp(-dist / eps)
 
     # Off its peak the integrand falls like e^{-rate |eta' - peak|}; a peak
@@ -333,15 +325,14 @@ def approx_trace_integral(trace: SurfaceTrace, eps: float, eta: float,
     return total / (2.0 * eps)
 
 
-def boundary_operator(trace: SurfaceTrace, eps: float) -> complex:
-    """[1 - eps d_eta - (eps^3/2) d_chi^2 d_eta] applied to the trace at 0.
+def boundary_operator(g0: complex, g1: complex, eps: float) -> complex:
+    """[1 - eps d_eta - (eps^3/2) d_chi^2 d_eta] at the surface of a profile
+    e^{i chi} g(eta), from g0 = g(0) and g1 = g'(0).
 
-    d_chi^2 acts on the carrier as -w^2, so the operator evaluates to
-    g(0) - eps g'(0) + (eps^3/2) w^2 g'(0).
+    d_chi^2 acts on the carrier as -1, so the operator evaluates to
+    g(0) - (eps - eps^3/2) g'(0).
     """
-    g0, g1 = trace.surface_values()
-    w2 = trace.chi_wavenumber * trace.chi_wavenumber
-    return g0 - eps * g1 + 0.5 * eps ** 3 * w2 * g1
+    return g0 - (eps - 0.5 * eps ** 3) * g1
 
 
 def field_to_csv(f: ScalarField2D) -> str:

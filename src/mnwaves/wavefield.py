@@ -71,8 +71,10 @@ class ModeParams:
     def __post_init__(self):
         if not (self.k > 0 and self.omega > 0):
             raise ValueError("k and omega must be positive")
-        if abs(self.v - self.omega / self.k) > 1e-14 * abs(self.v):
+        if not abs(self.v - self.omega / self.k) <= 1e-14 * abs(self.v):
             raise ValueError("v must equal omega/k")
+        if not self.eps >= 0:
+            raise ValueError(f"eps must be >= 0, got {self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -286,7 +288,7 @@ def _branches(amp: Amplitudes, de: DecayExponents) -> list[tuple]:
 def mode_fields(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
                 x: float, z: float) -> tuple[complex, complex, complex]:
     """Potentials (phi, psi, Phi2) at one point, time factor suppressed."""
-    if z < 0:
+    if not z >= 0:
         raise ValueError("the half-space is z >= 0")
     carrier = cmath.exp(1j * mp.k * x)
     terms = [a * cmath.exp(-mp.k * r * z) * carrier
@@ -309,7 +311,7 @@ def local_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
 
     All derivatives are closed-form on the exponential branches.
     """
-    if z < 0:
+    if not z >= 0:
         raise ValueError("the half-space is z >= 0")
     k = mp.k
     carrier = cmath.exp(1j * k * x)
@@ -427,6 +429,30 @@ def pde_residual(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
     return (eq1 / norm, eq2 / norm, eq3 / norm)
 
 
+def _blayer_closed(r: complex, r0: complex, eps: float,
+                   eta: float) -> tuple[complex, complex]:
+    """(I, dI/deta): `blayer_closed_form` and its eta-slope from shared
+    terms, behind one set of input checks."""
+    if not eps >= 0:
+        raise ValueError(f"eps must be >= 0, got {eps!r}")
+    if not math.isfinite(eps * eps):
+        raise ValueError(f"eps = {eps!r} is too large: eps^2 overflows")
+    if not eta >= 0:
+        raise ValueError(f"eta must be >= 0, got {eta!r}")
+    decay = cmath.exp(-r * eta)
+    if eps == 0.0:
+        return decay, -r * decay
+    main = (1.0 + eps * eps * (r0 * r0 - 1.0)) * decay
+    arg = eta / eps
+    if arg > 745.0:           # e^{-eta/eps} underflows; the term is gone
+        return main, -r * main
+    bracket = (1.0 + eps * r0 + eps * eps * (r0 * r0 - 1.0)
+               - 0.5 * eps * eta)
+    edge = math.exp(-arg)
+    return (main - 0.5 * bracket * edge,
+            -r * main + 0.5 * (0.5 * eps + bracket / eps) * edge)
+
+
 def blayer_closed_form(r: complex, r0: complex, eps: float, eta: float) -> complex:
     """Closed form of the boundary-layer integral for exponent pair (r, r0):
 
@@ -435,21 +461,7 @@ def blayer_closed_form(r: complex, r0: complex, eps: float, eta: float) -> compl
 
     eps = 0 is the exact local limit, the bare branch decay e^{-r eta}.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if not math.isfinite(eps * eps):
-        raise ValueError(f"eps = {eps!r} is too large: eps^2 overflows")
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    if eps == 0.0:
-        return cmath.exp(-r * eta)
-    main = (1.0 + eps * eps * (r0 * r0 - 1.0)) * cmath.exp(-r * eta)
-    arg = eta / eps
-    if arg > 745.0:           # e^{-eta/eps} underflows; the term is gone
-        return main
-    boundary = 0.5 * (1.0 + eps * r0 + eps * eps * (r0 * r0 - 1.0)
-                      - 0.5 * eps * eta) * math.exp(-arg)
-    return main - boundary
+    return _blayer_closed(r, r0, eps, eta)[0]
 
 
 def blayer_quadrature_form(r: complex, eps: float, eta: float,
@@ -457,7 +469,7 @@ def blayer_quadrature_form(r: complex, eps: float, eta: float,
     """Boundary-layer integral by direct quadrature of the trace operator.
 
     This is the depth-smoothing operator applied to the profile e^{-r eta'}
-    with unit chi-wavenumber carrier (the primed depth variable appears in
+    on the e^{i chi} carrier (the primed depth variable appears in
     the decaying exponential, consistent with the trace approximation the
     closed form is derived from).
     """
@@ -485,23 +497,6 @@ def blayer_integral_quadrature(i: int, de: DecayExponents, eps: float,
     return blayer_quadrature_form(r, eps, eta, spec)
 
 
-def blayer_closed_form_deta(r: complex, r0: complex, eps: float,
-                            eta: float) -> complex:
-    """Analytic d/d eta of `blayer_closed_form` (used by surface operators)."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if eps == 0.0:
-        return -r * cmath.exp(-r * eta)
-    main = -r * (1.0 + eps * eps * (r0 * r0 - 1.0)) * cmath.exp(-r * eta)
-    arg = eta / eps
-    if arg > 745.0:
-        return main
-    bracket = (1.0 + eps * r0 + eps * eps * (r0 * r0 - 1.0) - 0.5 * eps * eta)
-    dbracket = -0.5 * eps
-    boundary = 0.5 * (dbracket - bracket / eps) * math.exp(-arg)
-    return main - boundary
-
-
 def nonlocal_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
                       m: MaterialParams, x: float, z: float) -> StressState:
     """Non-local stresses of the mode: the explicit k^2 [...] I_i structure.
@@ -513,7 +508,7 @@ def nonlocal_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
     stresses M.  As eps -> 0 the I_i collapse to the bare exponentials and
     tau -> sigma pointwise for z > 0.
     """
-    if z < 0:
+    if not z >= 0:
         raise ValueError("the half-space is z >= 0")
     k = mp.k
     carrier = cmath.exp(1j * k * x)

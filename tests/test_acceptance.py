@@ -124,12 +124,10 @@ def test_c05_boundary_operator_identity():
     for r in (0.3, 0.8):
         devs = []
         for eps in eps_values:
-            tau = SurfaceTrace(r, chi_wavenumber=1.0)
-            image = SurfaceTrace(
-                r, chi_wavenumber=1.0,
-                amplitude=1.0 - eps * eps * (r * r - 1.0))
+            tau = SurfaceTrace(r)
+            image = SurfaceTrace(r, amplitude=1.0 - eps * eps * (r * r - 1.0))
             smoothed = approx_trace_integral(image, eps, 0.0)
-            half_op = 0.5 * boundary_operator(tau, eps)
+            half_op = 0.5 * boundary_operator(*tau.surface_values(), eps)
             devs.append(abs(half_op - (tau.eval(0.0) - smoothed)))
         slopes[f"r={r}"] = fit_slope(eps_values, devs)
     passed = all(s >= 3.0 for s in slopes.values())

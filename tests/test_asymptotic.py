@@ -26,7 +26,7 @@ from mnwaves.dispersion import (
     secular_leading,
     solve_rayleigh,
 )
-from mnwaves.kernel import SurfaceTrace
+from mnwaves.kernel import SurfaceTrace, boundary_operator
 from mnwaves.material import derive_scales
 from mnwaves.wavefield import (
     Amplitudes,
@@ -131,39 +131,36 @@ class TestEquivalenceMicropolar:
 
 class TestBoundaryLayerCoeffs:
     def test_pure_carrier(self):
-        coeffs = bl_coeffs(SurfaceTrace.constant(1.0, 1.0), None, 0.1)
+        coeffs = bl_coeffs(SurfaceTrace(0.0), None)
         assert coeffs.q11_0 == -0.5
         assert coeffs.q31_0 == -0.5j
         assert coeffs.q33_0 == 0.5
 
     def test_fast_balance(self):
         # d_chi q11 + d_eta_f q31 = 0 for the e^{-eta_f} profile
-        coeffs = bl_coeffs(SurfaceTrace.constant(1.0, 1.0), None, 0.1)
+        coeffs = bl_coeffs(SurfaceTrace(0.0), None)
         assert 1j * coeffs.q11_0 - coeffs.q31_0 == 0
 
     def test_decaying_trace_first_order(self):
         # the -d_eta term contributes r/2 with the overall -1/2 sign
         r = 0.7
-        coeffs = bl_coeffs(SurfaceTrace(r, 1.0), None, 0.1)
+        coeffs = bl_coeffs(SurfaceTrace(r), None)
         assert coeffs.q11_1 == pytest.approx(-0.5 * r, rel=1e-14)
         assert coeffs.q31_1 == pytest.approx(-0.5j * r, rel=1e-14)
 
     def test_first_order_trace_contributes_surface_value(self):
         r = 0.7
-        coeffs = bl_coeffs(
-            SurfaceTrace(r, 1.0), None, 0.1,
-            sigma11_first_order=SurfaceTrace.constant(2.0, 1.0))
+        coeffs = bl_coeffs(SurfaceTrace(r), None,
+                           sigma11_first_order=SurfaceTrace(0.0, 2.0))
         assert coeffs.q11_1 == pytest.approx(-0.5 * (2.0 + r), rel=1e-14)
 
     def test_zero_couple_trace(self):
-        coeffs = bl_coeffs(SurfaceTrace.constant(1.0, 1.0),
-                           SurfaceTrace.constant(0.0, 1.0), 0.1)
+        coeffs = bl_coeffs(SurfaceTrace(0.0), SurfaceTrace(0.0, 0.0))
         assert coeffs.s12_0 == 0 and coeffs.s32_0 == 0
 
     def test_couple_coefficients(self):
         r = 0.4
-        coeffs = bl_coeffs(SurfaceTrace.constant(1.0, 1.0),
-                           SurfaceTrace(r, 1.0), 0.1)
+        coeffs = bl_coeffs(SurfaceTrace(0.0), SurfaceTrace(r))
         assert coeffs.s12_0 == pytest.approx(-0.5 * r, rel=1e-14)
         assert coeffs.s32_0 == pytest.approx(-0.5j * r, rel=1e-14)
 
@@ -217,8 +214,9 @@ class TestExtraBc:
         sol = _printed_mode(sample_material, 2000.0, 0.0)
         pair = extra_bc_residual(sol)
         st = nonlocal_stresses(sol.amp, sol.de, sol.mp, sol.m, 0.0, 0.0)
+        norm = sol.mp.k ** 2 * (sol.m.mu + sol.m.kappa)
         # at a = 0 the operator is the identity on the bare surface values
-        assert pair[0] == pytest.approx(st.tau11, rel=1e-12)
+        assert pair[0] == pytest.approx(st.tau11 / norm, rel=1e-12)
         assert pair[1] == st.m12 == 0
 
     def test_second_component_vanishes_without_rotation(self, sample_material):
@@ -230,10 +228,30 @@ class TestExtraBc:
         mags = []
         for eps in eps_values:
             sol = _printed_mode(sample_material, 2000.0, eps)
-            pair = extra_bc_residual(sol)
-            norm = sol.mp.k ** 2 * (sol.m.mu + sol.m.kappa)
-            mags.append(abs(pair[0]) / norm)
+            mags.append(abs(extra_bc_residual(sol)[0]))
         assert fit_slope(eps_values, mags) >= 1.0
+
+    def test_operator_on_nonlocal_stresses(self, sample_material):
+        """boundary_operator on tau11 and M12 of `nonlocal_stresses` (R != 0):
+        the surface value and the eta-slope by a second-order one-sided
+        difference, per k^2 (mu+kappa) and per k (mu+kappa)."""
+        from mnwaves.wavefield import nonlocal_stresses
+        printed = _printed_mode(sample_material, 2000.0, 0.1)
+        sol = ModeSolution(m=printed.m, mp=printed.mp,
+                           amp=Amplitudes(printed.amp.P, 1.0, 0.3j),
+                           de=printed.de)
+        k, mk, eps = sol.mp.k, sol.m.mu + sol.m.kappa, sol.mp.eps
+        h = 1e-6  # step in eta = k z
+        states = [nonlocal_stresses(sol.amp, sol.de, sol.mp, sol.m, 0.0,
+                                    n * h / k) for n in range(3)]
+        got = extra_bc_residual(sol)
+        for comp, norm, value in (("tau11", k * k * mk, got[0]),
+                                  ("m12", k * mk, got[1])):
+            f0, f1, f2 = (getattr(st, comp) / norm for st in states)
+            slope = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
+            want = boundary_operator(f0, slope, eps)
+            assert want != 0
+            assert value == pytest.approx(want, rel=1e-7), comp
 
 
 class TestBcResidualRefined:

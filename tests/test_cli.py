@@ -162,6 +162,11 @@ class TestResidualsCommand:
 
 
 class TestBlayerCommand:
+    def test_golden(self, capsys):
+        code, out, _ = run_cli(["blayer", "--material", SAMPLE], capsys)
+        assert code == 0
+        assert out == (GOLDEN_DIR / "blayer.json").read_text()
+
     def test_default_grid_with_slopes(self, capsys):
         code, out, _ = run_cli(["blayer", "--material", SAMPLE], capsys)
         assert code == 0

@@ -498,11 +498,10 @@ class TestRoundtrip:
         assert margin == _kernel_stencil(h, h, a).shape[1] // 2 + 1 == want
 
 
-def _exact_trace_integral(r: complex, eps: float, eta: float,
-                          w: float) -> complex:
+def _exact_trace_integral(r: complex, eps: float, eta: float) -> complex:
     """approx_trace_integral of e^{-r eta'} at unit amplitude, in closed form.
 
-    The bracket is A - B s with A = 1 - eps^2 w^2/2, B = eps w^2/2 and s the
+    The bracket is A - B s with A = 1 - eps^2/2, B = eps/2 and s the
     distance from eta.  With E = e^{-eta/eps}, F = e^{-r eta}, p = r - 1/eps
     and q = r + 1/eps, the part above eta is F (A/q - B/q^2) and the part
     below is A (E - F)/p - B (eta E/p - (E - F)/p^2); no term overflows.
@@ -510,7 +509,7 @@ def _exact_trace_integral(r: complex, eps: float, eta: float,
     F eta (A phi1 - B eta phi2) with phi1, phi2 = int_0^1 (1, t) e^{p eta t}
     dt summed as series.
     """
-    a_coef, b_coef = 1.0 - 0.5 * eps * eps * w * w, 0.5 * eps * w * w
+    a_coef, b_coef = 1.0 - 0.5 * eps * eps, 0.5 * eps
     p, q = r - 1.0 / eps, r + 1.0 / eps
     e_eta, f_eta = math.exp(-eta / eps), cmath.exp(-r * eta)
     above = f_eta * (a_coef / q - b_coef / (q * q))
@@ -528,15 +527,16 @@ def _exact_trace_integral(r: complex, eps: float, eta: float,
 class TestApproxTraceIntegral:
     @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0, 3.0])
     def test_constant_trace_closed_form(self, eta):
-        # pure exponential kernel: 1 - e^{-eta/eps}/2
         eps = 0.1
-        trace = SurfaceTrace.constant(1.0, chi_wavenumber=0.0)
-        got = approx_trace_integral(trace, eps, eta)
-        assert got == pytest.approx(1.0 - 0.5 * math.exp(-eta / eps), abs=1e-12)
+        got = approx_trace_integral(SurfaceTrace(0.0), eps, eta)
+        want = _exact_trace_integral(0.0, eps, eta)
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_surface_halving(self):
-        trace = SurfaceTrace.constant(1.0, chi_wavenumber=0.0)
-        assert approx_trace_integral(trace, 0.2, 0.0) == pytest.approx(0.5, abs=1e-12)
+        # at the surface: (1 - eps^2)/2, the corrector takes eps^2/2
+        eps = 0.2
+        got = approx_trace_integral(SurfaceTrace(0.0), eps, 0.0)
+        assert got == pytest.approx(0.5 * (1.0 - eps * eps), abs=1e-12)
 
     @pytest.mark.parametrize("r", [0.4, 0.9])
     def test_exponential_trace_matches_closed_form(self, r):
@@ -544,14 +544,13 @@ class TestApproxTraceIntegral:
         eps_values = (0.2, 0.1, 0.05)
         devs = []
         for eps in eps_values:
-            trace = SurfaceTrace(r, chi_wavenumber=1.0)
-            got = approx_trace_integral(trace, eps, 0.7)
+            got = approx_trace_integral(SurfaceTrace(r), eps, 0.7)
             want = blayer_closed_form(r, r, eps, 0.7)
             devs.append(abs(got - want) / abs(want))
         assert fit_slope(eps_values, devs) >= 2.0
 
     def test_pointwise_recovery_as_eps_vanishes(self):
-        trace = SurfaceTrace(0.6, chi_wavenumber=0.0)
+        trace = SurfaceTrace(0.6)
         eta = 2.0  # deep enough that the surface term does not interfere
         exact = trace.eval(eta)
         errs = [abs(approx_trace_integral(trace, eps, eta) - exact)
@@ -568,35 +567,32 @@ class TestApproxTraceIntegral:
                 1.0, cmath.exp(0.7j), 1j)[rng.integers(3)]
             eta = (0.0, 0.5, 2.0)[rng.integers(3)]
             eps = (0.05, 0.1, 0.2)[rng.integers(3)]
-            w = float(rng.integers(2))  # the eps^2 corrector on or off
-            trace = SurfaceTrace(r, chi_wavenumber=w)
             try:
-                got = approx_trace_integral(trace, eps, eta)
+                got = approx_trace_integral(SurfaceTrace(r), eps, eta)
             except ConvergenceError:
                 continue
-            want = _exact_trace_integral(r, eps, eta, w)
+            want = _exact_trace_integral(r, eps, eta)
             assert abs(got - want) <= 1e-9 * abs(want) + 1e-13 / eps, \
-                (r, eta, eps, w, got, want)
+                (r, eta, eps, got, want)
 
     def test_invalid_inputs(self):
-        trace = SurfaceTrace.constant(1.0)
+        trace = SurfaceTrace(0.0)
         with pytest.raises(ValueError):
             approx_trace_integral(trace, 0.0, 0.5)
         with pytest.raises(ValueError):
             approx_trace_integral(trace, 0.1, -0.1)
+        for eps, eta in ((math.nan, 0.5), (0.1, math.nan)):
+            with pytest.raises(ValueError):
+                approx_trace_integral(trace, eps, eta)
         with pytest.raises(ValueError, match="overflows"):
             approx_trace_integral(trace, 1e300, 0.5)
 
 
 class TestBoundaryOperator:
-    def test_exponential_no_carrier(self):
-        trace = SurfaceTrace(1.0, chi_wavenumber=0.0)
-        assert boundary_operator(trace, 0.1) == pytest.approx(1.1, rel=1e-14)
-
     def test_exponential_with_carrier(self):
-        trace = SurfaceTrace(1.0, chi_wavenumber=1.0)
+        g0, g1 = SurfaceTrace(1.0).surface_values()
         want = 1.0 + 0.1 - 0.5 * 0.1 ** 3
-        assert boundary_operator(trace, 0.1) == pytest.approx(want, rel=1e-14)
+        assert boundary_operator(g0, g1, 0.1) == pytest.approx(want, rel=1e-14)
 
     def test_growing_trace_rejected(self):
         with pytest.raises(ValueError):
@@ -604,13 +600,13 @@ class TestBoundaryOperator:
 
     def test_derivative_from_decay(self):
         # g'(0) = -decay * amplitude, in the operator and in bl_coeffs
-        decay, amp, w, eps = 0.7 + 0.4j, 2.0 - 0.5j, 1.3, 0.1
-        trace = SurfaceTrace(decay, chi_wavenumber=w, amplitude=amp)
+        decay, amp, eps = 0.7 + 0.4j, 2.0 - 0.5j, 0.1
+        trace = SurfaceTrace(decay, amplitude=amp)
         g1 = -decay * amp
         assert trace.surface_values() == (amp, g1)
-        want = amp - eps * g1 + 0.5 * eps ** 3 * w * w * g1
-        assert boundary_operator(trace, eps) == pytest.approx(want, rel=1e-14)
-        coeffs = bl_coeffs(trace, trace, eps)
+        want = amp - eps * g1 + 0.5 * eps ** 3 * g1
+        assert boundary_operator(amp, g1, eps) == pytest.approx(want, rel=1e-14)
+        coeffs = bl_coeffs(trace, trace)
         assert coeffs.q11_0 == pytest.approx(-0.5 * amp, rel=1e-14)
         assert coeffs.q11_1 == pytest.approx(0.5 * g1, rel=1e-14)
         assert coeffs.s12_0 == pytest.approx(0.5 * g1, rel=1e-14)
@@ -627,11 +623,9 @@ class TestBoundaryOperator:
         eps_values = (0.2, 0.1, 0.05)
         devs = []
         for eps in eps_values:
-            tau = SurfaceTrace(r, chi_wavenumber=1.0)
-            image_amp = 1.0 - eps * eps * (r * r - 1.0)
-            image = SurfaceTrace(r, chi_wavenumber=1.0,
-                                 amplitude=image_amp)
+            tau = SurfaceTrace(r)
+            image = SurfaceTrace(r, amplitude=1.0 - eps * eps * (r * r - 1.0))
             smoothed = approx_trace_integral(image, eps, 0.0)
-            half_op = 0.5 * boundary_operator(tau, eps)
+            half_op = 0.5 * boundary_operator(*tau.surface_values(), eps)
             devs.append(abs(half_op - (tau.eval(0.0) - smoothed)))
         assert fit_slope(eps_values, devs) >= 3.0

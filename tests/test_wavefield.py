@@ -11,6 +11,7 @@ from mnwaves.material import derive_scales
 from mnwaves.wavefield import (
     Amplitudes,
     ModeParams,
+    _blayer_closed,
     blayer_closed_form,
     blayer_integral_closed,
     blayer_integral_quadrature,
@@ -372,6 +373,34 @@ class TestBoundaryLayerIntegrals:
                 for eta in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0):
                     assert blayer_closed_form(r, r, eps, eta).real > 0.0
 
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("eta", [0.3, 1.0])
+    def test_slope_matches_central_difference(self, eta, eps):
+        r, r0, h = 0.8 + 0.1j, 0.82, 1e-5
+        value, slope = _blayer_closed(r, r0, eps, eta)
+        assert value == blayer_closed_form(r, r0, eps, eta)
+        diff = (blayer_closed_form(r, r0, eps, eta + h)
+                - blayer_closed_form(r, r0, eps, eta - h)) / (2.0 * h)
+        assert slope == pytest.approx(diff, rel=1e-8)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+    def test_surface_slope_matches_one_sided_difference(self, eps):
+        # second-order one-sided difference: the layer starts at eta = 0
+        r, r0, h = 0.8 + 0.1j, 0.82, 1e-6
+        f0, f1, f2 = (blayer_closed_form(r, r0, eps, n * h) for n in range(3))
+        diff = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
+        assert _blayer_closed(r, r0, eps, 0.0)[1] == pytest.approx(diff,
+                                                                  rel=1e-7)
+
+    def test_slope_past_the_underflow_cut(self):
+        # eta/eps = 1000 > 745: the e^{-eta/eps} term is dropped from both
+        r, r0, eps, eta, h = 0.8 + 0.1j, 0.82, 1e-3, 1.0, 1e-5
+        diff = (blayer_closed_form(r, r0, eps, eta + h)
+                - blayer_closed_form(r, r0, eps, eta - h)) / (2.0 * h)
+        value, slope = _blayer_closed(r, r0, eps, eta)
+        assert slope == -r * value
+        assert slope == pytest.approx(diff, rel=1e-8)
+
     def test_halving_with_corrector(self):
         # exact antiderivative: (1 - eps^2)/2
         eps = 0.1
@@ -458,3 +487,30 @@ class TestNonlocalStresses:
         assert abs(st.tau31) < 1e-8 * norm
         assert abs(st.tau33) < 1e-8 * norm
         assert abs(st.m32) == 0.0
+
+
+class TestNanInputs:
+    """NaN fails every guard instead of passing through as a NaN result."""
+
+    def test_mode_params(self):
+        with pytest.raises(ValueError, match="omega/k"):
+            ModeParams(k=1.0, omega=1.0, v=math.nan, eps=0.1)
+        with pytest.raises(ValueError, match="eps"):
+            ModeParams(k=1.0, omega=1.0, v=1.0, eps=math.nan)
+
+    def test_depth_of_fields_and_stresses(self, sample_material,
+                                          generic_state):
+        de = decay_exponents(sample_material, generic_state)
+        amp = Amplitudes(1.0, 0.5j, 0.2)
+        with pytest.raises(ValueError, match="half-space"):
+            mode_fields(amp, de, generic_state, 0.0, math.nan)
+        for stresses in (local_stresses, nonlocal_stresses):
+            with pytest.raises(ValueError, match="half-space"):
+                stresses(amp, de, generic_state, sample_material, 0.0,
+                         math.nan)
+
+    def test_blayer_closed_form(self):
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            blayer_closed_form(0.8, 0.8, 0.1, math.nan)
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            blayer_closed_form(0.8, 0.8, math.nan, 0.5)
