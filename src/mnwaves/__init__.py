@@ -2,7 +2,7 @@
 
 Subpackages by concern:
 
-    material    physical constants, derived wave speeds, dimensionless groups
+    material    physical constants, derived wave speeds, JSON config I/O
     specfun     Bessel K0/K1 and adaptive quadrature (the oracle substrate)
     kernel      the 2D non-local kernel, integral and differential models
     wavefield   mode ansatz, decay exponents, local/non-local stresses
@@ -12,13 +12,11 @@ Subpackages by concern:
 """
 
 from .material import (
-    Dimensionless,
     DerivedScales,
     InvalidMaterialError,
     MaterialParams,
     ValidationOutcome,
     derive_scales,
-    dimensionless_params,
     load_material,
     material_from_json,
     validate,
@@ -34,9 +32,7 @@ from .specfun import (
 )
 from .kernel import (
     ScalarField2D,
-    SurfaceTrace,
     apply_helmholtz,
-    approx_trace_integral,
     boundary_operator,
     convolve_halfplane,
     kernel_weight,
@@ -50,9 +46,7 @@ from .wavefield import (
     blayer_integral_closed,
     blayer_integral_quadrature,
     decay_exponents,
-    exact_shear_exponents,
     local_stresses,
-    mode_fields,
     nonlocal_stresses,
     pde_residual,
 )
@@ -69,9 +63,7 @@ from .dispersion import (
 )
 from .asymptotic import (
     BCResidualReport,
-    BoundaryLayerCoeffs,
     bc_residual_order,
-    bl_coeffs,
     equivalence_residual_elastic,
     equivalence_residual_micropolar,
     extra_bc_residual,

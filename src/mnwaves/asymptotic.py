@@ -10,11 +10,11 @@ boundary-layer coefficient of the momentum balance,
 
 is nonzero whenever the other mode's relation is (they never vanish
 together).  The cure is a surface-layer analysis: fast corrections
-proportional to e^{-eta_f} with coefficients assembled here (`bl_coeffs`),
-extra operator conditions on tau11 and M12 (`extra_bc_residual`), and the
-traction conditions as one expansion in eps: the classical conditions are
-its O(1) terms, the first-order ones its O(eps) terms and the refined ones
-its O(eps^2) terms (`bc_residual_order` with order 0, 1 and 2).
+proportional to e^{-eta_f}, extra operator conditions on tau11 and M12
+(`extra_bc_residual`), and the traction conditions as one expansion in
+eps: the classical conditions are its O(1) terms, the first-order ones its
+O(eps) terms and the refined ones its O(eps^2) terms (`bc_residual_order`
+with order 0, 1 and 2).
 
 `first_order_elastic_solution` constructs, for a given eps, the mode that
 satisfies the refined conditions through O(eps) exactly (a one-dimensional
@@ -33,7 +33,7 @@ import numpy as np
 
 from .dispersion import (DispersionPoint, _secular, amplitude_ratios,
                          bracketed_root, solve_rayleigh)
-from .kernel import SurfaceTrace, boundary_operator
+from .kernel import boundary_operator
 from .material import MaterialParams, derive_scales
 from .specfun import QuadratureSpec
 from .wavefield import (
@@ -55,11 +55,9 @@ from .wavefield import (
 )
 
 __all__ = [
-    "BoundaryLayerCoeffs",
     "BCResidualReport",
     "equivalence_residual_elastic",
     "equivalence_residual_micropolar",
-    "bl_coeffs",
     "bc_residual_order",
     "extra_bc_residual",
     "bc_residual_report",
@@ -71,25 +69,6 @@ __all__ = [
 
 SLOPE_EPS_GRID = (0.2, 0.1, 0.05)
 _BLAYER_ETA_GRID = (0.0, 0.5, 2.0)
-
-
-@dataclass(frozen=True)
-class BoundaryLayerCoeffs:
-    """Fast-layer coefficients of the e^{-eta_f} corrections.
-
-    q*_0 are the leading force-stress coefficients, q*_1 the first-order
-    ones, s*_0 the couple-stress coefficients; all vanish when the driving
-    surface traces vanish.
-    """
-
-    q11_0: complex
-    q31_0: complex
-    q33_0: complex
-    q11_1: complex
-    q31_1: complex
-    q33_1: complex
-    s12_0: complex
-    s32_0: complex
 
 
 @dataclass(frozen=True)
@@ -141,40 +120,6 @@ def equivalence_residual_micropolar(m: MaterialParams, v: float,
     d = derive_scales(m).d
     r10, r20 = leading_exponents(m, v)
     return k ** 3 / (r20 * r20 + d) * _secular(d, r10, r20, r20 * r20)
-
-
-def _surface_pair(trace: SurfaceTrace | None) -> tuple[complex, complex]:
-    """(g(0), g'(0)) of a trace; a missing trace contributes zeros."""
-    return (0j, 0j) if trace is None else trace.surface_values()
-
-
-def bl_coeffs(surface_sigma11: SurfaceTrace | None,
-              surface_pi12: SurfaceTrace | None,
-              sigma11_first_order: SurfaceTrace | None = None,
-              pi12_first_order: SurfaceTrace | None = None) -> BoundaryLayerCoeffs:
-    """Coefficients of the decaying fast-layer solutions  C e^{-eta_f}.
-
-    Leading order, from the surface value of the dimensionless sigma11 trace
-    (chi-derivatives act on the carrier as multiplication by i):
-
-        Q11_0 = -1/2 sigma11|0,   Q31_0 = -1/2 d_chi sigma11|0 = i Q11_0,
-        Q33_0 = -1/2 d_chi^2 sigma11|0 = -Q11_0.
-
-    First order, each a surface value of the first-order trace minus the
-    eta-derivative of the leading trace (first-order traces default to
-    zero); the couple coefficients S12_0, S32_0 follow the same pattern from
-    the Pi12 traces.  A missing trace contributes zeros.
-    """
-    g0, g0p = _surface_pair(surface_sigma11)
-    g1, _ = _surface_pair(sigma11_first_order)
-    h0, h0p = _surface_pair(surface_pi12)
-    h1, _ = _surface_pair(pi12_first_order)
-    q11_0, q11_1, s12_0 = -0.5 * g0, -0.5 * (g1 - g0p), -0.5 * (h1 - h0p)
-    return BoundaryLayerCoeffs(
-        q11_0=q11_0, q31_0=1j * q11_0, q33_0=-q11_0,
-        q11_1=q11_1, q31_1=1j * q11_1, q33_1=-q11_1,
-        s12_0=s12_0, s32_0=1j * s12_0,
-    )
 
 
 def _amp_norm(amp: Amplitudes) -> float:

@@ -12,10 +12,9 @@ so by the divergence theorem a grid cell's mass is [it holds the origin]
 angle seen from the origin.  u K1(u) lies in (0, 1) and is smooth in theta,
 so one fixed Gauss rule needs no singularity subtraction, near 0 or not.
 
-`approx_trace_integral` and `boundary_operator` realize the 1D trace
-approximations used on surface profiles sigma(chi, eta) = e^{i chi} g(eta):
-the chi-derivatives act on the carrier as multiplication by i, so only the
-depth profile g is handled numerically.
+`boundary_operator` is the surface operator of the 1D boundary-layer
+analysis on profiles sigma(chi, eta) = e^{i chi} g(eta), where the
+chi-derivatives act on the carrier as multiplication by i.
 """
 
 from __future__ import annotations
@@ -26,18 +25,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .specfun import (DEFAULT_QUAD_SPEC, QuadratureSpec, bessel_k0, bessel_k1,
-                      integrate_1d)
+from .specfun import bessel_k0, bessel_k1
 
 __all__ = [
     "ScalarField2D",
-    "SurfaceTrace",
     "kernel_weight",
     "convolve_halfplane",
     "apply_helmholtz",
     "gaussian_field",
     "roundtrip_error",
-    "approx_trace_integral",
     "boundary_operator",
     "field_to_csv",
 ]
@@ -90,27 +86,6 @@ class ScalarField2D:
     @property
     def zs(self) -> np.ndarray:
         return self.z0 + self.dz * np.arange(self.nz)
-
-
-@dataclass(frozen=True)
-class SurfaceTrace:
-    """Depth profile g(eta) = amplitude e^{-decay eta} of a surface quantity
-    e^{i chi} g(eta); Re decay >= 0 keeps g bounded as eta -> inf."""
-
-    decay: complex
-    amplitude: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if not complex(self.decay).real >= 0.0:
-            raise ValueError(f"decay {self.decay!r} has a negative real part")
-
-    def eval(self, eta):
-        """g at a depth or an array of depths."""
-        return self.amplitude * np.exp(-self.decay * eta)
-
-    def surface_values(self) -> tuple[complex, complex]:
-        """(g(0), g'(0)) = (amplitude, -decay * amplitude)."""
-        return complex(self.amplitude), complex(-self.decay * self.amplitude)
 
 
 def _check_length(a_nl: float, allow_zero: bool = False) -> None:
@@ -283,46 +258,6 @@ def roundtrip_error(f: ScalarField2D,
     err = np.max(np.abs(inner - f.values[margin:f.nz - margin,
                                          margin:f.nx - margin]))
     return convolved, margin, float(err / np.max(np.abs(f.values)))
-
-
-def approx_trace_integral(trace: SurfaceTrace, eps: float, eta: float,
-                          spec: QuadratureSpec = DEFAULT_QUAD_SPEC) -> complex:
-    """Depth-smoothed trace at eta:
-
-        (1/2eps) int_0^inf [1 - (eps^2/2)(1 + |eta'-eta|/eps)]
-                           g(eta') exp(-|eta'-eta|/eps) deta'
-
-    i.e. the 1D non-local trace operator with the chi-derivatives applied
-    analytically to the e^{i chi} carrier (a factor -1).
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if not math.isfinite(eps * eps):
-        raise ValueError(f"eps = {eps!r} is too large: eps^2 overflows")
-    if not eta >= 0:
-        raise ValueError("eta must be >= 0")
-
-    def integrand(etap: np.ndarray) -> np.ndarray:
-        dist = np.abs(etap - eta)
-        bracket = 1.0 - 0.5 * eps * eps * (1.0 + dist / eps)
-        return bracket * trace.eval(etap) * np.exp(-dist / eps)
-
-    # Off its peak the integrand falls like e^{-rate |eta' - peak|}; a peak
-    # between the Gauss nodes would pass as converged, so each piece is cut
-    # 40/rate from its peak if that lies inside ((eta, inf) maps to length 1)
-    decay, slope = complex(trace.decay).real, 1.0 / eps
-    points = [eta, math.inf]
-    if decay + slope > 40.0:
-        points.insert(1, eta + 40.0 / (decay + slope))
-    if eta > 0.0:  # split at the kink of |eta' - eta|
-        rate = abs(decay - slope)
-        if rate * eta > 40.0:
-            points.insert(0, 40.0 / rate if decay > slope else eta - 40.0 / rate)
-        points.insert(0, 0.0)
-    total = integrate_1d(integrand, points[0], points[1], spec)
-    for lo, hi in zip(points[1:], points[2:]):
-        total += integrate_1d(integrand, lo, hi, spec)
-    return total / (2.0 * eps)
 
 
 def boundary_operator(g0: complex, g1: complex, eps: float) -> complex:

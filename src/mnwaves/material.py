@@ -86,18 +86,6 @@ class DerivedScales:
 
 
 @dataclass(frozen=True)
-class Dimensionless:
-    """Dimensionless groups at a given wavenumber k (lambda_ref = 1/k)."""
-
-    eps: float         # a * k
-    alpha1: float      # c1 / c2
-    alpha2: float      # c3 / c2
-    alpha3: float      # c4 / c2
-    J: float           # j / lambda_ref^2 = j * k^2
-    lambda_ref: float  # 1/k, m
-
-
-@dataclass(frozen=True)
 class ValidationOutcome:
     ok: bool
     violations: tuple[str, ...]
@@ -139,21 +127,6 @@ def derive_scales(m: MaterialParams) -> DerivedScales:
     """Wave speeds, stress ratio d and cutoff frequency, validated and
     derived once per material instance."""
     return m._scales
-
-
-def dimensionless_params(m: MaterialParams, k: float) -> Dimensionless:
-    """Dimensionless groups for wavenumber k > 0."""
-    if not k > 0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
-    s = derive_scales(m)
-    return Dimensionless(
-        eps=m.a_nl * k,
-        alpha1=s.c1 / s.c2,
-        alpha2=s.c3 / s.c2,
-        alpha3=s.c4 / s.c2,
-        J=m.j_inertia * k * k,
-        lambda_ref=1.0 / k,
-    )
 
 
 def material_from_json(text: str) -> MaterialParams:

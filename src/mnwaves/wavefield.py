@@ -22,9 +22,7 @@ so that admissible modes decay with depth.
 The coupling amplitude s above annihilates neither shear equation exactly;
 `shear_balance_s` gives the value that forces the psi-equation to vanish on
 the R branch (it comes out with the opposite sign under the sign conventions
-used here), and `exact_shear_exponents` solves the coupled psi-Phi2 pair
-without approximation as an independent oracle.  `pde_residual` measures all
-of this instead of hiding it.
+used here).  `pde_residual` measures this instead of hiding it.
 """
 
 from __future__ import annotations
@@ -33,9 +31,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .kernel import SurfaceTrace, approx_trace_integral
+import numpy as np
+
 from .material import DerivedScales, MaterialParams, derive_scales
-from .specfun import DEFAULT_QUAD_SPEC, QuadratureSpec
+from .specfun import DEFAULT_QUAD_SPEC, QuadratureSpec, integrate_1d
 
 __all__ = [
     "ModeParams",
@@ -43,13 +42,9 @@ __all__ = [
     "Amplitudes",
     "StressState",
     "ModeSolution",
-    "ShearRoot",
-    "ShearRoots",
     "leading_exponents",
     "decay_exponents",
-    "exact_shear_exponents",
     "shear_balance_s",
-    "mode_fields",
     "local_stresses",
     "nonlocal_stresses",
     "stress_branch_coeffs",
@@ -69,12 +64,16 @@ class ModeParams:
     eps: float        # dimensionless non-locality, a*k
 
     def __post_init__(self):
-        if not (self.k > 0 and self.omega > 0):
-            raise ValueError("k and omega must be positive")
+        for name, value in (("k", self.k), ("omega", self.omega)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got "
+                                 f"{value!r}")
         if not abs(self.v - self.omega / self.k) <= 1e-14 * abs(self.v):
             raise ValueError("v must equal omega/k")
-        if not self.eps >= 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps!r}")
+        if not self.v > 0:  # omega/k underflowed to zero
+            raise ValueError(f"v must be positive, got {self.v!r}")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -208,65 +207,14 @@ def decay_exponents(m: MaterialParams, mp: ModeParams) -> DecayExponents:
     return DecayExponents(r1=r1, r2=r2, r3=r3, s=s, r10=r10, r20=r20, r30=r30)
 
 
-@dataclass(frozen=True)
-class ShearRoot:
-    delta: complex     # depth exponent, Re >= 0 branch
-    coupling: complex  # microrotation-to-shear amplitude ratio C/B
-
-
-@dataclass(frozen=True)
-class ShearRoots:
-    first: ShearRoot
-    second: ShearRoot
-    degenerate: bool
-
-
-def exact_shear_exponents(m: MaterialParams, mp: ModeParams) -> ShearRoots:
-    """Both roots of the coupled psi-Phi2 system, without approximation.
-
-    Substituting psi = B e^{ikx - k delta z}, Phi2 = C e^{ikx - k delta z}
-    into the coupled pair yields a quadratic in X = delta^2 - 1:
-
-        [c2^2 k^2 X + w^2 (1 - eps^2 X)] B + c3^2 C            = 0
-        -(c3^2/j) k^2 X B + [c4^2 k^2 X - 2 c3^2/j
-                             + w^2 (1 - eps^2 X)] C            = 0
-
-    whose determinant this solves exactly; it is the oracle against which
-    the closed-form r2, r3 are measured.
-    """
-    if not m.kappa > 0:
-        raise ValueError("exact_shear_exponents requires kappa > 0")
-    sc = derive_scales(m)
-    k2 = mp.k * mp.k
-    w2 = mp.omega * mp.omega
-    e2 = mp.eps * mp.eps
-    c22, c32, c42 = sc.c2 ** 2, sc.c3 ** 2, sc.c4 ** 2
-    tsj = 2.0 * c32 / m.j_inertia
-    qa = (c22 * k2 - e2 * w2) * (c42 * k2 - e2 * w2)
-    qb = ((c22 * k2 - e2 * w2) * (w2 - tsj)
-          + (c42 * k2 - e2 * w2) * w2
-          + (c32 * c32 / m.j_inertia) * k2)
-    qc = w2 * (w2 - tsj)
-    disc = complex(qb) ** 2 - 4.0 * complex(qa) * complex(qc)
-    scale = abs(qb) ** 2 + 4.0 * abs(qa) * abs(qc)
-    degenerate = abs(disc) <= 1e-12 * scale
-    sq = cmath.sqrt(disc)
-    roots = sorted(((-qb + sq) / (2.0 * qa), (-qb - sq) / (2.0 * qa)),
-                   key=lambda x: (x.real, x.imag))
-    out = []
-    for x in roots:
-        delta = _branch_sqrt(1.0 + x)
-        coupling = -(c22 * k2 * x + w2 * (1.0 - e2 * x)) / c32
-        out.append(ShearRoot(delta=delta, coupling=coupling))
-    return ShearRoots(first=out[0], second=out[1], degenerate=degenerate)
-
-
 def shear_balance_s(m: MaterialParams, mp: ModeParams) -> complex:
     """Coupling amplitude that makes the psi-equation vanish on the R branch.
 
-    Derived from the same substitution as `exact_shear_exponents`; comes out
-    as the negative of the closed-form s under the sign conventions of this
-    module.  Both values are surfaced by diagnostics, never silently merged.
+    psi = B e^{ikx - k r3 z} and Phi2 = s k^2 B e^{ikx - k r3 z} turn the
+    psi-equation into [c2^2 X + v^2 (1 - eps^2 X) + c3^2 s] k^2 B = 0 with
+    X = r3^2 - 1, solved here for s; it comes out as the negative of the
+    closed-form s under the sign conventions of this module.  Both values
+    are surfaced by diagnostics, never silently merged.
     """
     if not m.kappa > 0:
         raise ValueError("shear_balance_s requires kappa > 0")
@@ -283,18 +231,6 @@ def _branches(amp: Amplitudes, de: DecayExponents) -> list[tuple]:
     if de.decoupled and amp.R != 0:
         raise ValueError("R must vanish in the decoupled (kappa = 0) limit")
     return [(a, r, r0) for a, (r, r0) in zip((amp.P, amp.Q, amp.R), de._pairs)]
-
-
-def mode_fields(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
-                x: float, z: float) -> tuple[complex, complex, complex]:
-    """Potentials (phi, psi, Phi2) at one point, time factor suppressed."""
-    if not z >= 0:
-        raise ValueError("the half-space is z >= 0")
-    carrier = cmath.exp(1j * mp.k * x)
-    terms = [a * cmath.exp(-mp.k * r * z) * carrier
-             for a, r, _ in _branches(amp, de)]
-    phi2 = de.s * mp.k ** 2 * terms[2] if len(terms) == 3 else 0j
-    return terms[0], sum(terms[1:], 0j), phi2
 
 
 def local_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
@@ -466,14 +402,45 @@ def blayer_closed_form(r: complex, r0: complex, eps: float, eta: float) -> compl
 
 def blayer_quadrature_form(r: complex, eps: float, eta: float,
                            spec: QuadratureSpec = DEFAULT_QUAD_SPEC) -> complex:
-    """Boundary-layer integral by direct quadrature of the trace operator.
+    """Boundary-layer integral by direct quadrature of the trace operator:
 
-    This is the depth-smoothing operator applied to the profile e^{-r eta'}
-    on the e^{i chi} carrier (the primed depth variable appears in
-    the decaying exponential, consistent with the trace approximation the
-    closed form is derived from).
+        (1/2eps) int_0^inf [1 - (eps^2/2)(1 + |eta'-eta|/eps)]
+                           e^{-r eta'} exp(-|eta'-eta|/eps) deta'
+
+    i.e. the 1D non-local depth smoothing of the profile e^{-r eta'} on the
+    e^{i chi} carrier, the chi-derivatives applied analytically (a factor
+    -1).  Re r >= 0 keeps the profile bounded as eta' -> inf.
     """
-    return approx_trace_integral(SurfaceTrace(r), eps, eta, spec)
+    if not complex(r).real >= 0.0:
+        raise ValueError(f"r = {r!r} has a negative real part")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if not math.isfinite(eps * eps):
+        raise ValueError(f"eps = {eps!r} is too large: eps^2 overflows")
+    if not eta >= 0:
+        raise ValueError("eta must be >= 0")
+
+    def integrand(etap: np.ndarray) -> np.ndarray:
+        dist = np.abs(etap - eta)
+        bracket = 1.0 - 0.5 * eps * eps * (1.0 + dist / eps)
+        return bracket * np.exp(-r * etap) * np.exp(-dist / eps)
+
+    # Off its peak the integrand falls like e^{-rate |eta' - peak|}; a peak
+    # between the Gauss nodes would pass as converged, so each piece is cut
+    # 40/rate from its peak if that lies inside ((eta, inf) maps to length 1)
+    decay, slope = complex(r).real, 1.0 / eps
+    points = [eta, math.inf]
+    if decay + slope > 40.0:
+        points.insert(1, eta + 40.0 / (decay + slope))
+    if eta > 0.0:  # split at the kink of |eta' - eta|
+        rate = abs(decay - slope)
+        if rate * eta > 40.0:
+            points.insert(0, 40.0 / rate if decay > slope else eta - 40.0 / rate)
+        points.insert(0, 0.0)
+    total = integrate_1d(integrand, points[0], points[1], spec)
+    for lo, hi in zip(points[1:], points[2:]):
+        total += integrate_1d(integrand, lo, hi, spec)
+    return total / (2.0 * eps)
 
 
 def _pick_exponents(i: int, de: DecayExponents) -> tuple[complex, complex]:

@@ -1,12 +1,14 @@
+import cmath
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mnwaves.kernel import gaussian_field, roundtrip_error
-from mnwaves.material import MaterialParams
-from mnwaves.wavefield import ModeParams
+from mnwaves.material import MaterialParams, derive_scales
+from mnwaves.wavefield import ModeParams, _branch_sqrt
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -93,3 +95,57 @@ def fit_slope(eps_values, deviations) -> float:
 def make_mode_params(m: MaterialParams, k: float, omega: float) -> ModeParams:
     """Mode state at (k, omega) with v = omega/k and eps = a*k."""
     return ModeParams(k=k, omega=omega, v=omega / k, eps=m.a_nl * k)
+
+
+@dataclass(frozen=True)
+class ShearRoot:
+    delta: complex     # depth exponent, Re >= 0 branch
+    coupling: complex  # microrotation-to-shear amplitude ratio C/B
+
+
+@dataclass(frozen=True)
+class ShearRoots:
+    first: ShearRoot
+    second: ShearRoot
+    degenerate: bool
+
+
+def exact_shear_exponents(m: MaterialParams, mp: ModeParams) -> ShearRoots:
+    """Both roots of the coupled psi-Phi2 system, without approximation.
+
+    Substituting psi = B e^{ikx - k delta z}, Phi2 = C e^{ikx - k delta z}
+    into the coupled pair yields a quadratic in X = delta^2 - 1:
+
+        [c2^2 k^2 X + w^2 (1 - eps^2 X)] B + c3^2 C            = 0
+        -(c3^2/j) k^2 X B + [c4^2 k^2 X - 2 c3^2/j
+                             + w^2 (1 - eps^2 X)] C            = 0
+
+    whose determinant this solves exactly; it is the oracle against which
+    the closed-form r2, r3 are measured.
+    """
+    if not m.kappa > 0:
+        raise ValueError("exact_shear_exponents requires kappa > 0")
+    sc = derive_scales(m)
+    k2 = mp.k * mp.k
+    w2 = mp.omega * mp.omega
+    e2 = mp.eps * mp.eps
+    c22, c32, c42 = sc.c2 ** 2, sc.c3 ** 2, sc.c4 ** 2
+    tsj = 2.0 * c32 / m.j_inertia
+    qa = (c22 * k2 - e2 * w2) * (c42 * k2 - e2 * w2)
+    qb = ((c22 * k2 - e2 * w2) * (w2 - tsj)
+          + (c42 * k2 - e2 * w2) * w2
+          + (c32 * c32 / m.j_inertia) * k2)
+    qc = w2 * (w2 - tsj)
+    disc = complex(qb) ** 2 - 4.0 * complex(qa) * complex(qc)
+    scale = abs(qb) ** 2 + 4.0 * abs(qa) * abs(qc)
+    degenerate = abs(disc) <= 1e-12 * scale
+    sq = cmath.sqrt(disc)
+    roots = sorted(((-qb + sq) / (2.0 * qa), (-qb - sq) / (2.0 * qa)),
+                   key=lambda x: (x.real, x.imag))
+    out = []
+    for x in roots:
+        delta = _branch_sqrt(1.0 + x)
+        coupling = -(c22 * k2 * x + w2 * (1.0 - e2 * x)) / c32
+        out.append(ShearRoot(delta=delta, coupling=coupling))
+    return ShearRoots(first=out[0], second=out[1], degenerate=degenerate)
+

@@ -21,8 +21,8 @@ import pytest
 import scipy
 
 import mnwaves
-from conftest import (DATA_DIR, GOLDEN_DIR, fit_slope, make_mode_params,
-                      subprocess_env)
+from conftest import (DATA_DIR, GOLDEN_DIR, exact_shear_exponents, fit_slope,
+                      make_mode_params, subprocess_env)
 from test_dispersion import classical_rayleigh_oracle
 
 from mnwaves.asymptotic import (
@@ -41,15 +41,15 @@ from mnwaves.dispersion import (
     secular_leading,
     solve_rayleigh,
 )
-from mnwaves.kernel import SurfaceTrace, approx_trace_integral, boundary_operator, kernel_weight
+from mnwaves.kernel import boundary_operator, kernel_weight
 from mnwaves.material import derive_scales
 from mnwaves.specfun import DEFAULT_QUAD_SPEC, integrate_2d_polar
 from mnwaves.wavefield import (
     Amplitudes,
     ModeParams,
     ModeSolution,
+    blayer_quadrature_form,
     decay_exponents,
-    exact_shear_exponents,
     pde_residual,
 )
 
@@ -124,11 +124,10 @@ def test_c05_boundary_operator_identity():
     for r in (0.3, 0.8):
         devs = []
         for eps in eps_values:
-            tau = SurfaceTrace(r)
-            image = SurfaceTrace(r, amplitude=1.0 - eps * eps * (r * r - 1.0))
-            smoothed = approx_trace_integral(image, eps, 0.0)
-            half_op = 0.5 * boundary_operator(*tau.surface_values(), eps)
-            devs.append(abs(half_op - (tau.eval(0.0) - smoothed)))
+            image = 1.0 - eps * eps * (r * r - 1.0)
+            smoothed = image * blayer_quadrature_form(r, eps, 0.0)
+            half_op = 0.5 * boundary_operator(1.0, -r, eps)
+            devs.append(abs(half_op - (1.0 - smoothed)))
         slopes[f"r={r}"] = fit_slope(eps_values, devs)
     passed = all(s >= 3.0 for s in slopes.values())
     record("C5 boundary operator identity (deviation slope >= 3)", passed,

@@ -11,7 +11,6 @@ from mnwaves.asymptotic import (
     bc_residual_order,
     bc_residual_report,
     bc_slope_study,
-    bl_coeffs,
     equivalence_residual_elastic,
     equivalence_residual_micropolar,
     extra_bc_residual,
@@ -26,7 +25,7 @@ from mnwaves.dispersion import (
     secular_leading,
     solve_rayleigh,
 )
-from mnwaves.kernel import SurfaceTrace, boundary_operator
+from mnwaves.kernel import boundary_operator
 from mnwaves.material import derive_scales
 from mnwaves.wavefield import (
     Amplitudes,
@@ -127,42 +126,6 @@ class TestEquivalenceMicropolar:
             want = k ** 3 * secular_leading(m, v) / (r20sq + sc.d)
             assert got.real == pytest.approx(want, rel=1e-12)
             assert got.imag == 0.0
-
-
-class TestBoundaryLayerCoeffs:
-    def test_pure_carrier(self):
-        coeffs = bl_coeffs(SurfaceTrace(0.0), None)
-        assert coeffs.q11_0 == -0.5
-        assert coeffs.q31_0 == -0.5j
-        assert coeffs.q33_0 == 0.5
-
-    def test_fast_balance(self):
-        # d_chi q11 + d_eta_f q31 = 0 for the e^{-eta_f} profile
-        coeffs = bl_coeffs(SurfaceTrace(0.0), None)
-        assert 1j * coeffs.q11_0 - coeffs.q31_0 == 0
-
-    def test_decaying_trace_first_order(self):
-        # the -d_eta term contributes r/2 with the overall -1/2 sign
-        r = 0.7
-        coeffs = bl_coeffs(SurfaceTrace(r), None)
-        assert coeffs.q11_1 == pytest.approx(-0.5 * r, rel=1e-14)
-        assert coeffs.q31_1 == pytest.approx(-0.5j * r, rel=1e-14)
-
-    def test_first_order_trace_contributes_surface_value(self):
-        r = 0.7
-        coeffs = bl_coeffs(SurfaceTrace(r), None,
-                           sigma11_first_order=SurfaceTrace(0.0, 2.0))
-        assert coeffs.q11_1 == pytest.approx(-0.5 * (2.0 + r), rel=1e-14)
-
-    def test_zero_couple_trace(self):
-        coeffs = bl_coeffs(SurfaceTrace(0.0), SurfaceTrace(0.0, 0.0))
-        assert coeffs.s12_0 == 0 and coeffs.s32_0 == 0
-
-    def test_couple_coefficients(self):
-        r = 0.4
-        coeffs = bl_coeffs(SurfaceTrace(0.0), SurfaceTrace(r))
-        assert coeffs.s12_0 == pytest.approx(-0.5 * r, rel=1e-14)
-        assert coeffs.s32_0 == pytest.approx(-0.5j * r, rel=1e-14)
 
 
 class TestBcResidualOrder:

@@ -13,11 +13,9 @@ import mnwaves
 from conftest import fit_slope, subprocess_env
 from mnwaves.kernel import (
     ScalarField2D,
-    SurfaceTrace,
     _fft_length,
     _kernel_stencil,
     apply_helmholtz,
-    approx_trace_integral,
     boundary_operator,
     convolve_halfplane,
     field_to_csv,
@@ -25,11 +23,10 @@ from mnwaves.kernel import (
     kernel_weight,
     roundtrip_error,
 )
-from mnwaves.asymptotic import bl_coeffs
 from mnwaves import kernel
 from mnwaves.specfun import (ConvergenceError, bessel_k0, bessel_k1,
                               integrate_2d_polar)
-from mnwaves.wavefield import blayer_closed_form
+from mnwaves.wavefield import blayer_closed_form, blayer_quadrature_form
 
 K0_AT_1 = 0.421024438240708
 
@@ -499,7 +496,7 @@ class TestRoundtrip:
 
 
 def _exact_trace_integral(r: complex, eps: float, eta: float) -> complex:
-    """approx_trace_integral of e^{-r eta'} at unit amplitude, in closed form.
+    """blayer_quadrature_form(r, eps, eta) in closed form.
 
     The bracket is A - B s with A = 1 - eps^2/2, B = eps/2 and s the
     distance from eta.  With E = e^{-eta/eps}, F = e^{-r eta}, p = r - 1/eps
@@ -525,17 +522,19 @@ def _exact_trace_integral(r: complex, eps: float, eta: float) -> complex:
 
 
 class TestApproxTraceIntegral:
+    """The depth-smoothing trace integral, `blayer_quadrature_form`."""
+
     @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0, 3.0])
     def test_constant_trace_closed_form(self, eta):
         eps = 0.1
-        got = approx_trace_integral(SurfaceTrace(0.0), eps, eta)
+        got = blayer_quadrature_form(0.0, eps, eta)
         want = _exact_trace_integral(0.0, eps, eta)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_surface_halving(self):
         # at the surface: (1 - eps^2)/2, the corrector takes eps^2/2
         eps = 0.2
-        got = approx_trace_integral(SurfaceTrace(0.0), eps, 0.0)
+        got = blayer_quadrature_form(0.0, eps, 0.0)
         assert got == pytest.approx(0.5 * (1.0 - eps * eps), abs=1e-12)
 
     @pytest.mark.parametrize("r", [0.4, 0.9])
@@ -544,16 +543,16 @@ class TestApproxTraceIntegral:
         eps_values = (0.2, 0.1, 0.05)
         devs = []
         for eps in eps_values:
-            got = approx_trace_integral(SurfaceTrace(r), eps, 0.7)
+            got = blayer_quadrature_form(r, eps, 0.7)
             want = blayer_closed_form(r, r, eps, 0.7)
             devs.append(abs(got - want) / abs(want))
         assert fit_slope(eps_values, devs) >= 2.0
 
     def test_pointwise_recovery_as_eps_vanishes(self):
-        trace = SurfaceTrace(0.6)
+        r = 0.6
         eta = 2.0  # deep enough that the surface term does not interfere
-        exact = trace.eval(eta)
-        errs = [abs(approx_trace_integral(trace, eps, eta) - exact)
+        exact = math.exp(-r * eta)
+        errs = [abs(blayer_quadrature_form(r, eps, eta) - exact)
                 for eps in (0.2, 0.1, 0.05)]
         assert errs[0] > errs[1] > errs[2]
 
@@ -568,7 +567,7 @@ class TestApproxTraceIntegral:
             eta = (0.0, 0.5, 2.0)[rng.integers(3)]
             eps = (0.05, 0.1, 0.2)[rng.integers(3)]
             try:
-                got = approx_trace_integral(SurfaceTrace(r), eps, eta)
+                got = blayer_quadrature_form(r, eps, eta)
             except ConvergenceError:
                 continue
             want = _exact_trace_integral(r, eps, eta)
@@ -576,40 +575,33 @@ class TestApproxTraceIntegral:
                 (r, eta, eps, got, want)
 
     def test_invalid_inputs(self):
-        trace = SurfaceTrace(0.0)
         with pytest.raises(ValueError):
-            approx_trace_integral(trace, 0.0, 0.5)
+            blayer_quadrature_form(0.0, 0.0, 0.5)
         with pytest.raises(ValueError):
-            approx_trace_integral(trace, 0.1, -0.1)
+            blayer_quadrature_form(0.0, 0.1, -0.1)
         for eps, eta in ((math.nan, 0.5), (0.1, math.nan)):
             with pytest.raises(ValueError):
-                approx_trace_integral(trace, eps, eta)
+                blayer_quadrature_form(0.0, eps, eta)
         with pytest.raises(ValueError, match="overflows"):
-            approx_trace_integral(trace, 1e300, 0.5)
+            blayer_quadrature_form(0.0, 1e300, 0.5)
 
 
 class TestBoundaryOperator:
     def test_exponential_with_carrier(self):
-        g0, g1 = SurfaceTrace(1.0).surface_values()
+        # g = e^{-eta}: g(0) = 1, g'(0) = -1
         want = 1.0 + 0.1 - 0.5 * 0.1 ** 3
-        assert boundary_operator(g0, g1, 0.1) == pytest.approx(want, rel=1e-14)
+        assert boundary_operator(1.0, -1.0, 0.1) == pytest.approx(want, rel=1e-14)
 
     def test_growing_trace_rejected(self):
-        with pytest.raises(ValueError):
-            SurfaceTrace(-1.0)
+        with pytest.raises(ValueError, match="negative real part"):
+            blayer_quadrature_form(-1.0, 0.1, 0.5)
 
     def test_derivative_from_decay(self):
-        # g'(0) = -decay * amplitude, in the operator and in bl_coeffs
+        # g = amp e^{-decay eta}: g'(0) = -decay * amp
         decay, amp, eps = 0.7 + 0.4j, 2.0 - 0.5j, 0.1
-        trace = SurfaceTrace(decay, amplitude=amp)
         g1 = -decay * amp
-        assert trace.surface_values() == (amp, g1)
         want = amp - eps * g1 + 0.5 * eps ** 3 * g1
         assert boundary_operator(amp, g1, eps) == pytest.approx(want, rel=1e-14)
-        coeffs = bl_coeffs(trace, trace)
-        assert coeffs.q11_0 == pytest.approx(-0.5 * amp, rel=1e-14)
-        assert coeffs.q11_1 == pytest.approx(0.5 * g1, rel=1e-14)
-        assert coeffs.s12_0 == pytest.approx(0.5 * g1, rel=1e-14)
 
     @pytest.mark.parametrize("r", [0.3, 0.8])
     def test_consistency_with_trace_integral(self, r):
@@ -623,9 +615,8 @@ class TestBoundaryOperator:
         eps_values = (0.2, 0.1, 0.05)
         devs = []
         for eps in eps_values:
-            tau = SurfaceTrace(r)
-            image = SurfaceTrace(r, amplitude=1.0 - eps * eps * (r * r - 1.0))
-            smoothed = approx_trace_integral(image, eps, 0.0)
-            half_op = 0.5 * boundary_operator(*tau.surface_values(), eps)
-            devs.append(abs(half_op - (tau.eval(0.0) - smoothed)))
+            image = 1.0 - eps * eps * (r * r - 1.0)
+            smoothed = image * blayer_quadrature_form(r, eps, 0.0)
+            half_op = 0.5 * boundary_operator(1.0, -r, eps)
+            devs.append(abs(half_op - (1.0 - smoothed)))
         assert fit_slope(eps_values, devs) >= 3.0

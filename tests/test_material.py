@@ -7,7 +7,6 @@ from mnwaves.material import (
     InvalidMaterialError,
     MaterialParams,
     derive_scales,
-    dimensionless_params,
     material_from_json,
     validate,
 )
@@ -136,32 +135,6 @@ class TestDeriveScales:
         sc = derive_scales(m)
         assert sc.omega_cutoff ** 2 * m.j_inertia * m.rho == pytest.approx(
             2.0 * m.kappa, rel=1e-12)
-
-
-class TestDimensionless:
-    def test_local_limit(self):
-        assert dimensionless_params(_mat(a_nl=0.0), 100.0).eps == 0.0
-
-    def test_eps_is_a_times_k(self):
-        assert dimensionless_params(_mat(a_nl=1e-4), 100.0).eps == pytest.approx(0.01)
-
-    def test_microinertia_group(self):
-        dl = dimensionless_params(_mat(j_inertia=1e-6), 1000.0)
-        assert dl.J == pytest.approx(1.0)
-        assert dl.lambda_ref == pytest.approx(1e-3)
-
-    def test_nonpositive_wavenumber_rejected(self):
-        with pytest.raises(ValueError):
-            dimensionless_params(_mat(), 0.0)
-
-    def test_speed_ratios(self):
-        m = _mat()
-        sc = derive_scales(m)
-        dl = dimensionless_params(m, 50.0)
-        assert dl.alpha1 == pytest.approx(sc.c1 / sc.c2)
-        assert dl.alpha2 == pytest.approx(sc.c3 / sc.c2)
-        assert dl.alpha3 == pytest.approx(sc.c4 / sc.c2)
-        assert dl.alpha1 > 1.0
 
 
 class TestConfigFile:

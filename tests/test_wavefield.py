@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fit_slope, make_mode_params
+from conftest import exact_shear_exponents, fit_slope, make_mode_params
 from mnwaves.dispersion import DispersionPoint, amplitude_ratios, solve_rayleigh
 from mnwaves.material import derive_scales
 from mnwaves.wavefield import (
@@ -17,9 +17,7 @@ from mnwaves.wavefield import (
     blayer_integral_quadrature,
     blayer_quadrature_form,
     decay_exponents,
-    exact_shear_exponents,
     local_stresses,
-    mode_fields,
     nonlocal_stresses,
     pde_residual,
     shear_balance_s,
@@ -110,8 +108,7 @@ class TestDecoupledLimit:
         mp, de = state
         m = poisson_material
         amp = Amplitudes(0.5, 1.0, 0.1)
-        for call in (lambda: mode_fields(amp, de, mp, 0.0, 0.1),
-                     lambda: local_stresses(amp, de, mp, m, 0.0, 0.1),
+        for call in (lambda: local_stresses(amp, de, mp, m, 0.0, 0.1),
                      lambda: nonlocal_stresses(amp, de, mp, m, 0.0, 0.1)):
             with pytest.raises(ValueError, match="R must vanish"):
                 call()
@@ -195,13 +192,19 @@ class TestExactShearOracle:
             exact_shear_exponents(poisson_material, mp)
 
 
+def _fields(st):
+    """The displacements and microrotation of a `StressState`."""
+    return st.u1, st.u3, st.phi2
+
+
 class TestModeFields:
     def test_depth_decay(self, sample_material, generic_state):
         de = decay_exponents(sample_material, generic_state)
         amp = Amplitudes(1.0, 1.0, 0.0)
         k = generic_state.k
-        deep = mode_fields(amp, de, generic_state, 0.0, 400.0 / k)
-        assert all(abs(f) < 1e-100 for f in deep)
+        deep = local_stresses(amp, de, generic_state, sample_material, 0.0,
+                              400.0 / k)
+        assert all(abs(f) < 1e-100 for f in _fields(deep))
 
     def test_rotation_branch_decays_below_cutoff(self, sample_material):
         # below the cutoff the rotation exponent is real and > 1
@@ -212,23 +215,28 @@ class TestModeFields:
         de = decay_exponents(sample_material, mp)
         assert de.r3.imag == 0.0 and de.r3.real > 1.0
         amp = Amplitudes(0.0, 0.0, 1.0)
-        deep = mode_fields(amp, de, mp, 0.0, 300.0 / mp.k)
-        assert all(abs(f) < 1e-100 for f in deep)
+        deep = local_stresses(amp, de, mp, sample_material, 0.0, 300.0 / mp.k)
+        assert all(abs(f) < 1e-100 for f in _fields(deep))
 
     def test_no_rotation_without_third_branch(self, sample_material,
                                               generic_state):
         de = decay_exponents(sample_material, generic_state)
         amp = Amplitudes(0.5, 1.0, 0.0)
-        _, _, phi2 = mode_fields(amp, de, generic_state, 0.3, 0.2)
-        assert phi2 == 0
+        st = local_stresses(amp, de, generic_state, sample_material, 0.3, 0.2)
+        assert st.phi2 == 0
 
     def test_surface_origin_values(self, sample_material, generic_state):
         de = decay_exponents(sample_material, generic_state)
         amp = Amplitudes(0.3 + 0.1j, 1.0, 0.2 - 0.4j)
-        phi, psi, phi2 = mode_fields(amp, de, generic_state, 0.0, 0.0)
-        assert phi == amp.P
-        assert psi == amp.Q + amp.R
-        assert phi2 == de.s * generic_state.k ** 2 * amp.R
+        k = generic_state.k
+        u1, u3, phi2 = _fields(local_stresses(amp, de, generic_state,
+                                              sample_material, 0.0, 0.0))
+        # u1 = phi,x - psi,z and u3 = phi,z + psi,x, branch by branch
+        assert u1 == pytest.approx(1j * k * amp.P + k * de.r2 * amp.Q
+                                   + k * de.r3 * amp.R, rel=1e-14)
+        assert u3 == pytest.approx(-k * de.r1 * amp.P
+                                   + 1j * k * (amp.Q + amp.R), rel=1e-14)
+        assert phi2 == de.s * k ** 2 * amp.R
 
 
 class TestLocalStresses:
@@ -489,6 +497,21 @@ class TestNonlocalStresses:
         assert abs(st.m32) == 0.0
 
 
+class TestModeParamsBounds:
+    """Infinite k, omega or eps, and v <= 0, are rejected where the state is
+    built; accepted, they gave s = NaN and NaN PDE residuals later."""
+
+    @pytest.mark.parametrize("k, omega, v, eps, match", [
+        (1000.0, 1e6, 1000.0, math.inf, "eps"),
+        (math.inf, 1.0, 0.0, 0.1, "k must be"),
+        (1.0, math.inf, math.inf, 0.1, "omega must be"),
+        (1e300, 1e-300, 0.0, 0.1, "v must be positive"),
+    ])
+    def test_rejected(self, k, omega, v, eps, match):
+        with pytest.raises(ValueError, match=match):
+            ModeParams(k=k, omega=omega, v=v, eps=eps)
+
+
 class TestNanInputs:
     """NaN fails every guard instead of passing through as a NaN result."""
 
@@ -502,8 +525,6 @@ class TestNanInputs:
                                           generic_state):
         de = decay_exponents(sample_material, generic_state)
         amp = Amplitudes(1.0, 0.5j, 0.2)
-        with pytest.raises(ValueError, match="half-space"):
-            mode_fields(amp, de, generic_state, 0.0, math.nan)
         for stresses in (local_stresses, nonlocal_stresses):
             with pytest.raises(ValueError, match="half-space"):
                 stresses(amp, de, generic_state, sample_material, 0.0,
