@@ -241,7 +241,8 @@ def first_order_elastic_solution(m: MaterialParams, k: float, eps: float,
     v0 = `solve_rayleigh(m).v`, which the caller solves once; a ValueError
     is raised when the row keeps its sign on that bracket.
     Branch exponents are the leading-order (eps-free) ones of the slow
-    problem at the corrected velocity.
+    problem at the corrected velocity.  The row is A(v) + eps B(v), so the
+    inverse eps(v) = -A(v)/B(v) is explicit.
     """
     sc = derive_scales(m)
 

@@ -13,12 +13,9 @@ nodes from numpy.polynomial.legendre, so no tabulated constants enter the
 code).  Semi-infinite integrals are mapped to (0, 1] with t = lo - ln(u),
 which turns every exponentially decaying integrand into an algebraic one.
 Integrands take the numpy array of a panel's abscissae and return a (complex)
-array or a scalar that broadcasts; results are bitwise deterministic.  Values
-that broadcast to (m, 31) are m integrands on one shared panel set, each held
-to its own tolerance.  `integrate_2d_polar` computes the radial integrals of
-all the angles of an angular panel as one such batch: g(r, theta) gets the
-radii as an array of shape (31,) and the angles as a column of shape (m, 1),
-and max_subdivisions bounds the shared radial panel set.
+array or a scalar that broadcasts; results are bitwise deterministic.  The
+one 2D integral, over a disk, is of a radially symmetric g: 2 pi times one
+radial integral.
 """
 
 from __future__ import annotations
@@ -114,90 +111,55 @@ _GL_HI_W, _GL_LO_W = _GL_HI_W.astype(complex), _GL_LO_W.astype(complex)
 
 
 def _eval_panel(f: Callable[[np.ndarray], np.ndarray], a: float,
-                b: float) -> tuple[complex | np.ndarray, float | np.ndarray, float]:
-    """(estimate, error, heap key) of the panel [a, b].  Values of at most
-    one dimension are one column, summed in Python complex and float; values
-    that broadcast to (m, 31) are m columns, summed as arrays and keyed on
-    their largest error."""
+                b: float) -> tuple[complex, float]:
+    """(estimate, error) of the panel [a, b], summed in Python complex."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fx = f(mid + half * _GL_X)
-    if getattr(fx, "ndim", 0) < 2:
-        values = np.empty(31, dtype=complex)
-        values[:] = fx  # a constant integrand broadcasts
-        hi = complex(_GL_HI_W @ values[:21]) * half
-        lo = complex(_GL_LO_W @ values[21:]) * half
-        err = abs(hi - lo)
-        return hi, err, err
-    values = np.empty(np.broadcast_shapes(fx.shape, (31,)), dtype=complex)
-    values[:] = fx
-    hi = (values[:, :21] @ _GL_HI_W) * half
-    lo = (values[:, 21:] @ _GL_LO_W) * half
-    err = np.abs(hi - lo)
-    return hi, err, float(err.max())
-
-
-def _column_tolerance(total: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
-    """max(abs_tol, rel_tol |total|) per column."""
-    return np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+    values = np.empty(31, dtype=complex)
+    values[:] = f(mid + half * _GL_X)  # a constant integrand broadcasts
+    hi = complex(_GL_HI_W @ values[:21]) * half
+    lo = complex(_GL_LO_W @ values[21:]) * half
+    return hi, abs(hi - lo)
 
 
 def _adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              spec: QuadratureSpec) -> complex | np.ndarray:
-    value, err, key = _eval_panel(f, a, b)
-    # heap of (-key, insertion counter, a, b, value, error); the counter
-    # makes tie-breaking, and therefore the refinement order, deterministic.
-    # Columns share the panels: the panel with the largest column error is
-    # split next, and the loop ends when every column meets its tolerance.
-    # One column stays in Python scalars, which numpy would slow down
-    columns = isinstance(value, np.ndarray)
+              spec: QuadratureSpec) -> complex:
+    total, total_err = _eval_panel(f, a, b)
+    # heap of (-error, insertion counter, a, b, value, error); the counter
+    # makes tie-breaking, and therefore the refinement order, deterministic
     counter = 0
-    heap = [(-key, counter, a, b, value, err)]
-    total = value
-    total_err = err
+    heap = [(-total_err, counter, a, b, total, total_err)]
     for _ in range(spec.max_subdivisions):
-        if ((total_err <= _column_tolerance(total, spec)).all() if columns
-                else total_err <= max(spec.abs_tol, spec.rel_tol * abs(total))):
+        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
             return total
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if mid <= pa or mid >= pb:
             # interval at floating-point resolution; keep its estimate
-            heapq.heappush(heap, (0.0, counter + 1, pa, pb, pval, 0.0 * perr))
+            heapq.heappush(heap, (0.0, counter + 1, pa, pb, pval, 0.0))
             counter += 1
-            total_err = total_err - perr  # remove its error from the budget
+            total_err -= perr  # remove its error from the budget
             continue
-        lval, lerr, lkey = _eval_panel(f, pa, mid)
-        rval, rerr, rkey = _eval_panel(f, mid, pb)
-        # rebinding, not +=: the first panel's arrays are also in the heap
-        total = total + (lval + rval - pval)
-        total_err = total_err + (lerr + rerr - perr)
+        lval, lerr = _eval_panel(f, pa, mid)
+        rval, rerr = _eval_panel(f, mid, pb)
+        total += lval + rval - pval
+        total_err += lerr + rerr - perr
         counter += 1
-        heapq.heappush(heap, (-lkey, counter, pa, mid, lval, lerr))
+        heapq.heappush(heap, (-lerr, counter, pa, mid, lval, lerr))
         counter += 1
-        heapq.heappush(heap, (-rkey, counter, mid, pb, rval, rerr))
-    if not columns:
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return total
-        raise ConvergenceError(total, total_err)
-    tolerance = _column_tolerance(total, spec)
-    if (total_err <= tolerance).all():
+        heapq.heappush(heap, (-rerr, counter, mid, pb, rval, rerr))
+    if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
         return total
-    # report the column that misses its tolerance by the most
-    worst = int(np.argmax(total_err - tolerance))
-    raise ConvergenceError(complex(total[worst]), float(total_err[worst]))
+    raise ConvergenceError(total, total_err)
 
 
 def integrate_1d(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                 spec: QuadratureSpec = DEFAULT_QUAD_SPEC) -> complex | np.ndarray:
+                 spec: QuadratureSpec = DEFAULT_QUAD_SPEC) -> complex:
     """Adaptive integral of a complex-valued f over (lo, hi); hi may be +inf.
 
-    An f whose values broadcast to (m, 31) is a batch of m integrands on
-    one shared panel set: the result is the array of their m integrals, and
-    each meets its own tolerance.  The semi-infinite case substitutes
-    t = lo - ln(u), u in (0, 1], which is exact for exponentially decaying
-    integrands.  Raises ConvergenceError (carrying the best estimate, of the
-    worst column of a batch) when the subdivision budget runs out.
+    The semi-infinite case substitutes t = lo - ln(u), u in (0, 1], which is
+    exact for exponentially decaying integrands.  Raises ConvergenceError
+    (carrying the best estimate) when the subdivision budget runs out.
     """
     if not math.isfinite(lo):
         raise ValueError("lower limit must be finite")
@@ -212,26 +174,17 @@ def integrate_1d(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     return _adaptive(f, lo, hi, spec)
 
 
-def integrate_2d_polar(g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def integrate_2d_polar(g: Callable[[np.ndarray, float], np.ndarray],
                        r_max: float,
                        spec: QuadratureSpec = DEFAULT_QUAD_SPEC) -> complex:
     """Integral of g(r, theta) * r over the disk of radius r_max; r_max may
     be +inf.
 
-    Iterated adaptive rule.  Per angular panel, the radial integrals of all
-    m angular nodes are one batched integral on a shared radial panel set,
-    with the Jacobian r, which tames integrable singularities of g at r = 0:
-    g receives the (31,) array of radii and the (m, 1) column of angles, and
-    its values broadcast to (m, 31).  A g that ignores theta is integrated
-    radially once per angular panel.  max_subdivisions bounds the angular
-    panel set and each shared radial one; every angle's radial integral
-    still meets its own tolerance.
+    g must not depend on theta: it is called with the (31,) array of radii
+    and theta = 0.0, and the result is 2 pi times its radial integral.  The
+    Jacobian r tames integrable singularities of g at r = 0.
     """
     if not r_max > 0:
         raise ValueError("r_max must be positive")
-
-    def radial(thetas: np.ndarray) -> complex | np.ndarray:
-        column = thetas[:, np.newaxis]
-        return integrate_1d(lambda r: g(r, column) * r, 0.0, r_max, spec)
-
-    return integrate_1d(radial, 0.0, 2.0 * math.pi, spec)
+    return 2.0 * math.pi * integrate_1d(lambda r: g(r, 0.0) * r, 0.0, r_max,
+                                        spec)

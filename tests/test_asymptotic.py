@@ -287,6 +287,22 @@ class TestFirstOrderSolution:
                                            solve_rayleigh(study_material).v)
         assert abs(bc_residual_order(sol, 1)[0]) < 1e-10
 
+    def test_eps_is_explicit_in_velocity(self, sample_material):
+        """At a fixed solved state the order-1 sigma31 row is A + eps B, and
+        -A/B at the corrected velocity gives back the eps it was solved at."""
+        v0 = solve_rayleigh(sample_material).v
+
+        def row(sol, eps):
+            return bc_residual_order(replace(sol, mp=replace(sol.mp, eps=eps)),
+                                     1)[0]
+
+        for eps in (0.2, 0.1, 0.05, 0.01):
+            sol = first_order_elastic_solution(sample_material, 2000.0, eps, v0)
+            a, half, one = row(sol, 0.0), row(sol, 0.5), row(sol, 1.0)
+            b = one - a
+            assert abs(half - (a + 0.5 * b)) <= 1e-12 * abs(b)
+            assert abs(-a / b - eps) <= 1e-9 * eps
+
     def test_velocity_shifts_from_classical_root(self, study_material):
         v0 = solve_rayleigh(study_material).v
         sol = first_order_elastic_solution(study_material, 2000.0, 0.2, v0)

@@ -1,11 +1,13 @@
 """The benchmark wraps and calls mnwaves functions by "module.name": the
 tracer (bench/tracer.py) lists the ones it times, and the workloads
 (bench/workloads.py) reach the library only through module attributes.  A
-rename in the library must not leave either pointing at nothing."""
+rename in the library must not leave either pointing at nothing, and a
+change of a contract must not break the calls the workloads make."""
 
 import ast
 import importlib
 import runpy
+import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -42,3 +44,17 @@ def test_workload_names_resolve():
     assert reached
     for qualified in sorted(reached):
         _assert_resolves(qualified)
+
+
+def test_workload_operations_pass_their_checks(monkeypatch):
+    """One round of kernel-field (5 operations) and one material-study
+    operation, run in-process: each must pass the workload's own check.
+    No bytecode is written into bench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.KernelField(1).round() + [
+        workloads.MaterialStudy(1).warm_up()]
+    assert len(ops) == 6
+    for op in ops:
+        assert op.check(op.run()) == [], op.kind

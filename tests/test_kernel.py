@@ -24,8 +24,7 @@ from mnwaves.kernel import (
     roundtrip_error,
 )
 from mnwaves import kernel
-from mnwaves.specfun import (ConvergenceError, bessel_k0, bessel_k1,
-                              integrate_2d_polar)
+from mnwaves.specfun import ConvergenceError, bessel_k0, bessel_k1
 from mnwaves.wavefield import blayer_closed_form, blayer_quadrature_form
 
 K0_AT_1 = 0.421024438240708
@@ -164,11 +163,6 @@ class TestKernelWeight:
     def test_array_domain_error(self, bad):
         with pytest.raises(ValueError, match="singular"):
             kernel_weight(np.array([0.01, bad, 0.2]), 0.1)
-
-    def test_total_mass_is_one(self):
-        a = 0.05
-        mass = integrate_2d_polar(lambda r, th: kernel_weight(r, a), 40.0 * a)
-        assert mass.real == pytest.approx(1.0, abs=1e-4)
 
     @pytest.mark.parametrize("a_nl", [0.0, -0.1, math.inf, math.nan])
     def test_length_must_be_finite_and_positive(self, a_nl):

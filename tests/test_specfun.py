@@ -164,38 +164,9 @@ class TestIntegrate1D:
             assert isinstance(t, np.ndarray)
             assert t.dtype == np.float64 and t.shape == (31,)
 
-    def test_batch_columns_meet_own_tolerance(self):
-        # int_0^inf e^{-kt} cos(wt) dt = k / (k^2 + w^2); the columns differ
-        # in scale by 1e8 and in the panels they need, and with no absolute
-        # floor each must reach the relative tolerance on its own
-        spec = QuadratureSpec(abs_tol=0.0)
-        k = np.array([[1.0], [2.0], [0.5], [3.0]])
-        w = np.array([[0.0], [7.0], [0.0], [25.0]])
-        scale = np.array([[1.0], [1e-8], [1e-4], [1.0]])
-        got = integrate_1d(lambda t: scale * np.exp(-k * t) * np.cos(w * t),
-                           0.0, math.inf, spec)
-        want = (scale * k / (k * k + w * w))[:, 0]
-        assert got.shape == (4,)
-        assert (np.abs(got - want) <= 1e-10 * np.abs(want)).all()
-        for j in range(4):
-            alone = integrate_1d(lambda t: scale[j] * np.exp(-k[j] * t)
-                                 * np.cos(w[j] * t), 0.0, math.inf, spec)
-            assert abs(got[j] - alone) <= 1e-10 * abs(want[j])
-
     def test_constant_integrand(self):
         assert integrate_1d(lambda t: 2.5, 1.0, 3.0) == pytest.approx(5.0, rel=1e-14)
         assert integrate_1d(lambda t: 1j, 0.0, 2.0) == pytest.approx(2j, rel=1e-14)
-
-
-def per_angle_polar(g, r_max, spec):
-    """Reference for integrate_2d_polar: one radial integrate_1d of its own
-    per angular node, with g given one float angle."""
-    def radial(thetas):
-        return np.array([integrate_1d(lambda r: g(r, theta) * r, 0.0, r_max,
-                                      spec)
-                         for theta in thetas.tolist()])
-
-    return integrate_1d(radial, 0.0, 2.0 * math.pi, spec)
 
 
 class TestIntegrate2DPolar:
@@ -213,38 +184,16 @@ class TestIntegrate2DPolar:
         assert got.real == pytest.approx(math.pi * (1.0 - math.exp(-100.0)),
                                          rel=1e-10)
 
-    def test_radial_array_and_angle_column(self):
-        seen = []
-
-        def g(r, theta):
-            seen.append((r, theta))
-            return np.ones_like(r * theta)
-
-        got = integrate_2d_polar(g, 2.0)
-        assert got.real == pytest.approx(4.0 * math.pi, rel=1e-10)
-        for r, theta in seen:
-            assert r.shape == (31,) and theta.shape == (31, 1)
-            assert (0.0 < theta).all() and (theta < 2.0 * math.pi).all()
-
-    def test_theta_dependent_integrand(self):
-        # the batch sums its columns in another order than the per-angle loop
-        def g(r, th):
-            return np.cos(th) ** 2 * np.exp(-r * r)
-
-        got = integrate_2d_polar(g, 3.0)
-        assert abs(got - 0.5 * math.pi * (1.0 - math.exp(-9.0))) <= 1e-10
-        assert abs(got - per_angle_polar(g, 3.0, DEFAULT_QUAD_SPEC)) <= 1e-10
-
-    @pytest.mark.parametrize("g, r_max", [
-        (lambda r, th: np.exp(-r * r), 10.0),
-        (lambda r, th: np.exp(-r * r), math.inf),
-        (lambda r, th: kernel_weight(r, 0.05), 40.0 * 0.05),
-        (lambda r, th: kernel_weight(r, 0.05), math.inf)])
-    @pytest.mark.parametrize("spec", [DEFAULT_QUAD_SPEC,
-                                      QuadratureSpec(rel_tol=1e-8)])
-    def test_equals_per_angle_loop(self, g, r_max, spec):
-        assert integrate_2d_polar(g, r_max, spec) == \
-            per_angle_polar(g, r_max, spec)
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-8])
+    @pytest.mark.parametrize("a", [0.05, 1e-4])
+    @pytest.mark.parametrize("u", [0.5, 2.0, 10.0, 40.0])
+    def test_kernel_disk_mass_closed_form(self, u, a, rel_tol):
+        # the kernel's mass on the disk of radius u a is 1 - u K1(u)
+        spec = QuadratureSpec(rel_tol=rel_tol)
+        mass = integrate_2d_polar(lambda r, th: kernel_weight(r, a), u * a,
+                                  spec)
+        want = 1.0 - u * bessel_k1(u)
+        assert abs(mass - want) <= rel_tol * want
 
     def test_whole_plane(self):
         gauss = integrate_2d_polar(lambda r, th: np.exp(-r * r), math.inf)
@@ -254,24 +203,33 @@ class TestIntegrate2DPolar:
         assert abs(mass - 1.0) <= 1e-10
 
     def test_kernel_mass_work(self):
-        # the angular rule converges on its first panel, and a g that ignores
-        # theta gets one radial integral for all 31 of its angles
+        # g gets the radii of one panel and theta = 0.0, and the disk mass
+        # costs the g calls of one radial integral and no more
         calls = []
         a = 0.05
 
         def g(r, theta):
-            calls.append(r)
+            calls.append((r, theta))
             return kernel_weight(r, a)
 
         mass = integrate_2d_polar(g, 40.0 * a)
         assert abs(mass - 1.0) <= 1e-8
-        assert len(calls) <= 31
+        for r, theta in calls:
+            assert r.dtype == np.float64 and r.shape == (31,)
+            assert type(theta) is float and theta == 0.0
+        radial = []
 
-    def test_convergence_error_from_batch(self):
+        def f(r):
+            radial.append(r)
+            return kernel_weight(r, a) * r
+
+        integrate_1d(f, 0.0, 40.0 * a)
+        assert len(calls) == len(radial)
+
+    def test_convergence_error(self):
         with pytest.raises(ConvergenceError) as excinfo:
-            integrate_2d_polar(
-                lambda r, th: np.cos(20.0 * r) * np.cos(7.0 * th), 3.0,
-                QuadratureSpec(max_subdivisions=1))
+            integrate_2d_polar(lambda r, th: np.cos(20.0 * r), 3.0,
+                               QuadratureSpec(max_subdivisions=1))
         err = excinfo.value
         assert type(err.estimate) is complex
         assert type(err.error_bound) is float and err.error_bound > 0.0
