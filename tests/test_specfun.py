@@ -223,7 +223,7 @@ class TestIntegrate2DPolar:
             radial.append(r)
             return kernel_weight(r, a) * r
 
-        integrate_1d(f, 0.0, 40.0 * a)
+        assert mass == 2.0 * math.pi * integrate_1d(f, 0.0, 40.0 * a)
         assert len(calls) == len(radial)
 
     def test_convergence_error(self):
