@@ -1,6 +1,6 @@
 """Rayleigh waves on a non-local micropolar elastic half-space.
 
-Subpackages by concern:
+Modules by concern:
 
     material    physical constants, derived wave speeds, JSON config I/O
     specfun     Bessel K0/K1 and adaptive quadrature (the oracle substrate)
@@ -55,14 +55,14 @@ from .dispersion import (
     DispersionCurve,
     DispersionPoint,
     NoSurfaceModeError,
-    amplitude_ratios,
+    elastic_amplitudes,
+    micropolar_amplitudes,
     micropolar_velocity,
     secular_leading,
     solve_rayleigh,
     sweep,
 )
 from .asymptotic import (
-    BCResidualReport,
     bc_residual_order,
     equivalence_residual_elastic,
     equivalence_residual_micropolar,

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (DispersionPoint, _secular, amplitude_ratios,
-                         bracketed_root, solve_rayleigh)
+from .dispersion import (_secular, bracketed_root, elastic_amplitudes,
+                         solve_rayleigh)
 from .kernel import boundary_operator
 from .material import MaterialParams, derive_scales
 from .specfun import QuadratureSpec
@@ -55,12 +54,10 @@ from .wavefield import (
 )
 
 __all__ = [
-    "BCResidualReport",
     "equivalence_residual_elastic",
     "equivalence_residual_micropolar",
     "bc_residual_order",
     "extra_bc_residual",
-    "bc_residual_report",
     "first_order_elastic_solution",
     "bc_slope_study",
     "blayer_convergence",
@@ -71,43 +68,26 @@ SLOPE_EPS_GRID = (0.2, 0.1, 0.05)
 _BLAYER_ETA_GRID = (0.0, 0.5, 2.0)
 
 
-@dataclass(frozen=True)
-class BCResidualReport:
-    """Surface-condition residuals of one mode solution, all dimensionless.
-
-    Force rows are normalized by k^2 (mu+kappa) |Q| and the couple row by
-    k (mu+kappa) |Q|; `normalization` records the force-row reference.
-    With a_nl = 0 the refined triple coincides with the classical one.
-    """
-
-    classical: tuple[complex, complex, complex]
-    first_order: tuple[complex, complex, complex]
-    refined: tuple[complex, complex, complex]
-    extra: tuple[complex, complex]
-    normalization: float
-
-
-def equivalence_residual_elastic(m: MaterialParams,
-                                 point: DispersionPoint) -> complex:
+def equivalence_residual_elastic(m: MaterialParams, v: float,
+                                 k: float) -> complex:
     """Leading boundary-layer coefficient of the momentum defect, elastic mode.
 
     This is the factor multiplying exp(-k z / eps); eps itself drops out of
     the leading coefficient.  A nonzero value is the failure of equivalence
     between the differential and integral models.
     """
-    if not math.isfinite(point.k):
-        raise ValueError("point carries no wavenumber; take one from a sweep "
-                         "or attach k before computing the residual")
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k!r}")
     sc = derive_scales(m)
     d = sc.d
-    r10_sq, r20sq = _leading_radicands(sc, point.v)
+    r10_sq, r20sq = _leading_radicands(sc, v)
     r10 = _branch_sqrt(r10_sq)
     if r10 == 0:
         raise ZeroDivisionError("residual is singular: r10 = 0")
     bracket = ((1.0 + d) ** 2 * r10 * r10
                - 2.0 * r20sq * (d + r20sq - 1.0)
                - (1.0 + d * d))
-    return point.k ** 3 / (2.0 * (1.0 + d) ** 2 * r10) * bracket
+    return k ** 3 / (2.0 * (1.0 + d) ** 2 * r10) * bracket
 
 
 def equivalence_residual_micropolar(m: MaterialParams, v: float,
@@ -120,13 +100,6 @@ def equivalence_residual_micropolar(m: MaterialParams, v: float,
     d = derive_scales(m).d
     r10, r20 = leading_exponents(m, v)
     return k ** 3 / (r20 * r20 + d) * _secular(d, r10, r20, r20 * r20)
-
-
-def _amp_norm(amp: Amplitudes) -> float:
-    q = abs(amp.Q)
-    if q > 0.0:
-        return q
-    return max(abs(amp.P), abs(amp.R), 1.0)
 
 
 # The surface conditions in row order (sigma31, sigma33, Pi32): the stress
@@ -208,23 +181,6 @@ def extra_bc_residual(sol: ModeSolution) -> tuple[complex, complex]:
         tau11 += c11 * a * op
         m12 += c12 * a * op
     return tau11, m12
-
-
-def bc_residual_report(sol: ModeSolution) -> BCResidualReport:
-    """All four surface-condition residual groups at eps = sol.mp.eps,
-    normalized by |Q|."""
-    amp_norm = _amp_norm(sol.amp)
-
-    def scaled(values):
-        return tuple(z / amp_norm for z in values)
-
-    return BCResidualReport(
-        classical=scaled(bc_residual_order(sol, 0)),
-        first_order=scaled(bc_residual_order(sol, 1)),
-        refined=scaled(bc_residual_order(sol, 2)),
-        extra=scaled(extra_bc_residual(sol)),
-        normalization=sol.mp.k ** 2 * (sol.m.mu + sol.m.kappa) * amp_norm,
-    )
 
 
 def first_order_elastic_solution(m: MaterialParams, k: float, eps: float,
@@ -353,31 +309,26 @@ def residual_report_json(m: MaterialParams, k: float, eps: float) -> str:
 
     Keys: classical, first_order, refined, extra, equivalence (arrays of
     re/im pairs), plus normalization, slopes and pde diagnostic blocks.
+    The amplitudes are normalized to Q = 1, and normalization is the
+    force-row scale k^2 (mu+kappa) of `bc_residual_order`.
     """
-    root = solve_rayleigh(m)
-    v = root.v
-    omega = v * k
-    mp = ModeParams(k=k, omega=omega, v=v, eps=eps)
+    v = solve_rayleigh(m).v
+    mp = ModeParams(k=k, omega=v * k, v=v, eps=eps)
     de = decay_exponents(m, mp)
-    point = DispersionPoint(omega=omega, k=k, v=v, mode_tag="elastic",
-                            exponents=de,
-                            secular_residual=root.secular_residual,
-                            admissible=de.admissible)
-    amp = amplitude_ratios(m, point, eps)
+    amp = elastic_amplitudes(m, v, eps)
     sol = ModeSolution(m=m, mp=mp, amp=amp, de=de)
-    report = bc_residual_report(sol)
     pde = pde_residual(amp, de, mp, m)
 
     payload: dict = {
-        "classical": [_cpair(z) for z in report.classical],
-        "first_order": [_cpair(z) for z in report.first_order],
-        "refined": [_cpair(z) for z in report.refined],
-        "extra": [_cpair(z) for z in report.extra],
+        "classical": [_cpair(z) for z in bc_residual_order(sol, 0)],
+        "first_order": [_cpair(z) for z in bc_residual_order(sol, 1)],
+        "refined": [_cpair(z) for z in bc_residual_order(sol, 2)],
+        "extra": [_cpair(z) for z in extra_bc_residual(sol)],
         "equivalence": [
-            _cpair(equivalence_residual_elastic(m, point)),
+            _cpair(equivalence_residual_elastic(m, v, k)),
             _cpair(equivalence_residual_micropolar(m, v, k)),
         ],
-        "normalization": report.normalization,
+        "normalization": k ** 2 * (m.mu + m.kappa),
         "slopes": bc_slope_study(m, k, v),
         "pde": {
             "res1": _cpair(pde[0]),

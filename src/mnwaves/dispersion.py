@@ -38,7 +38,8 @@ __all__ = [
     "secular_leading",
     "solve_rayleigh",
     "micropolar_velocity",
-    "amplitude_ratios",
+    "elastic_amplitudes",
+    "micropolar_amplitudes",
     "sweep",
     "curve_to_csv",
 ]
@@ -218,38 +219,44 @@ def micropolar_velocity(m: MaterialParams, omega: float) -> float:
     return sc.c4 / math.sqrt(_micropolar_factor(sc, omega))
 
 
-def amplitude_ratios(m: MaterialParams, point: DispersionPoint,
-                     eps: float) -> Amplitudes:
-    """Potential amplitudes of a solved point, normalized to Q = 1.
+def elastic_amplitudes(m: MaterialParams, v: float, eps: float) -> Amplitudes:
+    """Potential amplitudes of the elastic mode at phase velocity v,
+    normalized to Q = 1:
 
-    Elastic mode:  P = i (r20^2 + d)(1 + (r10 - r20)(eps - eps^2 r20))
-                        / ((1 + d) r10),                      R = 0.
-    Micropolar mode:
-                   P = i (1 + d) r20 (1 + (r10 - r20)(eps - eps^2 r20))
-                        / (r20^2 + d),
-                   R = [(r20^2 + d)^2 - (1 + d)^2 r10 r20] / (r20^2 + d)
-                        * (1 + (r30 - r20)(eps - eps^2 r20)).
+        P = i (r20^2 + d)(1 + (r10 - r20)(eps - eps^2 r20)) / ((1 + d) r10),
+        R = 0.
     """
+    d = derive_scales(m).d
+    r10, r20 = leading_exponents(m, v)
+    if r10 == 0:
+        raise ZeroDivisionError("amplitude ratio is singular: r10 = 0")
+    corr = eps - eps * eps * r20
+    p = (1j * (r20 * r20 + d) * (1.0 + (r10 - r20) * corr)
+         / ((1.0 + d) * r10))
+    return Amplitudes(P=p, Q=1.0 + 0j, R=0j)
+
+
+def micropolar_amplitudes(m: MaterialParams, v: float, omega: float,
+                          eps: float) -> Amplitudes:
+    """Potential amplitudes of the micropolar mode at phase velocity v and
+    frequency omega (positive and finite), normalized to Q = 1:
+
+        P = i (1 + d) r20 (1 + (r10 - r20)(eps - eps^2 r20)) / (r20^2 + d),
+        R = [(r20^2 + d)^2 - (1 + d)^2 r10 r20] / (r20^2 + d)
+            * (1 + (r30 - r20)(eps - eps^2 r20)).
+    """
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     sc = derive_scales(m)
     d = sc.d
-    r10, r20 = leading_exponents(m, point.v)
+    r10, r20 = leading_exponents(m, v)
     corr = eps - eps * eps * r20
-    if point.mode_tag == "elastic":
-        if r10 == 0:
-            raise ZeroDivisionError("amplitude ratio is singular: r10 = 0")
-        p = (1j * (r20 * r20 + d) * (1.0 + (r10 - r20) * corr)
-             / ((1.0 + d) * r10))
-        return Amplitudes(P=p, Q=1.0 + 0j, R=0j)
-    if point.mode_tag == "micropolar":
-        if not math.isfinite(point.omega):
-            raise ValueError("micropolar amplitudes need the point frequency")
-        r30 = _r30(sc, point.v, point.omega)
-        p = (1j * (1.0 + d) * r20 * (1.0 + (r10 - r20) * corr)
-             / (r20 * r20 + d))
-        r_amp = (-_secular(d, r10, r20, r20 * r20) / (r20 * r20 + d)
-                 * (1.0 + (r30 - r20) * corr))
-        return Amplitudes(P=p, Q=1.0 + 0j, R=r_amp)
-    raise ValueError(f"unknown mode tag {point.mode_tag!r}")
+    r30 = _r30(sc, v, omega)
+    p = (1j * (1.0 + d) * r20 * (1.0 + (r10 - r20) * corr)
+         / (r20 * r20 + d))
+    r_amp = (-_secular(d, r10, r20, r20 * r20) / (r20 * r20 + d)
+             * (1.0 + (r30 - r20) * corr))
+    return Amplitudes(P=p, Q=1.0 + 0j, R=r_amp)
 
 
 def _solved_point(m: MaterialParams, omega: float, v: float,

@@ -32,6 +32,7 @@ class InvalidMaterialError(ValueError):
     """Raised when an operation requires a material that fails validation."""
 
 
+# in the field order of MaterialParams
 _CONFIG_KEYS = ("lambda", "mu", "kappa", "alpha", "beta", "gamma", "rho", "j", "a")
 
 
@@ -144,20 +145,16 @@ def material_from_json(text: str) -> MaterialParams:
     missing = [key for key in _CONFIG_KEYS if key not in obj]
     if missing:
         raise InvalidMaterialError(f"missing material keys: {', '.join(missing)}")
+    values = []
     for key in _CONFIG_KEYS:
         if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float)):
             raise InvalidMaterialError(f"material key {key!r} must be a number")
-    return MaterialParams(
-        lambda_lame=float(obj["lambda"]),
-        mu=float(obj["mu"]),
-        kappa=float(obj["kappa"]),
-        alpha_mp=float(obj["alpha"]),
-        beta_mp=float(obj["beta"]),
-        gamma_mp=float(obj["gamma"]),
-        rho=float(obj["rho"]),
-        j_inertia=float(obj["j"]),
-        a_nl=float(obj["a"]),
-    )
+        try:
+            values.append(float(obj[key]))
+        except OverflowError:
+            raise InvalidMaterialError(
+                f"material key {key!r} is too large for a float") from None
+    return MaterialParams(*values)
 
 
 def load_material(path: str | Path) -> MaterialParams:

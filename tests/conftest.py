@@ -1,4 +1,5 @@
 import cmath
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,6 +91,20 @@ def fit_slope(eps_values, deviations) -> float:
     """Least-squares slope of log(deviation) against log(eps)."""
     return float(np.polyfit(np.log(np.asarray(eps_values, dtype=float)),
                             np.log(np.asarray(deviations, dtype=float)), 1)[0])
+
+
+def material_draws(seed):
+    """(lambda/mu, kappa/mu) and the material: kappa/mu = 16 (root above
+    0.9999 c2), then 40 draws over the valid material space."""
+    rng = np.random.default_rng(seed)
+    log_kappa = rng.uniform(-4.0, math.log10(30.0), 40)
+    ratios = [(1.0, 16.0)] + list(zip(rng.uniform(-0.95, 20.0, 40),
+                                      10.0 ** log_kappa))
+    for lam_mu, kappa_mu in ratios:
+        yield (lam_mu, kappa_mu), MaterialParams(
+            lambda_lame=float(lam_mu) * 1e9, mu=1e9,
+            kappa=float(kappa_mu) * 1e9, alpha_mp=1.0, beta_mp=1.0,
+            gamma_mp=100.0, rho=1000.0, j_inertia=1e-6, a_nl=1e-4)
 
 
 def make_mode_params(m: MaterialParams, k: float, omega: float) -> ModeParams:

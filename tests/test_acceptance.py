@@ -35,8 +35,7 @@ from mnwaves.asymptotic import (
 )
 from mnwaves.dispersion import (
     CutoffError,
-    DispersionPoint,
-    amplitude_ratios,
+    elastic_amplitudes,
     micropolar_velocity,
     secular_leading,
     solve_rayleigh,
@@ -139,10 +138,7 @@ def test_c06_failure_of_equivalence(sample_material, seed):
     m = sample_material  # kappa/mu = 0.1
     sc = derive_scales(m)
     root = solve_rayleigh(m)
-    point = DispersionPoint(omega=root.v, k=1.0, v=root.v, mode_tag="elastic",
-                            exponents=None, secular_residual=0.0,
-                            admissible=True)
-    coeff = equivalence_residual_elastic(m, point)
+    coeff = equivalence_residual_elastic(m, root.v, 1.0)
     r10 = math.sqrt(1.0 - (root.v / sc.c1) ** 2)
     bracket = abs(coeff * 2.0 * (1.0 + sc.d) ** 2 * r10)
 
@@ -203,10 +199,7 @@ def test_c08_refined_bc_reduction_and_hierarchy(sample_material,
     k = 2000.0
     mp = ModeParams(k=k, omega=root.v * k, v=root.v, eps=0.0)
     de = decay_exponents(m, mp)
-    point = DispersionPoint(omega=root.v * k, k=k, v=root.v,
-                            mode_tag="elastic", exponents=de,
-                            secular_residual=0.0, admissible=True)
-    amp = amplitude_ratios(m, point, 0.0)
+    amp = elastic_amplitudes(m, root.v, 0.0)
     sol = ModeSolution(m=m, mp=mp, amp=amp, de=de)
     classical = bc_residual_order(sol, 0)
     refined = bc_residual_order(sol, 2)

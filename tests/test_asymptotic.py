@@ -5,11 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fit_slope
+from conftest import fit_slope, material_draws
 from mnwaves import asymptotic
 from mnwaves.asymptotic import (
     bc_residual_order,
-    bc_residual_report,
     bc_slope_study,
     equivalence_residual_elastic,
     equivalence_residual_micropolar,
@@ -18,9 +17,8 @@ from mnwaves.asymptotic import (
     residual_report_json,
 )
 from mnwaves.dispersion import (
-    DispersionPoint,
-    amplitude_ratios,
     bracketed_root,
+    elastic_amplitudes,
     micropolar_velocity,
     secular_leading,
     solve_rayleigh,
@@ -36,15 +34,6 @@ from mnwaves.wavefield import (
 )
 
 
-def _point_at(m, v: float, k: float, tag="elastic") -> DispersionPoint:
-    omega = v * k
-    mp = ModeParams(k=k, omega=omega, v=v, eps=m.a_nl * k)
-    de = decay_exponents(m, mp)
-    return DispersionPoint(omega=omega, k=k, v=v, mode_tag=tag, exponents=de,
-                           secular_residual=abs(secular_leading(m, v)),
-                           admissible=de.admissible)
-
-
 def _surface_stress(sol: ModeSolution, comp: str) -> complex:
     """Dimensionless surface value of one stress row, summed over branches."""
     rows = stress_branch_coeffs(sol.m, sol.de, sol.mp.k)
@@ -58,18 +47,14 @@ def _printed_mode(m, k: float, eps: float) -> ModeSolution:
     omega = root.v * k
     mp = ModeParams(k=k, omega=omega, v=root.v, eps=eps)
     de = decay_exponents(m, mp)
-    point = _point_at(m, root.v, k)
-    amp = amplitude_ratios(m, point, eps)
+    amp = elastic_amplitudes(m, root.v, eps)
     return ModeSolution(m=m, mp=mp, amp=amp, de=de)
 
 
 class TestEquivalenceElastic:
     def test_vanishes_at_rest(self, sample_material):
         # r10 = r20 = 1 collapses the bracket algebraically
-        point = DispersionPoint(omega=1.0, k=1.0, v=0.0, mode_tag="elastic",
-                                exponents=None, secular_residual=0.0,
-                                admissible=False)
-        assert abs(equivalence_residual_elastic(sample_material, point)) \
+        assert abs(equivalence_residual_elastic(sample_material, 0.0, 1.0)) \
             < 1e-12
 
     def test_nonzero_bracket_at_the_root(self, sample_material):
@@ -77,8 +62,7 @@ class TestEquivalenceElastic:
         m = sample_material
         sc = derive_scales(m)
         root = solve_rayleigh(m)
-        point = _point_at(m, root.v, 1.0)
-        coeff = equivalence_residual_elastic(m, point)
+        coeff = equivalence_residual_elastic(m, root.v, 1.0)
         r10 = math.sqrt(1.0 - (root.v / sc.c1) ** 2)
         bracket = coeff * 2.0 * (1.0 + sc.d) ** 2 * r10  # k = 1
         assert abs(bracket) > 1e-3
@@ -87,14 +71,15 @@ class TestEquivalenceElastic:
     def test_cubic_wavenumber_scaling(self, sample_material, k):
         m = sample_material
         root = solve_rayleigh(m)
-        base = equivalence_residual_elastic(m, _point_at(m, root.v, 1.0))
-        scaled = equivalence_residual_elastic(m, _point_at(m, root.v, k))
+        base = equivalence_residual_elastic(m, root.v, 1.0)
+        scaled = equivalence_residual_elastic(m, root.v, k)
         assert scaled == pytest.approx(k ** 3 * base, rel=1e-12)
 
-    def test_needs_wavenumber(self, sample_material):
-        bare = solve_rayleigh(sample_material)  # k is NaN metadata
-        with pytest.raises(ValueError):
-            equivalence_residual_elastic(sample_material, bare)
+    @pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0])
+    def test_needs_wavenumber(self, sample_material, k):
+        v = solve_rayleigh(sample_material).v
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            equivalence_residual_elastic(sample_material, v, k)
 
 
 class TestEquivalenceMicropolar:
@@ -130,10 +115,18 @@ class TestEquivalenceMicropolar:
 
 class TestBcResidualOrder:
     def test_classical_solution_satisfies_classical_conditions(
-            self, poisson_material):
+            self, seed, poisson_material, sample_material):
+        """At eps = 0 the elastic mode at its root meets the classical
+        conditions across the material space.  The sigma33 row keeps what
+        the 1e-10 c2 root tolerance leaves of the secular function (about
+        1e-8 at worst over the draws, 6e-11 on the Poisson solid); Pi32 has
+        no rotation branch and is exactly 0."""
         sol = _printed_mode(poisson_material, 100.0, 0.0)
-        triple = bc_residual_order(sol, 0)
-        assert all(abs(c) < 1e-9 for c in triple)
+        assert all(abs(c) < 1e-9 for c in bc_residual_order(sol, 0))
+        for m in (sample_material, *(m for _, m in material_draws(seed))):
+            triple = bc_residual_order(_printed_mode(m, 100.0, 0.0), 0)
+            assert all(abs(c) < 1e-7 for c in triple), m
+            assert triple[2] == 0, m
 
     def test_zero_amplitudes(self, sample_material):
         sol = _printed_mode(sample_material, 100.0, 0.0)
@@ -303,6 +296,34 @@ class TestFirstOrderSolution:
             assert abs(half - (a + 0.5 * b)) <= 1e-12 * abs(b)
             assert abs(-a / b - eps) <= 1e-9 * eps
 
+    def test_velocity_shift_matches_first_order_theory(self,
+                                                       sample_material):
+        """The order-1 sigma31 row is A(v) + eps B(v) with A(v0) = 0 at the
+        classical root, so (v(eps) - v0)/eps tends to -B(v0)/A'(v0) with a
+        gap of order eps.  A and B are taken on the family the solver
+        searches (R = 0, Q = 1, P from the sigma33 row), A' by a central
+        difference."""
+        m, k = sample_material, 2000.0
+        v0 = solve_rayleigh(m).v
+
+        def row(v, eps):
+            mp = ModeParams(k=k, omega=v * k, v=v, eps=0.0)
+            de = decay_exponents(m, mp)  # leading order, as the solver's
+            c = stress_branch_coeffs(m, de, k)["sigma33"]
+            sol = ModeSolution(m=m, mp=replace(mp, eps=eps), de=de,
+                               amp=Amplitudes(-c[1] / c[0], 1.0, 0.0))
+            return bc_residual_order(sol, 1)[0].real
+
+        h = 1e-5 * v0
+        slope = (row(v0 + h, 0.0) - row(v0 - h, 0.0)) / (2.0 * h)
+        want = -(row(v0, 1.0) - row(v0, 0.0)) / slope
+        gaps = []
+        for eps in (1e-2, 1e-3, 1e-4):
+            v = first_order_elastic_solution(m, k, eps, v0).mp.v
+            gaps.append(abs((v - v0) / eps - want) / abs(want))
+        assert gaps[1] <= 2e-3, gaps
+        assert gaps[0] > 5.0 * gaps[1] > 25.0 * gaps[2], gaps
+
     def test_velocity_shifts_from_classical_root(self, study_material):
         v0 = solve_rayleigh(study_material).v
         sol = first_order_elastic_solution(study_material, 2000.0, 0.2, v0)
@@ -348,13 +369,12 @@ class TestFirstOrderSolution:
 
 class TestReport:
     def test_report_structure_and_normalization(self, sample_material):
-        sol = _printed_mode(sample_material, 2000.0, 0.1)
-        report = bc_residual_report(sol)
-        m, mp = sol.m, sol.mp
-        assert report.normalization == pytest.approx(
-            mp.k ** 2 * (m.mu + m.kappa) * abs(sol.amp.Q))
-        assert len(report.classical) == 3
-        assert len(report.extra) == 2
+        m, k = sample_material, 2000.0
+        payload = json.loads(residual_report_json(m, k, 0.1))
+        assert payload["normalization"] == k ** 2 * (m.mu + m.kappa)
+        for key, size in (("classical", 3), ("first_order", 3),
+                          ("refined", 3), ("extra", 2), ("equivalence", 2)):
+            assert len(payload[key]) == size, key
 
     def test_json_keys(self, sample_material):
         text = residual_report_json(sample_material, 2000.0, 0.1)

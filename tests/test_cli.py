@@ -58,6 +58,13 @@ class TestValidate:
         assert code == 1
         assert "unknown" in err
 
+    def test_oversized_integer(self, tmp_path, capsys):
+        path = material_file(tmp_path, mu=10 ** 400)
+        code, out, err = run_cli(["validate", path], capsys)
+        assert code == 1
+        assert out == ""
+        assert "'mu'" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["validate", "/nonexistent.json"], capsys)
         assert code == 1

@@ -5,16 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import material_draws
 from mnwaves import asymptotic, dispersion
 from mnwaves.asymptotic import bc_slope_study, residual_report_json
 from mnwaves.dispersion import (
     CutoffError,
-    DispersionPoint,
     LeakyRegimeWarning,
     NoSurfaceModeError,
-    amplitude_ratios,
     bracketed_root,
     curve_to_csv,
+    elastic_amplitudes,
+    micropolar_amplitudes,
     micropolar_velocity,
     secular_leading,
     solve_rayleigh,
@@ -57,20 +58,6 @@ def classical_rayleigh_oracle(c1_over_c2: float, lo=0.5, hi=0.9999,
     flo = f(lo)
     assert flo * f(hi) < 0.0
     return plain_bisection(f, lo, hi, flo, tol)[0]
-
-
-def material_draws(seed):
-    """(lambda/mu, kappa/mu) and the material: kappa/mu = 16 (root above
-    0.9999 c2), then 40 draws over the valid material space."""
-    rng = np.random.default_rng(seed)
-    log_kappa = rng.uniform(-4.0, math.log10(30.0), 40)
-    ratios = [(1.0, 16.0)] + list(zip(rng.uniform(-0.95, 20.0, 40),
-                                      10.0 ** log_kappa))
-    for lam_mu, kappa_mu in ratios:
-        yield (lam_mu, kappa_mu), MaterialParams(
-            lambda_lame=float(lam_mu) * 1e9, mu=1e9,
-            kappa=float(kappa_mu) * 1e9, alpha_mp=1.0, beta_mp=1.0,
-            gamma_mp=100.0, rho=1000.0, j_inertia=1e-6, a_nl=1e-4)
 
 
 def scalar_scan_root(m, tol=1e-10):
@@ -259,7 +246,7 @@ class TestAmplitudeRatios:
     def test_elastic_local_limit(self, sample_material):
         sc = derive_scales(sample_material)
         point = solve_rayleigh(sample_material)
-        amp = amplitude_ratios(sample_material, point, 0.0)
+        amp = elastic_amplitudes(sample_material, point.v, 0.0)
         r10 = math.sqrt(1.0 - (point.v / sc.c1) ** 2)
         r20sq = 1.0 - (point.v / sc.c2) ** 2
         want = 1j * (r20sq + sc.d) / ((1.0 + sc.d) * r10)
@@ -268,15 +255,16 @@ class TestAmplitudeRatios:
 
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
     def test_elastic_mode_never_rotates(self, sample_material, eps):
-        point = solve_rayleigh(sample_material)
-        assert amplitude_ratios(sample_material, point, eps).R == 0
+        v = solve_rayleigh(sample_material).v
+        assert elastic_amplitudes(sample_material, v, eps).R == 0
 
     def test_micropolar_mode_rotates(self, sample_material):
         sc = derive_scales(sample_material)
         curve = sweep(sample_material, 1.5 * sc.omega_cutoff,
                       3.0 * sc.omega_cutoff, 3, "micropolar")
         point = curve.points[0]
-        amp = amplitude_ratios(sample_material, point, 0.05)
+        amp = micropolar_amplitudes(sample_material, point.v, point.omega,
+                                    0.05)
         # R carries the secular expression, nonzero off the elastic root
         assert abs(amp.R) > 1e-3
 
@@ -300,14 +288,17 @@ class TestAmplitudeRatios:
                               / base)
                     want_r = ((base ** 2 - (1.0 + sc.d) ** 2 * r10 * r20)
                               / base * (1.0 + (r30 - r20) * c))
-                    point = DispersionPoint(
-                        omega=omega, k=omega / v, v=v, mode_tag="micropolar",
-                        exponents=None, secular_residual=math.nan,
-                        admissible=True)
-                    amp = amplitude_ratios(m, point, eps)
+                    amp = micropolar_amplitudes(m, v, omega, eps)
                     assert amp.P == pytest.approx(want_p, rel=1e-12)
                     assert amp.R == pytest.approx(want_r, rel=1e-12)
                     assert amp.Q == 1.0
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0])
+    def test_micropolar_needs_frequency(self, sample_material, omega):
+        v = 0.5 * derive_scales(sample_material).c2
+        with pytest.raises(ValueError,
+                           match="omega must be positive and finite"):
+            micropolar_amplitudes(sample_material, v, omega, 0.05)
 
 
 class TestSweep:

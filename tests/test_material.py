@@ -165,6 +165,12 @@ class TestConfigFile:
         with pytest.raises(InvalidMaterialError, match="number"):
             material_from_json(json.dumps(bad))
 
+    def test_oversized_integer_names_the_key(self):
+        # written out in full, 10**400 parses to an int no float can hold
+        bad = dict(self.GOOD, mu=10 ** 400)
+        with pytest.raises(InvalidMaterialError, match="'mu'"):
+            material_from_json(json.dumps(bad))
+
     def test_non_object_rejected(self):
         with pytest.raises(InvalidMaterialError):
             material_from_json("[1, 2, 3]")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import exact_shear_exponents, fit_slope, make_mode_params
-from mnwaves.dispersion import DispersionPoint, amplitude_ratios, solve_rayleigh
+from mnwaves.dispersion import elastic_amplitudes, solve_rayleigh
 from mnwaves.material import derive_scales
 from mnwaves.wavefield import (
     Amplitudes,
@@ -486,10 +486,7 @@ class TestNonlocalStresses:
         omega = root.v * k
         mp = ModeParams(k=k, omega=omega, v=root.v, eps=eps)
         de = decay_exponents(m, mp)
-        point = DispersionPoint(omega=omega, k=k, v=root.v,
-                                mode_tag="elastic", exponents=de,
-                                secular_residual=0.0, admissible=True)
-        amp = amplitude_ratios(m, point, eps)
+        amp = elastic_amplitudes(m, root.v, eps)
         st = nonlocal_stresses(amp, de, mp, m, 0.0, 0.0)
         norm = k * k * (m.mu + m.kappa) * abs(amp.Q)
         assert abs(st.tau31) < 1e-8 * norm
