@@ -11,6 +11,8 @@ so by the divergence theorem a grid cell's mass is [it holds the origin]
 - (1/2 pi) times the flux of u K1(u) d theta through its edges, theta the
 angle seen from the origin.  u K1(u) lies in (0, 1) and is smooth in theta,
 so one fixed Gauss rule needs no singularity subtraction, near 0 or not.
+The stencil depends only on (dx, dz, a), so the last 8 are memoized on
+those exact floats and handed out read-only, one array to every caller.
 
 `boundary_operator` is the surface operator of the 1D boundary-layer
 analysis on profiles sigma(chi, eta) = e^{i chi} g(eta), where the
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -125,6 +128,7 @@ def _reach(h: float, r_cut: float) -> int:
     return m - 1 if m * h > r_cut else m
 
 
+@lru_cache(maxsize=8)
 def _kernel_stencil(dx: float, dz: float, a: float) -> np.ndarray:
     """Cell-integrated kernel weights on offsets within the truncation disk.
 
@@ -133,7 +137,9 @@ def _kernel_stencil(dx: float, dz: float, a: float) -> np.ndarray:
     Only the quadrant i, j >= 0 inside the disk is integrated, each edge
     once for the two cells that share it; the kernel is even in x and in
     z, so the other three quadrants are its mirror images and the stencil
-    is exactly symmetric.
+    is exactly symmetric.  On a square grid the top edge of cell (i, j) is
+    the right edge of cell (j, i), so its fluxes are a transpose.  The
+    result is memoized and shared, hence read-only.
     """
     r_cut = TRUNCATION_RADII * a
     mx = max(1, int(math.ceil(r_cut / dx)))
@@ -146,16 +152,22 @@ def _kernel_stencil(dx: float, dz: float, a: float) -> np.ndarray:
     inside = np.hypot(ii, jj) <= r_cut  # the truncation disk on cell centers
     # kept cells' left and lower neighbours are kept, so every edge is a
     # right or top edge; column 0's left edge and row 0's bottom mirror them
-    right, top = np.zeros(inside.shape), np.zeros(inside.shape)
+    right = np.zeros(inside.shape)
     right[inside] = _edge_flux(ii[inside] + 0.5 * dx, jj[inside], dz, a)
-    top[inside] = _edge_flux(jj[inside] + 0.5 * dz, ii[inside], dx, a)
+    if dx == dz:
+        top = right.T
+    else:
+        top = np.zeros(inside.shape)
+        top[inside] = _edge_flux(jj[inside] + 0.5 * dz, ii[inside], dx, a)
     left = np.concatenate([-right[:, :1], right[:, :-1]], axis=1)
     bottom = np.concatenate([-top[:1], top[:-1]], axis=0)
     net = (right - left) + (top - bottom)  # flux leaving each cell
     quad = np.where(inside, -net / (2.0 * math.pi), 0.0)
     quad[0, 0] += 1.0
     half = np.concatenate([quad[:, :0:-1], quad], axis=1)
-    return np.concatenate([half[:0:-1], half], axis=0)
+    stencil = np.concatenate([half[:0:-1], half], axis=0)
+    stencil.setflags(write=False)
+    return stencil
 
 
 def _fft_length(n: int) -> int:

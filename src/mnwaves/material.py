@@ -130,11 +130,22 @@ def derive_scales(m: MaterialParams) -> DerivedScales:
     return m._scales
 
 
+def _json_int(literal: str) -> int:
+    """A JSON integer literal as an int.  Past Python's int-to-string digit
+    limit (4300 digits by default) int() raises ValueError; such an integer
+    is beyond any float, so 2**1024, which no float holds either, stands in
+    and material_from_json reports the key as too large for a float."""
+    try:
+        return int(literal)
+    except ValueError:
+        return 1 << 1024
+
+
 def material_from_json(text: str) -> MaterialParams:
     """Parse the material config: a JSON object with exactly the keys
     {"lambda","mu","kappa","alpha","beta","gamma","rho","j","a"}."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise InvalidMaterialError(f"material config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -65,6 +65,16 @@ class TestValidate:
         assert out == ""
         assert "'mu'" in err
 
+    def test_integer_past_digit_limit(self, tmp_path, capsys):
+        # json.dumps cannot write it: 5001 digits pass int's str limit
+        path = Path(material_file(tmp_path, mu=0))
+        path.write_text(path.read_text().replace('"mu": 0',
+                                                 '"mu": 1' + "0" * 5000))
+        code, out, err = run_cli(["validate", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "material key 'mu' is too large for a float\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["validate", "/nonexistent.json"], capsys)
         assert code == 1
@@ -256,6 +266,11 @@ class TestKernelCheckCommand:
         assert (z == np.repeat(field.zs, field.nx)).all()
         assert (re == field.values.real.ravel()).all()
         assert (im == field.values.imag.ravel()).all()
+
+    def test_golden(self, capsys):
+        code, out, _ = run_cli(["kernel-check", "--material", SAMPLE], capsys)
+        assert code == 0
+        assert out == (GOLDEN_DIR / "kernel_check.json").read_text()
 
     def test_local_material_is_infeasible(self, tmp_path, capsys):
         payload = json.loads(Path(SAMPLE).read_text())

@@ -199,7 +199,8 @@ class TestKernelStencil:
 
     @pytest.mark.parametrize("hx, hz", STENCIL_SPACINGS)
     def test_integrates_one_quadrant(self, hx, hz, monkeypatch):
-        # 8 angular nodes on each of a quadrant cell's right and top edges
+        # 8 angular nodes on each of a quadrant cell's right and top edges;
+        # a square grid takes its top edges from the right edges
         calls = []
 
         def counting_k1(x):
@@ -207,9 +208,12 @@ class TestKernelStencil:
             return bessel_k1(x)
 
         monkeypatch.setattr(kernel, "bessel_k1", counting_k1)
+        _kernel_stencil.cache_clear()
         w = _kernel_stencil(hx * 1e-4, hz * 1e-4, 1e-4)
         mz, mx = w.shape[0] // 2, w.shape[1] // 2
         assert 0 < sum(calls) <= 16 * (mx + 1) * (mz + 1)
+        if hx == hz:
+            assert sum(calls) <= 8 * (mx + 1) ** 2
 
     @pytest.mark.parametrize("hx, hz", STENCIL_SPACINGS)
     def test_near_cells_match_accurate_reference(self, hx, hz):
@@ -241,6 +245,65 @@ class TestKernelStencil:
             block = w[mz + j0:mz + j1 + 1, mx + i0:mx + i1 + 1].sum()
             assert abs(block - (holds_origin - flux / (2.0 * math.pi))) \
                 <= 1e-13, (i0, i1, j0, j1)
+
+
+def counted_stencil(dx: float, dz: float, a: float, monkeypatch):
+    """(stencil, number of K1 evaluations the call made)."""
+    calls = []
+
+    def counting_k1(x):
+        calls.append(np.size(x))
+        return bessel_k1(x)
+
+    monkeypatch.setattr(kernel, "bessel_k1", counting_k1)
+    w = _kernel_stencil(dx, dz, a)
+    monkeypatch.undo()
+    return w, sum(calls)
+
+
+class TestStencilMemo:
+    def test_read_only(self):
+        w = _kernel_stencil(0.5e-4, 0.5e-4, 1e-4)
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
+
+    @pytest.mark.parametrize("hx, hz", STENCIL_SPACINGS)
+    def test_repeat_makes_no_k1_calls(self, hx, hz, monkeypatch):
+        a = 1e-4
+        _kernel_stencil.cache_clear()
+        first, fresh_calls = counted_stencil(hx * a, hz * a, a, monkeypatch)
+        again, repeat_calls = counted_stencil(hx * a, hz * a, a, monkeypatch)
+        assert fresh_calls > 0 and repeat_calls == 0
+        want = _kernel_stencil.__wrapped__(hx * a, hz * a, a)
+        assert again.tobytes() == first.tobytes() == want.tobytes()
+
+    def test_keyed_on_length_too(self):
+        h = 0.5e-4
+        for a in (1e-4, 2e-4, 1e-4):
+            w = _kernel_stencil(h, h, a)
+            assert w.shape == (2 * round(12.0 * a / h) + 1,) * 2
+            want = _kernel_stencil.__wrapped__(h, h, a)
+            assert w.tobytes() == want.tobytes()
+
+    def test_too_fine_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="spacing too fine"):
+                _kernel_stencil(1e-5, 1e-5, 0.01)
+
+    @pytest.mark.parametrize("h, a", [(0.5, 1e-4), (1 / 3, 1e-4), (0.25, 1e-4),
+                                      (0.38, 1.0), (0.28, 1.0), (0.05, 0.02)])
+    def test_square_top_fluxes_are_right_fluxes_transposed(self, h, a):
+        dx = h * a
+        r_cut = kernel.TRUNCATION_RADII * a
+        offsets = np.arange(kernel._reach(dx, r_cut) + 1) * dx
+        ii, jj = np.meshgrid(offsets, offsets)
+        inside = np.hypot(ii, jj) <= r_cut
+        right, top = np.zeros(inside.shape), np.zeros(inside.shape)
+        right[inside] = kernel._edge_flux(ii[inside] + 0.5 * dx, jj[inside],
+                                          dx, a)
+        top[inside] = kernel._edge_flux(jj[inside] + 0.5 * dx, ii[inside],
+                                        dx, a)
+        assert right.T.tobytes() == top.tobytes()
 
 
 class TestScalarField2D:

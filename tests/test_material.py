@@ -171,6 +171,15 @@ class TestConfigFile:
         with pytest.raises(InvalidMaterialError, match="'mu'"):
             material_from_json(json.dumps(bad))
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_past_digit_limit_names_the_key(self, sign):
+        # int() refuses more than 4300 digits; the key must still be named
+        text = json.dumps(dict(self.GOOD, mu=0)).replace(
+            '"mu": 0', f'"mu": {sign}1{"0" * 5000}')
+        with pytest.raises(InvalidMaterialError,
+                           match="'mu' is too large for a float"):
+            material_from_json(text)
+
     def test_non_object_rejected(self):
         with pytest.raises(InvalidMaterialError):
             material_from_json("[1, 2, 3]")
