@@ -34,7 +34,6 @@ from .dispersion import (_secular, bracketed_root, elastic_amplitudes,
                          solve_rayleigh)
 from .kernel import boundary_operator
 from .material import MaterialParams, derive_scales
-from .specfun import QuadratureSpec
 from .wavefield import (
     Amplitudes,
     DecayExponents,
@@ -258,9 +257,9 @@ def _cpair(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def blayer_convergence(m: MaterialParams, eps_values: tuple[float, ...],
-                       spec: QuadratureSpec) -> dict:
-    """Closed-form against quadrature boundary-layer integrals: the payload
+def blayer_convergence(m: MaterialParams,
+                       eps_values: tuple[float, ...]) -> dict:
+    """Closed-form against exact trace boundary-layer integrals: the payload
     of `mnw blayer`, with the log-log slope of their relative deviation
     against eps per branch and depth (None for a single eps).  The state is
     v = 0.3 c2, omega = 3 omega_c (k = 1 and no branch 3 when kappa = 0)."""
@@ -282,7 +281,7 @@ def blayer_convergence(m: MaterialParams, eps_values: tuple[float, ...],
                 de = decay_exponents(m, ModeParams(k=k, omega=omega, v=v,
                                                    eps=eps))
                 closed = blayer_integral_closed(i, de, eps, eta)
-                quad = blayer_integral_quadrature(i, de, eps, eta, spec)
+                quad = blayer_integral_quadrature(i, de, eps, eta)
                 deviation = abs(quad - closed) / abs(closed)
                 entries.append({
                     "i": i, "eta": eta, "eps": eps,
@@ -297,7 +296,6 @@ def blayer_convergence(m: MaterialParams, eps_values: tuple[float, ...],
         slopes = {key: float(np.polyfit(log_eps, np.log(devs), 1)[0])
                   for key, devs in series.items()}
     return {
-        "rel_tol": spec.rel_tol,
         "state": {"v": v, "omega": omega, "k": k},
         "entries": entries,
         "slopes": slopes,

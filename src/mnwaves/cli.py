@@ -10,10 +10,11 @@ Commands:
 
 Exit codes: 0 success, 1 malformed input or config, 2 physical
 infeasibility (below cutoff, no surface mode), 3 numerical convergence
-failure.  All numeric output uses shortest round-trip floats, so repeated
-runs produce identical bytes.  MNW_QUAD_TOL overrides the default
-quadrature relative tolerance.  residuals and blayer print a warning to
-stderr when eps exceeds 0.3, outside the a*k << 1 regime.
+failure (kernel-check only).  All numeric output uses shortest round-trip
+floats, so repeated runs produce identical bytes.  MNW_QUAD_TOL overrides
+the default quadrature relative tolerance of kernel-check's kernel mass.
+residuals and blayer print a warning to stderr when eps exceeds 0.3,
+outside the a*k << 1 regime.
 """
 
 from __future__ import annotations
@@ -229,11 +230,10 @@ def _cmd_residuals(args) -> int:
 
 def _cmd_blayer(args) -> int:
     m = _load_material(args.material)
-    spec = _quad_spec()
     eps_grid = asymptotic.SLOPE_EPS_GRID if args.eps is None else (args.eps,)
     if any(not e > 0 for e in eps_grid):
         raise _UsageError("--eps must be positive")
-    payload = asymptotic.blayer_convergence(m, eps_grid, spec)
+    payload = asymptotic.blayer_convergence(m, eps_grid)
     _warn_eps_regime(max(eps_grid))
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return _EXIT_OK

@@ -31,10 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .material import DerivedScales, MaterialParams, derive_scales
-from .specfun import DEFAULT_QUAD_SPEC, QuadratureSpec, integrate_1d
 
 __all__ = [
     "ModeParams",
@@ -200,7 +197,10 @@ def decay_exponents(m: MaterialParams, mp: ModeParams) -> DecayExponents:
     r10, r20 = leading_exponents(m, mp.v)
     if m.kappa == 0.0:
         return DecayExponents(r1=r1, r2=r2, r10=r10, r20=r20)
-    micro = _micropolar_factor(sc, mp.omega)
+    # omega_c^2 = 2 kappa/(rho j) straight from the moduli: squaring the
+    # rounded omega_c adds error that the cancellation in r3^2 amplifies
+    # where r3 is small
+    micro = 1.0 - 2.0 * m.kappa / (m.rho * m.j_inertia * mp.omega * mp.omega)
     r3 = _branch_sqrt(1.0 - (v2 / d4) * micro)
     r30 = _r30(sc, mp.v, mp.omega)
     s = (v2 / sc.c3 ** 2) * (1.0 - (d2 / d4) * micro)
@@ -400,9 +400,25 @@ def blayer_closed_form(r: complex, r0: complex, eps: float, eta: float) -> compl
     return _blayer_closed(r, r0, eps, eta)[0]
 
 
-def blayer_quadrature_form(r: complex, eps: float, eta: float,
-                           spec: QuadratureSpec = DEFAULT_QUAD_SPEC) -> complex:
-    """Boundary-layer integral by direct quadrature of the trace operator:
+def _exp_moments(c: complex, eta: float) -> tuple[complex, complex]:
+    """int_0^eta (1, s) e^{c s} ds.  Where |c eta| < 1/2 the closed forms
+    cancel, so eta (phi1, eta phi2)(c eta) is summed from the Taylor series
+    of phi1, phi2 = int_0^1 (1, t) e^{z t} dt."""
+    z = c * eta
+    if abs(z) < 0.5:
+        term, phi1, phi2 = 1.0 + 0j, 0j, 0j
+        for n in range(18):  # term = z^n/n!; the first one left out is < 1e-21
+            phi1 += term / (n + 1)
+            phi2 += term / (n + 2)
+            term *= z / (n + 1)
+        return eta * phi1, eta * eta * phi2
+    ez = cmath.exp(z)
+    m0 = (ez - 1.0) / c
+    return m0, (eta * ez - m0) / c
+
+
+def blayer_quadrature_form(r: complex, eps: float, eta: float) -> complex:
+    """Boundary-layer integral of the trace operator, integrated exactly:
 
         (1/2eps) int_0^inf [1 - (eps^2/2)(1 + |eta'-eta|/eps)]
                            e^{-r eta'} exp(-|eta'-eta|/eps) deta'
@@ -410,37 +426,39 @@ def blayer_quadrature_form(r: complex, eps: float, eta: float,
     i.e. the 1D non-local depth smoothing of the profile e^{-r eta'} on the
     e^{i chi} carrier, the chi-derivatives applied analytically (a factor
     -1).  Re r >= 0 keeps the profile bounded as eta' -> inf.
+
+    On each side of the kink at eta the integrand is A - B s, with
+    A = 1 - eps^2/2, B = eps/2 and s = |eta' - eta|, times an exponential
+    in s.  With p = r - 1/eps and q = r + 1/eps the part above eta is
+    e^{-r eta} (A/q - B/q^2) and the part below is
+    e^{-r eta} int_0^eta (A - B s) e^{p s} ds.  Where (Re p) eta > 1 that
+    e^{p s} could overflow, so the part below is taken from the surface
+    instead: e^{-eta/eps} int_0^eta (A - B eta + B u) e^{-p u} du.
     """
     if not complex(r).real >= 0.0:
         raise ValueError(f"r = {r!r} has a negative real part")
+    if not cmath.isfinite(r):
+        raise ValueError(f"r = {r!r} must be finite")
     if not eps > 0:
         raise ValueError("eps must be positive")
     if not math.isfinite(eps * eps):
         raise ValueError(f"eps = {eps!r} is too large: eps^2 overflows")
-    if not eta >= 0:
-        raise ValueError("eta must be >= 0")
-
-    def integrand(etap: np.ndarray) -> np.ndarray:
-        dist = np.abs(etap - eta)
-        bracket = 1.0 - 0.5 * eps * eps * (1.0 + dist / eps)
-        return bracket * np.exp(-r * etap) * np.exp(-dist / eps)
-
-    # Off its peak the integrand falls like e^{-rate |eta' - peak|}; a peak
-    # between the Gauss nodes would pass as converged, so each piece is cut
-    # 40/rate from its peak if that lies inside ((eta, inf) maps to length 1)
-    decay, slope = complex(r).real, 1.0 / eps
-    points = [eta, math.inf]
-    if decay + slope > 40.0:
-        points.insert(1, eta + 40.0 / (decay + slope))
-    if eta > 0.0:  # split at the kink of |eta' - eta|
-        rate = abs(decay - slope)
-        if rate * eta > 40.0:
-            points.insert(0, 40.0 / rate if decay > slope else eta - 40.0 / rate)
-        points.insert(0, 0.0)
-    total = integrate_1d(integrand, points[0], points[1], spec)
-    for lo, hi in zip(points[1:], points[2:]):
-        total += integrate_1d(integrand, lo, hi, spec)
-    return total / (2.0 * eps)
+    if not math.isfinite(1.0 / eps):
+        raise ValueError(f"eps = {eps!r} is too small: 1/eps overflows")
+    if not 0 <= eta < math.inf:
+        raise ValueError("eta must be finite and >= 0")
+    a_coef, b_coef = 1.0 - 0.5 * eps * eps, 0.5 * eps
+    p, q = r - 1.0 / eps, r + 1.0 / eps
+    decay = cmath.exp(-r * eta)
+    above = decay * (a_coef / q - b_coef / (q * q))
+    if p.real * eta > 1.0:
+        m0, m1 = _exp_moments(-p, eta)
+        below = math.exp(-eta / eps) * ((a_coef - b_coef * eta) * m0
+                                         + b_coef * m1)
+    else:
+        m0, m1 = _exp_moments(p, eta)
+        below = decay * (a_coef * m0 - b_coef * m1)
+    return (above + below) / (2.0 * eps)
 
 
 def _pick_exponents(i: int, de: DecayExponents) -> tuple[complex, complex]:
@@ -458,10 +476,9 @@ def blayer_integral_closed(i: int, de: DecayExponents, eps: float,
 
 
 def blayer_integral_quadrature(i: int, de: DecayExponents, eps: float,
-                               eta: float,
-                               spec: QuadratureSpec = DEFAULT_QUAD_SPEC) -> complex:
+                               eta: float) -> complex:
     r, _ = _pick_exponents(i, de)
-    return blayer_quadrature_form(r, eps, eta, spec)
+    return blayer_quadrature_form(r, eps, eta)
 
 
 def nonlocal_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,

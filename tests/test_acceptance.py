@@ -42,7 +42,7 @@ from mnwaves.dispersion import (
 )
 from mnwaves.kernel import boundary_operator, kernel_weight
 from mnwaves.material import derive_scales
-from mnwaves.specfun import DEFAULT_QUAD_SPEC, integrate_2d_polar
+from mnwaves.specfun import integrate_2d_polar
 from mnwaves.wavefield import (
     Amplitudes,
     ModeParams,
@@ -109,8 +109,7 @@ def test_c03_greens_function_roundtrip(roundtrip_result):
 
 
 def test_c04_boundary_layer_convergence(sample_material):
-    slopes = blayer_convergence(sample_material, SLOPE_EPS_GRID,
-                                DEFAULT_QUAD_SPEC)["slopes"]
+    slopes = blayer_convergence(sample_material, SLOPE_EPS_GRID)["slopes"]
     passed = all(s >= 2.0 for s in slopes.values())
     record("C4 boundary-layer integral convergence (slope >= 2 per branch "
            "and depth)", passed, {"slopes": slopes})

@@ -387,3 +387,31 @@ class TestReport:
                                           "refined"}
         assert payload["pde"]["s_balance"]["re"] == pytest.approx(
             -payload["pde"]["s_printed"]["re"], rel=1e-10)
+
+
+class TestBlayerConvergence:
+    def test_grid_runs_no_adaptive_quadrature(self, sample_material,
+                                              monkeypatch):
+        """The 27 integrals of the default grid are exact: none goes through
+        the adaptive `integrate_1d`."""
+        from mnwaves import specfun
+        calls = []
+        adaptive = specfun.integrate_1d
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "integrate_1d", counting)
+        payload = asymptotic.blayer_convergence(sample_material,
+                                                asymptotic.SLOPE_EPS_GRID)
+        assert len(payload["entries"]) == 27
+        assert calls == []
+        specfun.integrate_2d_polar(lambda r, theta: np.exp(-r), 1.0)
+        assert len(calls) == 1  # the counter sees the library's own calls
+
+    def test_payload_keys(self, sample_material):
+        payload = asymptotic.blayer_convergence(sample_material, (0.1,))
+        assert set(payload) == {"state", "entries", "slopes"}
+        assert set(payload["entries"][0]) == {"i", "eta", "eps", "closed",
+                                              "quadrature", "deviation"}

@@ -200,22 +200,13 @@ class TestBlayerCommand:
         assert payload["slopes"] is None
         assert all(entry["eps"] == 0.1 for entry in payload["entries"])
 
-    def test_quad_tol_env_is_recorded(self, capsys, monkeypatch):
-        monkeypatch.setenv("MNW_QUAD_TOL", "1e-8")
-        code, out, _ = run_cli(
-            ["blayer", "--material", SAMPLE, "--eps", "0.1"], capsys)
+    def test_ignores_quad_tol_env(self, capsys, monkeypatch):
+        # the integrals are exact, so no tolerance acts on them
+        monkeypatch.setenv("MNW_QUAD_TOL", "banana")
+        code, out, _ = run_cli(["blayer", "--material", SAMPLE], capsys)
         assert code == 0
-        assert json.loads(out)["rel_tol"] == 1e-8
-
-    def test_quad_tol_env_validation(self, capsys, monkeypatch):
-        for raw in ("banana", "inf", "nan", "0", "-1"):
-            monkeypatch.setenv("MNW_QUAD_TOL", raw)
-            code, out, err = run_cli(
-                ["blayer", "--material", SAMPLE, "--eps", "0.1"], capsys)
-            assert code == 1, raw
-            assert out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert "MNW_QUAD_TOL" in err
+        assert "rel_tol" not in json.loads(out)
+        assert out == (GOLDEN_DIR / "blayer.json").read_text()
 
 
 class TestEpsRegimeWarning:
@@ -234,8 +225,8 @@ class TestEpsRegimeWarning:
         else:
             grid = cli.asymptotic.SLOPE_EPS_GRID if eps is None else (
                 eps_value,)
-            want = json.dumps(cli.asymptotic.blayer_convergence(
-                m, grid, cli.specfun.DEFAULT_QUAD_SPEC), indent=2)
+            want = json.dumps(cli.asymptotic.blayer_convergence(m, grid),
+                              indent=2)
         assert out == want + "\n"
         if eps == "50":
             assert err.startswith("warning: eps = 50.0 ")
@@ -271,6 +262,22 @@ class TestKernelCheckCommand:
         code, out, _ = run_cli(["kernel-check", "--material", SAMPLE], capsys)
         assert code == 0
         assert out == (GOLDEN_DIR / "kernel_check.json").read_text()
+
+    def test_quad_tol_env_is_recorded(self, capsys, monkeypatch):
+        monkeypatch.setenv("MNW_QUAD_TOL", "1e-8")
+        code, out, _ = run_cli(["kernel-check", "--material", SAMPLE], capsys)
+        assert code == 0
+        assert json.loads(out)["rel_tol"] == 1e-8
+
+    def test_quad_tol_env_validation(self, capsys, monkeypatch):
+        for raw in ("banana", "inf", "nan", "0", "-1"):
+            monkeypatch.setenv("MNW_QUAD_TOL", raw)
+            code, out, err = run_cli(["kernel-check", "--material", SAMPLE],
+                                     capsys)
+            assert code == 1, raw
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "MNW_QUAD_TOL" in err
 
     def test_local_material_is_infeasible(self, tmp_path, capsys):
         payload = json.loads(Path(SAMPLE).read_text())
