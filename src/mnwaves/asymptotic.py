@@ -128,11 +128,11 @@ def _surface_condition(rows: dict[str, tuple[complex, ...]],
     if order == 1:
         return main - 0.5 * eps * 1j * comp
     lap = sum(c * a * (r * r - 1.0)
-              for c, a, (r, _) in zip(rows[main_row], amps, de._pairs))
+              for c, a, (r, _, _) in zip(rows[main_row], amps, de._pairs))
     if not shear:
         return main + eps * eps * (lap + 0.5 * comp)
     bend = sum(c * a * r
-               for c, a, (r, _) in zip(rows[comp_row], amps, de._pairs))
+               for c, a, (r, _, _) in zip(rows[comp_row], amps, de._pairs))
     return main - 0.5 * eps * 1j * comp + eps * eps * (lap - 0.5j * bend)
 
 
@@ -155,7 +155,7 @@ def bc_residual_order(sol: ModeSolution, order: int) -> tuple[complex, complex, 
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     rows = stress_branch_coeffs(sol.m, sol.de, sol.mp.k)
-    amps = tuple(a for a, _, _ in _branches(sol.amp, sol.de))
+    amps = tuple(a for a, *_ in _branches(sol.amp, sol.de))
     return tuple(_surface_condition(rows, amps, sol.de, sol.mp.eps, order, row)
                  for row in range(3))
 
@@ -174,8 +174,8 @@ def extra_bc_residual(sol: ModeSolution) -> tuple[complex, complex]:
     eps = sol.mp.eps
     rows = stress_branch_coeffs(sol.m, sol.de, sol.mp.k)
     tau11 = m12 = 0j
-    for c11, c12, (a, r, r0) in zip(rows["sigma11"], rows["pi12"],
-                                    _branches(sol.amp, sol.de)):
+    for c11, c12, (a, r, r0, _) in zip(rows["sigma11"], rows["pi12"],
+                                       _branches(sol.amp, sol.de)):
         op = boundary_operator(*_blayer_closed(r, r0, eps, 0.0), eps)
         tau11 += c11 * a * op
         m12 += c12 * a * op

@@ -8,11 +8,10 @@ Commands:
     blayer                 boundary-layer integral convergence report (JSON)
     kernel-check           kernel normalization and roundtrip self-check
 
-Exit codes: 0 success, 1 malformed input or config, 2 physical
-infeasibility (below cutoff, no surface mode), 3 numerical convergence
-failure (kernel-check only).  All numeric output uses shortest round-trip
-floats, so repeated runs produce identical bytes.  MNW_QUAD_TOL overrides
-the default quadrature relative tolerance of kernel-check's kernel mass.
+Exit codes: 0 success, 1 malformed input or config (or a closed stdout),
+2 physical infeasibility (below cutoff, no surface mode), 3 numerical
+convergence failure (kernel-check only).  All numeric output uses
+shortest round-trip floats, so repeated runs produce identical bytes.
 residuals and blayer print a warning to stderr when eps exceeds 0.3,
 outside the a*k << 1 regime.
 """
@@ -32,6 +31,8 @@ _EXIT_OK = 0
 _EXIT_BAD_INPUT = 1
 _EXIT_INFEASIBLE = 2
 _EXIT_NO_CONVERGENCE = 3
+
+_MASS_SPEC = specfun.QuadratureSpec(rel_tol=1e-8)
 
 
 class _UsageError(Exception):
@@ -96,16 +97,6 @@ def _build_parser() -> _Parser:
                                                "roundtrip self-check")
     common(p_kc)
     return parser
-
-
-def _quad_spec() -> specfun.QuadratureSpec:
-    raw = os.environ.get("MNW_QUAD_TOL")
-    if raw is None:
-        return specfun.DEFAULT_QUAD_SPEC
-    try:
-        return specfun.QuadratureSpec(rel_tol=float(raw))
-    except ValueError as exc:
-        raise _UsageError(f"MNW_QUAD_TOL={raw!r}: {exc}")
 
 
 def _load_material(path: str) -> material.MaterialParams:
@@ -245,13 +236,9 @@ def _cmd_kernel_check(args) -> int:
         print("kernel checks need a non-local material (a > 0)",
               file=sys.stderr)
         return _EXIT_INFEASIBLE
-    spec = _quad_spec()
     a = m.a_nl
-    mass_spec = specfun.QuadratureSpec(
-        rel_tol=max(spec.rel_tol, 1e-8), abs_tol=spec.abs_tol,
-        max_subdivisions=spec.max_subdivisions)
     mass = specfun.integrate_2d_polar(
-        lambda r, theta: kernel.kernel_weight(r, a), 40.0 * a, mass_spec).real
+        lambda r, theta: kernel.kernel_weight(r, a), 40.0 * a, _MASS_SPEC).real
 
     n = 96
     h = 0.5 * a
@@ -259,7 +246,6 @@ def _cmd_kernel_check(args) -> int:
     convolved, _, rel = kernel.roundtrip_error(
         kernel.gaussian_field(n, h, width), a)
     payload = {
-        "rel_tol": spec.rel_tol,
         "kernel_mass": mass,
         "mass_error": abs(mass - 1.0),
         "roundtrip_rel_linf": rel,
@@ -303,7 +289,16 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is closed: point it at devnull so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written",
+              file=sys.stderr)
+        code = _EXIT_BAD_INPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

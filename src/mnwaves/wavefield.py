@@ -1,7 +1,9 @@
 """Harmonic surface-wave ansatz for the micropolar half-space.
 
 Fields are built from three decaying branches (time factor e^{-i omega t}
-suppressed throughout):
+suppressed throughout), one row (r, r0, s) each of the branch table
+`DecayExponents._pairs`; every psi branch drives Phi2 = s k^2 psi, so Q is
+the psi branch with s = 0 (s is None on the phi branch P):
 
     phi   = P e^{-k r1 z} e^{ikx}
     psi   = (Q e^{-k r2 z} + R e^{-k r3 z}) e^{ikx}
@@ -95,10 +97,11 @@ class DecayExponents:
         return self.r3 is None
 
     @property
-    def _pairs(self) -> tuple[tuple[complex, complex], ...]:
-        """(r, r0) of the active branches: P and Q, then R unless decoupled."""
-        pairs = ((self.r1, self.r10), (self.r2, self.r20))
-        return pairs if self.r3 is None else pairs + ((self.r3, self.r30),)
+    def _pairs(self) -> tuple[tuple, ...]:
+        """(r, r0, s) of P (s None), Q (s = 0) and R unless decoupled."""
+        pairs = ((self.r1, self.r10, None), (self.r2, self.r20, 0.0))
+        return (pairs if self.r3 is None
+                else pairs + ((self.r3, self.r30, self.s),))
 
     @property
     def admissible(self) -> bool:
@@ -227,10 +230,10 @@ def shear_balance_s(m: MaterialParams, mp: ModeParams) -> complex:
 
 
 def _branches(amp: Amplitudes, de: DecayExponents) -> list[tuple]:
-    """(A, r, r0) of the active branches P (phi), Q (psi), R (psi, Phi2)."""
+    """(A, r, r0, s) of the active branches P (phi), Q (psi), R (psi, Phi2)."""
     if de.decoupled and amp.R != 0:
         raise ValueError("R must vanish in the decoupled (kappa = 0) limit")
-    return [(a, r, r0) for a, (r, r0) in zip((amp.P, amp.Q, amp.R), de._pairs)]
+    return [(a, *pair) for a, pair in zip((amp.P, amp.Q, amp.R), de._pairs)]
 
 
 def local_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
@@ -254,25 +257,25 @@ def local_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
     u1 = u3 = u1x = u1z = u3x = u3z = 0j
     phi2 = phi2x = phi2z = 0j
 
-    for b, (a, r, _) in enumerate(_branches(amp, de)):
+    for a, r, _, s in _branches(amp, de):
         depth = cmath.exp(-k * r * z)
         e = a * depth * carrier
-        if b == 0:
+        if s is None:
             t_u1 = 1j * k * e          # d phi / dx
             t_u3 = -k * r * e          # d phi / dz
         else:
             t_u1 = k * r * e           # -d psi / dz
             t_u3 = 1j * k * e          # d psi / dx
+            t_phi2 = s * k ** 2 * e    # Phi2 = s k^2 psi
+            phi2 += t_phi2
+            phi2x += 1j * k * t_phi2
+            phi2z += -k * r * t_phi2
         u1 += t_u1
         u3 += t_u3
         u1x += 1j * k * t_u1
         u3x += 1j * k * t_u3
         u1z += -k * r * t_u1
         u3z += -k * r * t_u3
-        if b == 2:
-            phi2 = de.s * k ** 2 * e
-            phi2x = 1j * k * phi2
-            phi2z = -k * r * phi2
 
     eps11 = u1x
     eps33 = u3z
@@ -301,26 +304,23 @@ def stress_branch_coeffs(m: MaterialParams, de: DecayExponents,
     Entry [comp][b] is the coefficient of A_b e^{ikx - k r_b z} in
     sigma_comp / (k^2 (mu+kappa)) (force rows) or Pi_comp / (k (mu+kappa))
     (couple rows), one column per active branch of `de` (two when
-    decoupled).  Transcribed directly from the explicit stress block of
-    the ansatz, independently of the kinematic path in `local_stresses`.
+    decoupled), the psi columns from one formula in (r, s).  Transcribed
+    from the explicit stress block of the ansatz, independently of the
+    kinematic path in `local_stresses`.
     """
     lam, mu, kap = m.lambda_lame, m.mu, m.kappa
     mk = mu + kap
     d = mu / mk
     dp = 1.0 + d
     big = lam + 2.0 * mu + kap
-    r1, r2 = de.r1, de.r2
+    gk2 = m.gamma_mp * k * k / mk
+    (r1, _, _), *psi = de._pairs
     # one column per branch, its entries in the order of _STRESS_ROWS
     cols = [(-(big - lam * r1 * r1) / mk, -1j * r1 * dp, -1j * r1 * dp,
-             (big * r1 * r1 - lam) / mk, 0j, 0j),
-            (1j * r2 * dp, -(1.0 + d * r2 * r2), -(d + r2 * r2),
-             -1j * r2 * dp, 0j, 0j)]
-    if not de.decoupled:
-        r3, s = de.r3, de.s
-        gk2 = m.gamma_mp * k * k / mk
-        cols.append((1j * r3 * dp, s * (1.0 - d) - 1.0 - d * r3 * r3,
-                     -(s * (1.0 - d) + d + r3 * r3), -1j * r3 * dp,
-                     1j * s * gk2, -s * gk2 * r3))
+             (big * r1 * r1 - lam) / mk, 0j, 0j)]
+    cols += [(1j * r * dp, s * (1.0 - d) - 1.0 - d * r * r,
+              -(s * (1.0 - d) + d + r * r), -1j * r * dp,
+              1j * s * gk2, -s * gk2 * r) for r, _, s in psi]
     return dict(zip(_STRESS_ROWS, zip(*cols)))
 
 
@@ -344,24 +344,21 @@ def pde_residual(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
         return (0j, 0j, 0j)
     norm = m.rho * w2 * maxamp
 
-    x1 = de.r1 * de.r1 - 1.0
-    x2 = de.r2 * de.r2 - 1.0
-    e1 = cmath.exp(-de.r1)
-    e2f = cmath.exp(-de.r2)
-
-    eq1 = m.rho * (sc.c1 ** 2 * k2 * x1 + w2 * (1.0 - e2 * x1)) * amp.P * e1
-    eq2 = m.rho * (sc.c2 ** 2 * k2 * x2 + w2 * (1.0 - e2 * x2)) * amp.Q * e2f
-    eq3 = -m.kappa * k2 * x2 * amp.Q * e2f
-    if not de.decoupled:
-        x3 = de.r3 * de.r3 - 1.0
-        e3 = cmath.exp(-de.r3)
-        sk2 = de.s * k2
-        eq2 += m.rho * (sc.c2 ** 2 * k2 * x3 + w2 * (1.0 - e2 * x3)
-                        + sc.c3 ** 2 * sk2) * amp.R * e3
-        eq3 += (m.gamma_mp * k2 * x3 * sk2
-                - m.kappa * k2 * x3
+    (r1, _, _), *psi = de._pairs
+    x1 = r1 * r1 - 1.0
+    eq1 = (m.rho * (sc.c1 ** 2 * k2 * x1 + w2 * (1.0 - e2 * x1)) * amp.P
+           * cmath.exp(-r1))
+    eq2 = eq3 = 0j
+    for a, (r, _, s) in zip((amp.Q, amp.R), psi):
+        x = r * r - 1.0
+        e = cmath.exp(-r)
+        sk2 = s * k2
+        eq2 += m.rho * (sc.c2 ** 2 * k2 * x + w2 * (1.0 - e2 * x)
+                        + sc.c3 ** 2 * sk2) * a * e
+        eq3 += (m.gamma_mp * k2 * x * sk2
+                - m.kappa * k2 * x
                 - 2.0 * m.kappa * sk2
-                + m.rho * m.j_inertia * w2 * (1.0 - e2 * x3) * sk2) * amp.R * e3
+                + m.rho * m.j_inertia * w2 * (1.0 - e2 * x) * sk2) * a * e
     return (eq1 / norm, eq2 / norm, eq3 / norm)
 
 
@@ -466,7 +463,7 @@ def _pick_exponents(i: int, de: DecayExponents) -> tuple[complex, complex]:
         raise ValueError("branch index must be 1, 2 or 3")
     if i > len(de._pairs):
         raise ValueError("branch 3 is absent in the decoupled limit")
-    return de._pairs[i - 1]
+    return de._pairs[i - 1][:2]
 
 
 def blayer_integral_closed(i: int, de: DecayExponents, eps: float,
@@ -497,7 +494,7 @@ def nonlocal_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
     k = mp.k
     carrier = cmath.exp(1j * k * x)
     weights = [a * blayer_closed_form(r, r0, mp.eps, k * z) * carrier
-               for a, r, r0 in _branches(amp, de)]
+               for a, r, r0, _ in _branches(amp, de)]
     rows = stress_branch_coeffs(m, de, k)
     mk = m.mu + m.kappa
 

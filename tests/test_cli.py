@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -200,14 +201,6 @@ class TestBlayerCommand:
         assert payload["slopes"] is None
         assert all(entry["eps"] == 0.1 for entry in payload["entries"])
 
-    def test_ignores_quad_tol_env(self, capsys, monkeypatch):
-        # the integrals are exact, so no tolerance acts on them
-        monkeypatch.setenv("MNW_QUAD_TOL", "banana")
-        code, out, _ = run_cli(["blayer", "--material", SAMPLE], capsys)
-        assert code == 0
-        assert "rel_tol" not in json.loads(out)
-        assert out == (GOLDEN_DIR / "blayer.json").read_text()
-
 
 class TestEpsRegimeWarning:
     @pytest.mark.parametrize("command", ["residuals", "blayer"])
@@ -263,21 +256,16 @@ class TestKernelCheckCommand:
         assert code == 0
         assert out == (GOLDEN_DIR / "kernel_check.json").read_text()
 
-    def test_quad_tol_env_is_recorded(self, capsys, monkeypatch):
-        monkeypatch.setenv("MNW_QUAD_TOL", "1e-8")
-        code, out, _ = run_cli(["kernel-check", "--material", SAMPLE], capsys)
-        assert code == 0
-        assert json.loads(out)["rel_tol"] == 1e-8
-
-    def test_quad_tol_env_validation(self, capsys, monkeypatch):
-        for raw in ("banana", "inf", "nan", "0", "-1"):
-            monkeypatch.setenv("MNW_QUAD_TOL", raw)
-            code, out, err = run_cli(["kernel-check", "--material", SAMPLE],
-                                     capsys)
-            assert code == 1, raw
-            assert out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert "MNW_QUAD_TOL" in err
+    def test_tiny_length_is_bad_input(self, tmp_path, capsys):
+        # a valid material whose 2 pi a^2 is subnormal: the kernel weight
+        # would be inf or nan, so the command rejects it up front
+        path = material_file(tmp_path, a=1e-160)
+        assert run_cli(["validate", path], capsys)[0] == 0
+        code, out, err = run_cli(["kernel-check", "--material", path], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "a_nl" in err
 
     def test_local_material_is_infeasible(self, tmp_path, capsys):
         payload = json.loads(Path(SAMPLE).read_text())
@@ -379,6 +367,26 @@ print(first)
         assert proc.returncode == 0, proc.stderr
         # kernel-check evaluates K0 and K1, so it alone pays for scipy
         assert proc.stdout == "kernel-check\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_is_one_error_line(self, unbuffered):
+        # the read end of the pipe is closed before the child starts, so
+        # its first write or its final flush always meets a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run([sys.executable, "-m", "mnwaves.cli",
+                                   "validate", SAMPLE], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
     def test_entry_point_subprocess(self):
         # the installed console script behaves like cli.run

@@ -169,6 +169,17 @@ class TestKernelWeight:
         with pytest.raises(ValueError, match="a_nl"):
             kernel_weight(1.0, a_nl)
 
+    @pytest.mark.parametrize("a_nl", [1e-160, 1e-300, 1e160])
+    def test_normalization_out_of_range(self, a_nl):
+        # 1/(2 pi a^2) overflows, or 2 pi a^2 is subnormal, zero or infinite
+        with pytest.raises(ValueError, match="a_nl"):
+            kernel_weight(a_nl, a_nl)
+
+    def test_small_length_in_range(self):
+        a = 1e-150
+        assert kernel_weight(a, a) == pytest.approx(
+            K0_AT_1 / (2.0 * math.pi * a * a), rel=1e-12)
+
 
 class TestKernelStencil:
     @pytest.mark.parametrize("hx, hz", STENCIL_SPACINGS)

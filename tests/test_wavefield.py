@@ -254,18 +254,34 @@ class TestLocalStresses:
         for name in ("sigma11", "sigma13", "sigma31", "sigma33", "pi12", "pi32"):
             assert getattr(st, name) == 0
 
-    def test_matches_explicit_coefficient_block(self, sample_material,
+    @pytest.mark.parametrize("case", ["generic", "decoupled",
+                                      "below_cutoff"])
+    def test_matches_explicit_coefficient_block(self, case, sample_material,
+                                                poisson_material,
                                                 generic_state):
         """Kinematic evaluation against the transcribed stress block.
 
         The two routes are independent: one differentiates the potentials,
         the other multiplies the printed per-branch coefficients by the
-        branch exponentials.
+        branch exponentials.  The cases: the generic state (above the
+        cutoff, r3 imaginary), the kappa = 0 limit (two columns, R = 0) and
+        a state below the cutoff (r3 real and above 1).
         """
-        m = sample_material
-        mp = generic_state
-        de = decay_exponents(m, mp)
+        m, mp = sample_material, generic_state
         amp = Amplitudes(0.3 + 0.2j, 1.0, 0.1 - 0.4j)
+        if case == "decoupled":
+            m = poisson_material
+            mp = ModeParams(k=2.0, omega=1000.0, v=500.0, eps=0.1)
+            amp = replace(amp, R=0.0)
+        elif case == "below_cutoff":
+            sc = derive_scales(m)
+            omega, v = 0.5 * sc.omega_cutoff, 0.3 * sc.c2
+            mp = make_mode_params(m, omega / v, omega)
+        de = decay_exponents(m, mp)
+        if case == "generic":
+            assert de.r3.real == 0.0 and de.r3.imag > 0.0
+        if case == "below_cutoff":
+            assert de.r3.imag == 0.0 and de.r3.real > 1.0
         x, z = 0.21, 0.13 / mp.k
         st = local_stresses(amp, de, mp, m, x, z)
         rows = stress_branch_coeffs(m, de, mp.k)
