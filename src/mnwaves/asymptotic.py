@@ -224,28 +224,28 @@ def first_order_elastic_solution(m: MaterialParams, k: float, eps: float,
     return ModeSolution(m=m, mp=mp, amp=Amplitudes(*amps), de=de0)
 
 
-def bc_slope_study(m: MaterialParams, k: float, v0: float,
-                   eps_values: tuple[float, ...] = SLOPE_EPS_GRID) -> dict:
+def bc_slope_study(m: MaterialParams, k: float, v0: float) -> dict:
     """Decay rate of classical vs refined residuals on corrected solutions.
 
-    For each eps, the first-order-corrected mode near the classical root v0
-    is built and both condition sets are evaluated on it; the classical
-    defect scales like eps while the refined conditions only miss the
-    O(eps^2) curvature terms.  Returns per-eps magnitudes and log-log slopes.
+    For each eps of SLOPE_EPS_GRID, the first-order-corrected mode near the
+    classical root v0 is built and both condition sets are evaluated on it;
+    the classical defect scales like eps while the refined conditions only
+    miss the O(eps^2) curvature terms.  Returns per-eps magnitudes and
+    log-log slopes.
     """
     classical_mags = []
     refined_mags = []
-    for eps in eps_values:
+    for eps in SLOPE_EPS_GRID:
         sol = first_order_elastic_solution(m, k, eps, v0)
         classical = bc_residual_order(sol, 0)
         refined = bc_residual_order(sol, 2)
         classical_mags.append(max(abs(c) for c in classical))
         refined_mags.append(max(abs(c) for c in refined))
-    log_eps = np.log(np.asarray(eps_values))
+    log_eps = np.log(np.asarray(SLOPE_EPS_GRID))
     slope_classical = float(np.polyfit(log_eps, np.log(classical_mags), 1)[0])
     slope_refined = float(np.polyfit(log_eps, np.log(refined_mags), 1)[0])
     return {
-        "eps": list(eps_values),
+        "eps": list(SLOPE_EPS_GRID),
         "classical_residuals": classical_mags,
         "refined_residuals": refined_mags,
         "classical": slope_classical,
@@ -268,18 +268,16 @@ def blayer_convergence(m: MaterialParams,
     if m.kappa > 0:
         omega = 3.0 * sc.omega_cutoff
         k = omega / v
-        branches = (1, 2, 3)
     else:
         k = 1.0
         omega = v * k
-        branches = (1, 2)
+    states = [decay_exponents(m, ModeParams(k=k, omega=omega, v=v, eps=eps))
+              for eps in eps_values]
     entries = []
     series: dict[str, list[float]] = {}
-    for i in branches:
+    for i in range(1, len(states[0]._pairs) + 1):
         for eta in _BLAYER_ETA_GRID:
-            for eps in eps_values:
-                de = decay_exponents(m, ModeParams(k=k, omega=omega, v=v,
-                                                   eps=eps))
+            for eps, de in zip(eps_values, states):
                 closed = blayer_integral_closed(i, de, eps, eta)
                 quad = blayer_integral_quadrature(i, de, eps, eta)
                 deviation = abs(quad - closed) / abs(closed)
@@ -308,7 +306,8 @@ def residual_report_json(m: MaterialParams, k: float, eps: float) -> str:
     Keys: classical, first_order, refined, extra, equivalence (arrays of
     re/im pairs), plus normalization, slopes and pde diagnostic blocks.
     The amplitudes are normalized to Q = 1, and normalization is the
-    force-row scale k^2 (mu+kappa) of `bc_residual_order`.
+    force-row scale k^2 (mu+kappa) of `bc_residual_order`.  A non-finite
+    value raises ValueError instead of printing NaN or Infinity.
     """
     v = solve_rayleigh(m).v
     mp = ModeParams(k=k, omega=v * k, v=v, eps=eps)
@@ -337,4 +336,4 @@ def residual_report_json(m: MaterialParams, k: float, eps: float) -> str:
                           else _cpair(shear_balance_s(m, mp))),
         },
     }
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2, allow_nan=False)

@@ -226,7 +226,7 @@ def _cmd_blayer(args) -> int:
         raise _UsageError("--eps must be positive")
     payload = asymptotic.blayer_convergence(m, eps_grid)
     _warn_eps_regime(max(eps_grid))
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     return _EXIT_OK
 
 
@@ -252,7 +252,7 @@ def _cmd_kernel_check(args) -> int:
         "grid": {"n": n, "spacing": h, "a": a, "gaussian_width": width},
         "warnings": list(convolved.warnings),
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     if args.out is not None:
         Path(args.out).write_text(kernel.field_to_csv(convolved),
                                   encoding="utf-8")

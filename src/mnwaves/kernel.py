@@ -148,13 +148,11 @@ def _kernel_stencil(dx: float, dz: float, a: float) -> np.ndarray:
     result is memoized and shared, hence read-only.
     """
     r_cut = TRUNCATION_RADII * a
-    mx = max(1, int(math.ceil(r_cut / dx)))
-    mz = max(1, int(math.ceil(r_cut / dz)))
+    mx, mz = _reach(dx, r_cut), _reach(dz, r_cut)
     if 2 * max(mx, mz) + 1 > _MAX_STENCIL_SIDE:
         raise ValueError(f"spacing too fine for a = {a!r}: the kernel stencil "
                          f"would exceed {_MAX_STENCIL_SIDE} cells per side")
-    ii, jj = np.meshgrid(np.arange(_reach(dx, r_cut) + 1) * dx,
-                         np.arange(_reach(dz, r_cut) + 1) * dz)
+    ii, jj = np.meshgrid(np.arange(mx + 1) * dx, np.arange(mz + 1) * dz)
     inside = np.hypot(ii, jj) <= r_cut  # the truncation disk on cell centers
     # kept cells' left and lower neighbours are kept, so every edge is a
     # right or top edge; column 0's left edge and row 0's bottom mirror them

@@ -39,21 +39,17 @@ __all__ = [
 ]
 
 _UNDERFLOW_X = 700.0
+_ABS_TOL = 1e-14           # an error bound this small converges near 0
+_MAX_SUBDIVISIONS = 2000   # panel bisections before ConvergenceError
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not 0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be finite and > 0")
-        if not 0 <= self.abs_tol < math.inf:
-            raise ValueError("abs_tol must be finite and >= 0")
-        if not self.max_subdivisions >= 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 DEFAULT_QUAD_SPEC = QuadratureSpec()
@@ -129,8 +125,8 @@ def _adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     # makes tie-breaking, and therefore the refinement order, deterministic
     counter = 0
     heap = [(-total_err, counter, a, b, total, total_err)]
-    for _ in range(spec.max_subdivisions):
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+    for _ in range(_MAX_SUBDIVISIONS):
+        if total_err <= max(_ABS_TOL, spec.rel_tol * abs(total)):
             return total
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
@@ -148,7 +144,7 @@ def _adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         heapq.heappush(heap, (-lerr, counter, pa, mid, lval, lerr))
         counter += 1
         heapq.heappush(heap, (-rerr, counter, mid, pb, rval, rerr))
-    if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+    if total_err <= max(_ABS_TOL, spec.rel_tol * abs(total)):
         return total
     raise ConvergenceError(total, total_err)
 

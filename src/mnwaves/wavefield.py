@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .material import DerivedScales, MaterialParams, derive_scales
 
@@ -121,23 +121,22 @@ class Amplitudes:
 
 @dataclass(frozen=True)
 class StressState:
-    """Local (sigma, Pi) and non-local (tau, M) stresses at one point."""
+    """Displacements, microrotation and the stresses at one point.
 
-    u1: complex = 0j
-    u3: complex = 0j
-    phi2: complex = 0j
-    sigma11: complex = 0j
-    sigma13: complex = 0j
-    sigma31: complex = 0j
-    sigma33: complex = 0j
-    pi12: complex = 0j
-    pi32: complex = 0j
-    tau11: complex = 0j
-    tau13: complex = 0j
-    tau31: complex = 0j
-    tau33: complex = 0j
-    m12: complex = 0j
-    m32: complex = 0j
+    `local_stresses` fills the stress slots with the local force and couple
+    stresses sigma and Pi, `nonlocal_stresses` with their integral-model
+    counterparts tau and M.
+    """
+
+    u1: complex
+    u3: complex
+    phi2: complex
+    sigma11: complex
+    sigma13: complex
+    sigma31: complex
+    sigma33: complex
+    pi12: complex
+    pi32: complex
 
 
 @dataclass(frozen=True)
@@ -482,29 +481,21 @@ def nonlocal_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
                       m: MaterialParams, x: float, z: float) -> StressState:
     """Non-local stresses of the mode: the explicit k^2 [...] I_i structure.
 
-    The branch coefficients of `stress_branch_coeffs`, with each branch's
-    depth decay e^{-k r_i z} replaced by the boundary-layer integral
-    I_i(k z) at eps = mp.eps: tau = k^2 (mu+kappa) sum_b coeff_b A_b I_b
-    e^{ikx}, and k (mu+kappa) in place of k^2 (mu+kappa) for the couple
-    stresses M.  As eps -> 0 the I_i collapse to the bare exponentials and
-    tau -> sigma pointwise for z > 0.
+    The kinematics are those of `local_stresses`; the stress slots hold
+    tau (sigma slots) and M (pi slots).  The branch coefficients of
+    `stress_branch_coeffs`, with each branch's depth decay e^{-k r_i z}
+    replaced by the boundary-layer integral I_i(k z) at eps = mp.eps:
+    tau = k^2 (mu+kappa) sum_b coeff_b A_b I_b e^{ikx}, and k (mu+kappa) in
+    place of k^2 (mu+kappa) for the couple stresses M.  As eps -> 0 the I_i
+    collapse to the bare exponentials and tau -> sigma pointwise for z > 0.
     """
-    if not z >= 0:
-        raise ValueError("the half-space is z >= 0")
+    kin = local_stresses(amp, de, mp, m, x, z)
     k = mp.k
     carrier = cmath.exp(1j * k * x)
     weights = [a * blayer_closed_form(r, r0, mp.eps, k * z) * carrier
                for a, r, r0, _ in _branches(amp, de)]
-    rows = stress_branch_coeffs(m, de, k)
     mk = m.mu + m.kappa
-
-    def stress(comp: str, scale: float) -> complex:
-        return scale * sum(c * w for c, w in zip(rows[comp], weights))
-
-    kin = local_stresses(amp, de, mp, m, x, z)
-    return StressState(
-        u1=kin.u1, u3=kin.u3, phi2=kin.phi2,
-        tau11=stress("sigma11", k * k * mk), tau13=stress("sigma13", k * k * mk),
-        tau31=stress("sigma31", k * k * mk), tau33=stress("sigma33", k * k * mk),
-        m12=stress("pi12", k * mk), m32=stress("pi32", k * mk),
-    )
+    return replace(kin, **{
+        comp: (k * mk if comp.startswith("pi") else k * k * mk)
+        * sum(c * w for c, w in zip(coeffs, weights))
+        for comp, coeffs in stress_branch_coeffs(m, de, k).items()})

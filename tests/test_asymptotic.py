@@ -172,8 +172,8 @@ class TestExtraBc:
         st = nonlocal_stresses(sol.amp, sol.de, sol.mp, sol.m, 0.0, 0.0)
         norm = sol.mp.k ** 2 * (sol.m.mu + sol.m.kappa)
         # at a = 0 the operator is the identity on the bare surface values
-        assert pair[0] == pytest.approx(st.tau11 / norm, rel=1e-12)
-        assert pair[1] == st.m12 == 0
+        assert pair[0] == pytest.approx(st.sigma11 / norm, rel=1e-12)
+        assert pair[1] == st.pi12 == 0
 
     def test_second_component_vanishes_without_rotation(self, sample_material):
         sol = _printed_mode(sample_material, 2000.0, 0.1)
@@ -188,7 +188,8 @@ class TestExtraBc:
         assert fit_slope(eps_values, mags) >= 1.0
 
     def test_operator_on_nonlocal_stresses(self, sample_material):
-        """boundary_operator on tau11 and M12 of `nonlocal_stresses` (R != 0):
+        """boundary_operator on tau11 and M12, the sigma11 and pi12 slots of
+        `nonlocal_stresses` (R != 0):
         the surface value and the eta-slope by a second-order one-sided
         difference, per k^2 (mu+kappa) and per k (mu+kappa)."""
         from mnwaves.wavefield import nonlocal_stresses
@@ -201,8 +202,8 @@ class TestExtraBc:
         states = [nonlocal_stresses(sol.amp, sol.de, sol.mp, sol.m, 0.0,
                                     n * h / k) for n in range(3)]
         got = extra_bc_residual(sol)
-        for comp, norm, value in (("tau11", k * k * mk, got[0]),
-                                  ("m12", k * mk, got[1])):
+        for comp, norm, value in (("sigma11", k * k * mk, got[0]),
+                                  ("pi12", k * mk, got[1])):
             f0, f1, f2 = (getattr(st, comp) / norm for st in states)
             slope = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
             want = boundary_operator(f0, slope, eps)
@@ -409,6 +410,24 @@ class TestBlayerConvergence:
         assert calls == []
         specfun.integrate_2d_polar(lambda r, theta: np.exp(-r), 1.0)
         assert len(calls) == 1  # the counter sees the library's own calls
+
+    @pytest.mark.parametrize("material, branches",
+                             [("sample_material", 3), ("poisson_material", 2)])
+    def test_one_state_per_eps(self, material, branches, request,
+                               monkeypatch):
+        m = request.getfixturevalue(material)
+        calls = []
+        build = asymptotic.decay_exponents
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(asymptotic, "decay_exponents", counting)
+        payload = asymptotic.blayer_convergence(m, asymptotic.SLOPE_EPS_GRID)
+        assert [mp.eps for _, mp in calls] == list(asymptotic.SLOPE_EPS_GRID)
+        assert {e["i"] for e in payload["entries"]} == set(
+            range(1, branches + 1))
 
     def test_payload_keys(self, sample_material):
         payload = asymptotic.blayer_convergence(sample_material, (0.1,))

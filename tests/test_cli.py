@@ -179,6 +179,38 @@ class TestResidualsCommand:
         assert json.loads(out)["equivalence"][0]["re"] != 0.0
 
 
+    def test_non_finite_value_is_bad_input(self, tmp_path, capsys):
+        # gamma k^2/(mu+kappa) overflows on this valid material, so the
+        # couple rows hold NaN: the report refuses to print them
+        path = material_file(tmp_path, gamma=1e200, a=1e-60)
+        assert run_cli(["validate", path], capsys)[0] == 0
+        code, out, err = run_cli(["residuals", "--material", path], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestStrictJson:
+    """No JSON the package writes holds NaN, Infinity or -Infinity."""
+
+    @pytest.mark.parametrize("name", sorted(
+        path.name for path in GOLDEN_DIR.glob("*.json")))
+    def test_golden(self, name):
+        json.loads((GOLDEN_DIR / name).read_text(),
+                   parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize("command", ["residuals", "blayer",
+                                         "kernel-check"])
+    def test_live_output(self, command, capsys):
+        code, out, _ = run_cli([command, "--material", SAMPLE], capsys)
+        assert code == 0
+        json.loads(out, parse_constant=_reject_constant)
+
+
 class TestBlayerCommand:
     def test_golden(self, capsys):
         code, out, _ = run_cli(["blayer", "--material", SAMPLE], capsys)

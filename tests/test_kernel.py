@@ -301,6 +301,15 @@ class TestStencilMemo:
             with pytest.raises(ValueError, match="spacing too fine"):
                 _kernel_stencil(1e-5, 1e-5, 0.01)
 
+    def test_cap_counts_the_cells_built(self):
+        # just under a/100 the stencil is 2401 cells wide, exactly the cap,
+        # although ceil(12a/h) = 1201; at 12a/1201 it would be 2403
+        a = 1.0
+        w = _kernel_stencil(math.nextafter(a / 100, 0.0), 12.0 * a, a)
+        assert w.shape == (3, 2401)
+        with pytest.raises(ValueError, match="spacing too fine"):
+            _kernel_stencil(12.0 * a / 1201, 12.0 * a, a)
+
     @pytest.mark.parametrize("h, a", [(0.5, 1e-4), (1 / 3, 1e-4), (0.25, 1e-4),
                                       (0.38, 1.0), (0.28, 1.0), (0.05, 0.02)])
     def test_square_top_fluxes_are_right_fluxes_transposed(self, h, a):

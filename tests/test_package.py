@@ -1,5 +1,6 @@
 """Package-wide checks on the public names of `mnwaves`."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -32,3 +33,14 @@ def test_no_function_takes_a_dispersion_point(name):
         if "DispersionPoint" in str(param.annotation)
     ]
     assert not offenders, offenders
+
+
+def test_stress_state_fields_are_required():
+    # both stress functions fill every slot, so a default would only hide
+    # a slot one of them forgot
+    fields = dataclasses.fields(mnwaves.StressState)
+    assert [f.name for f in fields] == ["u1", "u3", "phi2", "sigma11",
+                                        "sigma13", "sigma31", "sigma33",
+                                        "pi12", "pi32"]
+    assert all(f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING for f in fields)

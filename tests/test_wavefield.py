@@ -473,7 +473,7 @@ class TestNonlocalStresses:
         de = decay_exponents(sample_material, mp)
         st = nonlocal_stresses(Amplitudes(0.5, 1.0, 0.0), de, mp,
                                sample_material, 0.1, 0.1)
-        assert st.m12 == 0 and st.m32 == 0
+        assert st.pi12 == 0 and st.pi32 == 0
 
     def test_local_limit(self, sample_material, generic_state):
         mp = replace(generic_state, eps=1e-9)
@@ -482,11 +482,11 @@ class TestNonlocalStresses:
         z = 0.8 / mp.k
         nl = nonlocal_stresses(amp, de, mp, sample_material, 0.05, z)
         loc = local_stresses(amp, de, mp, sample_material, 0.05, z)
-        for tau_name, sigma_name in (("tau11", "sigma11"), ("tau13", "sigma13"),
-                                     ("tau31", "sigma31"), ("tau33", "sigma33"),
-                                     ("m12", "pi12"), ("m32", "pi32")):
-            assert getattr(nl, tau_name) == pytest.approx(
-                getattr(loc, sigma_name), rel=1e-9)
+        assert (nl.u1, nl.u3, nl.phi2) == (loc.u1, loc.u3, loc.phi2)
+        for name in ("sigma11", "sigma13", "sigma31", "sigma33", "pi12",
+                     "pi32"):
+            assert getattr(nl, name) == pytest.approx(getattr(loc, name),
+                                                      rel=1e-9)
 
     def test_elastic_mode_surface_tractions_vanish(self, sample_material):
         """At the dispersion root with the mode amplitude ratios, the
@@ -505,9 +505,9 @@ class TestNonlocalStresses:
         amp = elastic_amplitudes(m, root.v, eps)
         st = nonlocal_stresses(amp, de, mp, m, 0.0, 0.0)
         norm = k * k * (m.mu + m.kappa) * abs(amp.Q)
-        assert abs(st.tau31) < 1e-8 * norm
-        assert abs(st.tau33) < 1e-8 * norm
-        assert abs(st.m32) == 0.0
+        assert abs(st.sigma31) < 1e-8 * norm
+        assert abs(st.sigma33) < 1e-8 * norm
+        assert abs(st.pi32) == 0.0
 
 
 class TestModeParamsBounds:
