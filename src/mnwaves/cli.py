@@ -32,8 +32,6 @@ _EXIT_BAD_INPUT = 1
 _EXIT_INFEASIBLE = 2
 _EXIT_NO_CONVERGENCE = 3
 
-_MASS_SPEC = specfun.QuadratureSpec(rel_tol=1e-8)
-
 
 class _UsageError(Exception):
     pass
@@ -238,7 +236,8 @@ def _cmd_kernel_check(args) -> int:
         return _EXIT_INFEASIBLE
     a = m.a_nl
     mass = specfun.integrate_2d_polar(
-        lambda r, theta: kernel.kernel_weight(r, a), 40.0 * a, _MASS_SPEC).real
+        lambda r, theta: kernel.kernel_weight(r, a), 40.0 * a,
+        specfun.QuadratureSpec(rel_tol=1e-8)).real
 
     n = 96
     h = 0.5 * a

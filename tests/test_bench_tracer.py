@@ -6,9 +6,13 @@ change of a contract must not break the calls the workloads make."""
 
 import ast
 import importlib
+import json
 import runpy
+import subprocess
 import sys
 from pathlib import Path
+
+from conftest import subprocess_env
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACER = BENCH / "tracer.py"
@@ -58,3 +62,39 @@ def test_workload_operations_pass_their_checks(monkeypatch):
     assert len(ops) == 6
     for op in ops:
         assert op.check(op.run()) == [], op.kind
+
+
+def test_tracer_wraps_every_name_after_a_bare_import():
+    """kernel-field imports only `mnwaves`, `kernel` and `specfun` before the
+    tracer is installed, and the library modules run on first use.
+    `Tracer.install` reads every traced module from sys.modules, so each must
+    be there and must end up wrapped; `uninstall` puts the originals back.
+    Runs in a child, where no test has run a module yet."""
+    script = f"""\
+import json, sys
+import mnwaves
+from mnwaves import kernel, specfun
+sys.path.insert(0, {str(BENCH)!r})
+from tracer import TRACED, Tracer
+
+def owners():
+    return {{q: getattr(sys.modules["mnwaves." + q.split(".")[0]],
+                       q.split(".")[1]).__module__ for q in TRACED}}
+
+tracer = Tracer()
+tracer.install()
+wrapped = owners()
+mnwaves.kernel_weight(1.0, 1.0)   # resolves through kernel's binding
+counted = tracer.calls["kernel.kernel_weight"]
+tracer.uninstall()
+print(json.dumps([wrapped, owners(), counted]))
+"""
+    proc = subprocess.run([sys.executable, "-B", "-c", script],
+                          capture_output=True, text=True,
+                          env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    wrapped, restored, counted = json.loads(proc.stdout)
+    assert wrapped == {q: "tracer" for q in wrapped}
+    assert restored == {q: "mnwaves." + q.split(".")[0] for q in restored}
+    assert len(wrapped) == len(runpy.run_path(str(TRACER))["TRACED"])
+    assert counted == 1

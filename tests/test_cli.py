@@ -361,11 +361,12 @@ class TestArgumentHandling:
         assert run_cli(["speeds"], capsys)[0] == 1
 
     def test_scipy_loads_only_for_kernel_check(self, tmp_path):
-        """import mnwaves and every command but kernel-check leave scipy
-        unloaded.  One child process runs the commands in turn and prints
-        the first step after which scipy is in sys.modules."""
+        """import mnwaves, validate and speeds leave numpy unloaded, and every
+        command but kernel-check leaves scipy unloaded.  One child process
+        runs the commands in turn and prints, per library, the first step
+        after which it is in sys.modules."""
         script = """\
-import contextlib, io, sys
+import contextlib, io, json, sys
 import mnwaves
 from mnwaves import cli
 material, csv = sys.argv[1:]
@@ -381,24 +382,27 @@ steps = {
     "blayer": ["blayer"],
     "kernel-check": ["kernel-check", "--out", csv],
 }
-first = "import mnwaves" if "scipy" in sys.modules else None
+first = {lib: "import mnwaves" if lib in sys.modules else None
+         for lib in ("numpy", "scipy")}
 for name, args in steps.items():
-    if first is not None:
-        break
     if name != "validate":
         args += ["--material", material]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(args) == 0, name
-    if "scipy" in sys.modules:
-        first = name
-print(first)
+    for lib in first:
+        if first[lib] is None and lib in sys.modules:
+            first[lib] = name
+print(json.dumps(first))
 """
         proc = subprocess.run(
             [sys.executable, "-c", script, SAMPLE, str(tmp_path / "f.csv")],
             capture_output=True, text=True, env=subprocess_env())
         assert proc.returncode == 0, proc.stderr
+        first = json.loads(proc.stdout)
+        # the scalar inputs need only `material`
+        assert first["numpy"] not in ("import mnwaves", "validate", "speeds")
         # kernel-check evaluates K0 and K1, so it alone pays for scipy
-        assert proc.stdout == "kernel-check\n"
+        assert first["scipy"] == "kernel-check"
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_stdout_is_one_error_line(self, unbuffered):
