@@ -8,12 +8,15 @@ Commands:
     blayer                 boundary-layer integral convergence report (JSON)
     kernel-check           kernel normalization and roundtrip self-check
 
-Exit codes: 0 success, 1 malformed input or config (or a closed stdout),
-2 physical infeasibility (below cutoff, no surface mode), 3 numerical
-convergence failure (kernel-check only).  All numeric output uses
-shortest round-trip floats, so repeated runs produce identical bytes.
-residuals and blayer print a warning to stderr when eps exceeds 0.3,
-outside the a*k << 1 regime.
+Exit codes: 0 success, 1 malformed input or config, an unreadable or
+unwritable file, or a closed stdout, 2 physical infeasibility (below
+cutoff, no surface mode, a = 0 for kernel-check), 3 numerical convergence
+failure (kernel-check only).  Every failure is one "error:" line on
+stderr, printed by `run` alone: the handlers raise.  validate's INVALID
+listing is output, though it exits 1.  All numeric output uses shortest
+round-trip floats, so repeated runs produce identical bytes.  residuals
+and blayer print a warning to stderr when eps exceeds 0.3, outside the
+a*k << 1 regime.
 """
 
 from __future__ import annotations
@@ -34,7 +37,11 @@ _EXIT_NO_CONVERGENCE = 3
 
 
 class _UsageError(Exception):
-    pass
+    """A request the command refuses; code is the exit code `run` returns."""
+
+    def __init__(self, message: str, code: int = _EXIT_BAD_INPUT):
+        super().__init__(message)
+        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,8 +82,6 @@ def _build_parser() -> _Parser:
     p_disp.add_argument("--omega-min", type=_finite_float, required=True)
     p_disp.add_argument("--omega-max", type=_finite_float, required=True)
     p_disp.add_argument("--num", type=int, default=50)
-    p_disp.add_argument("--tol", type=_finite_float, default=1e-10,
-                        help="root tolerance relative to c2")
     p_disp.add_argument("--emit-plot-script", action="store_true",
                         help="write a gnuplot script next to --out")
 
@@ -98,13 +103,8 @@ def _build_parser() -> _Parser:
 
 
 def _load_material(path: str) -> material.MaterialParams:
-    try:
-        m = material.load_material(path)
-    except FileNotFoundError:
-        raise _UsageError(f"material file not found: {path}")
-    outcome = material.validate(m)
-    if not outcome.ok:
-        raise _UsageError("invalid material: " + "; ".join(outcome.violations))
+    m = material.load_material(path)
+    material.derive_scales(m)   # raises InvalidMaterialError for a bad one
     return m
 
 
@@ -116,15 +116,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        m = material.load_material(args.path)
-    except FileNotFoundError:
-        print(f"material file not found: {args.path}", file=sys.stderr)
-        return _EXIT_BAD_INPUT
-    except material.InvalidMaterialError as exc:
-        print(str(exc), file=sys.stderr)
-        return _EXIT_BAD_INPUT
-    outcome = material.validate(m)
+    outcome = material.validate(material.load_material(args.path))
     if outcome.ok:
         print("OK")
         return _EXIT_OK
@@ -165,12 +157,12 @@ def _cmd_dispersion(args) -> int:
     if args.emit_plot_script and args.out is None:
         raise _UsageError("--emit-plot-script needs --out to reference the CSV")
     curve = dispersion.sweep(m, args.omega_min, args.omega_max, args.num,
-                             args.mode, tol=args.tol)
+                             args.mode)
     if curve.propagating_count == 0:
         sc = material.derive_scales(m)
-        print(f"entire range is at or below the cutoff {sc.omega_cutoff!r}; "
-              "the micropolar mode does not propagate", file=sys.stderr)
-        return _EXIT_INFEASIBLE
+        raise _UsageError(f"entire range is at or below the cutoff "
+                          f"{sc.omega_cutoff!r}; the micropolar mode does not "
+                          "propagate", _EXIT_INFEASIBLE)
     _emit(dispersion.curve_to_csv(curve), args.out)
     if args.emit_plot_script:
         out_path = Path(args.out)
@@ -231,9 +223,8 @@ def _cmd_blayer(args) -> int:
 def _cmd_kernel_check(args) -> int:
     m = _load_material(args.material)
     if m.a_nl <= 0:
-        print("kernel checks need a non-local material (a > 0)",
-              file=sys.stderr)
-        return _EXIT_INFEASIBLE
+        raise _UsageError("kernel checks need a non-local material (a > 0)",
+                          _EXIT_INFEASIBLE)
     a = m.a_nl
     mass = specfun.integrate_2d_polar(
         lambda r, theta: kernel.kernel_weight(r, a), 40.0 * a,
@@ -251,10 +242,11 @@ def _cmd_kernel_check(args) -> int:
         "grid": {"n": n, "spacing": h, "a": a, "gaussian_width": width},
         "warnings": list(convolved.warnings),
     }
-    print(json.dumps(payload, indent=2, allow_nan=False))
+    # the CSV first, so a failed write leaves stdout empty
     if args.out is not None:
         Path(args.out).write_text(kernel.field_to_csv(convolved),
                                   encoding="utf-8")
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return _EXIT_OK
 
 
@@ -273,15 +265,21 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
+    except BrokenPipeError:
+        raise   # main reports a closed stdout
+    # the first clause needs no library module: naming dispersion or specfun
+    # runs them, and with them numpy
+    except (_UsageError, material.InvalidMaterialError, OSError) as exc:
+        code, message = getattr(exc, "code", _EXIT_BAD_INPUT), str(exc)
     except (dispersion.CutoffError, dispersion.NoSurfaceModeError) as exc:
         code, message = _EXIT_INFEASIBLE, str(exc)
     except specfun.ConvergenceError as exc:
         code, message = _EXIT_NO_CONVERGENCE, str(exc)
-    except (_UsageError, ValueError, ArithmeticError) as exc:
-        # ValueError covers InvalidMaterialError and any input the library
-        # rejects after parsing (CutoffError, also one, is caught above);
-        # ArithmeticError covers finite inputs so extreme that the
-        # arithmetic overflows or divides by zero
+    except (ValueError, ArithmeticError) as exc:
+        # ValueError covers any input the library rejects after parsing
+        # (CutoffError, also one, is caught above); ArithmeticError covers
+        # finite inputs so extreme that the arithmetic overflows or divides
+        # by zero
         code, message = _EXIT_BAD_INPUT, str(exc)
     print(f"error: {message}", file=sys.stderr)
     return code

@@ -47,7 +47,7 @@ __all__ = [
 _BRACKET_LO = 0.01     # of c2; excludes the trivial double root at v = 0
 _BRACKET_HI = 0.9999   # of c2; top of the uniform scan grid
 _SCAN_POINTS = 512
-_SCAN_STEP = (_BRACKET_HI - _BRACKET_LO) / (_SCAN_POINTS - 1)   # of c2
+_ROOT_TOL = 1e-10      # of c2; width of the final root bracket
 
 
 class CutoffError(ValueError):
@@ -163,14 +163,7 @@ def bracketed_root(f, a: float, b: float, fa: float, fb: float,
     return 0.5 * (a + b)
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < _SCAN_STEP:
-        raise ValueError(f"tol must lie in (0, {_SCAN_STEP!r}), below the "
-                         "root scan step relative to c2, or the root loop "
-                         "would never run")
-
-
-def solve_rayleigh(m: MaterialParams, tol: float = 1e-10) -> DispersionPoint:
+def solve_rayleigh(m: MaterialParams) -> DispersionPoint:
     """The elastic-mode root of `secular_leading` in (0.01, 1) c2.
 
     The secular function is positive just above the trivial v = 0 double
@@ -182,10 +175,8 @@ def solve_rayleigh(m: MaterialParams, tol: float = 1e-10) -> DispersionPoint:
     Rayleigh branch) is taken.  The leading-order mode is non-dispersive:
     omega and k of the returned point are NaN metadata, exponents are
     attached by `sweep`.  The bracket of the scan is narrowed by
-    `bracketed_root` to tol, relative to c2, which must be positive and
-    below the scan step, or the root loop would never run.
+    `bracketed_root` to `_ROOT_TOL` times c2.
     """
-    _check_tol(tol)
     sc = derive_scales(m)
     lo = _BRACKET_LO * sc.c2
     # one array expression for the scan; the grid stops at c2, so r10^2 and
@@ -201,7 +192,7 @@ def solve_rayleigh(m: MaterialParams, tol: float = 1e-10) -> DispersionPoint:
     i = hits[-1]
     v = bracketed_root(lambda u: secular_leading(m, u), float(grid[i]),
                        float(grid[i + 1]), float(vals[i]), float(vals[i + 1]),
-                       tol * sc.c2)
+                       _ROOT_TOL * sc.c2)
     return DispersionPoint(
         omega=math.nan, k=math.nan, v=v, mode_tag="elastic", exponents=None,
         secular_residual=abs(secular_leading(m, v)),
@@ -270,25 +261,23 @@ def _solved_point(m: MaterialParams, omega: float, v: float,
 
 
 def sweep(m: MaterialParams, omega_lo: float, omega_hi: float, n: int,
-          mode_tag: str = "elastic", tol: float = 1e-10) -> DispersionCurve:
+          mode_tag: str = "elastic") -> DispersionCurve:
     """Solve the requested mode on n log-spaced frequencies.
 
     Micropolar frequencies at or below the cutoff are recorded as
     non-propagating entries (NaN velocity, no exponents) rather than
-    dropped, so the output always has n rows in increasing omega.  tol is
-    the elastic root tolerance of `solve_rayleigh`, checked for both modes.
+    dropped, so the output always has n rows in increasing omega.
     """
     if not (0 < omega_lo < omega_hi):
         raise ValueError("need 0 < omega_lo < omega_hi")
     if n < 2:
         raise ValueError("need at least 2 sweep points")
-    _check_tol(tol)
     if mode_tag not in ("elastic", "micropolar"):
         raise ValueError(f"unknown mode tag {mode_tag!r}")
     omegas = np.geomspace(omega_lo, omega_hi, n)
     points: list[DispersionPoint] = []
     if mode_tag == "elastic":
-        root = solve_rayleigh(m, tol)
+        root = solve_rayleigh(m)
         for omega in map(float, omegas):
             points.append(_solved_point(m, omega, root.v, "elastic",
                                         root.secular_residual))

@@ -23,8 +23,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 
@@ -92,17 +93,15 @@ class ValidationOutcome:
     violations: tuple[str, ...]
 
 
+# the nine constants of a material as a tuple, in _CONFIG_KEYS order
+_values = attrgetter(*(f.name for f in fields(MaterialParams)))
+
+
 def validate(m: MaterialParams) -> ValidationOutcome:
     """Check the material invariants; diagnostic, never raises."""
-    violations = []
-    fields = (
-        ("lambda", m.lambda_lame), ("mu", m.mu), ("kappa", m.kappa),
-        ("alpha", m.alpha_mp), ("beta", m.beta_mp), ("gamma", m.gamma_mp),
-        ("rho", m.rho), ("j", m.j_inertia), ("a", m.a_nl),
-    )
-    for name, value in fields:
-        if not math.isfinite(value):
-            violations.append(f"{name} finite")
+    violations = [f"{key} finite"
+                  for key, value in zip(_CONFIG_KEYS, _values(m))
+                  if not math.isfinite(value)]
     if violations:
         return ValidationOutcome(False, tuple(violations))
     if not m.rho > 0:
@@ -174,10 +173,5 @@ def load_material(path: str | Path) -> MaterialParams:
 
 def material_fingerprint(m: MaterialParams) -> str:
     """Stable hash of the nine constants, used to tag dispersion curves."""
-    payload = ",".join(
-        repr(v) for v in (
-            m.lambda_lame, m.mu, m.kappa, m.alpha_mp, m.beta_mp,
-            m.gamma_mp, m.rho, m.j_inertia, m.a_nl,
-        )
-    )
+    payload = ",".join(map(repr, _values(m)))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]

@@ -7,6 +7,7 @@ from mnwaves.material import (
     InvalidMaterialError,
     MaterialParams,
     derive_scales,
+    material_fingerprint,
     material_from_json,
     validate,
 )
@@ -54,6 +55,32 @@ class TestValidate:
     def test_couple_stress_constants_unconstrained(self):
         # alpha, beta carry no positivity bounds
         assert validate(_mat(alpha_mp=-3.0, beta_mp=0.0)).ok
+
+    def test_violation_texts(self):
+        # the exact strings, in order: mnw validate prints them
+        assert validate(MaterialParams(*[math.nan] * 9)).violations == (
+            "lambda finite", "mu finite", "kappa finite", "alpha finite",
+            "beta finite", "gamma finite", "rho finite", "j finite",
+            "a finite")
+        for i, key in enumerate(("lambda", "mu", "kappa", "alpha", "beta",
+                                 "gamma", "rho", "j", "a")):
+            values = [1.0] * 9
+            values[i] = -math.inf
+            assert validate(MaterialParams(*values)).violations == (
+                f"{key} finite",)
+        everything = MaterialParams(-1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0,
+                                    0.0, -1.0)
+        assert validate(everything).violations == (
+            "rho > 0", "mu > 0", "kappa >= 0", "gamma > 0", "j > 0",
+            "a >= 0", "lambda + 2*mu + kappa > 0", "lambda + mu > 0")
+
+
+class TestFingerprint:
+    def test_pinned_strings(self):
+        # curves are tagged with it, so no byte may move
+        assert material_fingerprint(_mat()) == "70cfb6b1c647f481"
+        assert material_fingerprint(
+            MaterialParams(*map(float, range(1, 10)))) == "a5fd4751adb822d7"
 
 
 class TestDeriveScales:
