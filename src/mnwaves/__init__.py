@@ -14,8 +14,8 @@ Modules by concern:
 in `sys.modules` and on the package up front, and each runs its code on the
 first access to one of its attributes; a public name such as
 `mnwaves.solve_rayleigh` is looked up in its module on every access, so the
-package holds no copy of it.  Only `material` is needed for the scalar
-inputs, so `mnw validate` and `mnw speeds` never load numpy.
+package holds no copy of it.  Only `kernel` and `specfun` import numpy, so
+of the `mnw` commands only `kernel-check` loads it.
 """
 
 import importlib.util
@@ -33,8 +33,8 @@ _EXPORTS = {
     "specfun": ("ConvergenceError", "DEFAULT_QUAD_SPEC", "QuadratureSpec",
                 "bessel_k0", "bessel_k1", "integrate_1d",
                 "integrate_2d_polar"),
-    "kernel": ("ScalarField2D", "apply_helmholtz", "boundary_operator",
-               "convolve_halfplane", "kernel_weight"),
+    "kernel": ("ScalarField2D", "apply_helmholtz", "convolve_halfplane",
+               "kernel_weight"),
     "wavefield": ("Amplitudes", "DecayExponents", "ModeParams",
                   "ModeSolution", "StressState", "blayer_integral_closed",
                   "blayer_integral_quadrature", "decay_exponents",
@@ -43,7 +43,8 @@ _EXPORTS = {
                    "NoSurfaceModeError", "elastic_amplitudes",
                    "micropolar_amplitudes", "micropolar_velocity",
                    "secular_leading", "solve_rayleigh", "sweep"),
-    "asymptotic": ("bc_residual_order", "equivalence_residual_elastic",
+    "asymptotic": ("bc_residual_order", "boundary_operator",
+                   "equivalence_residual_elastic",
                    "equivalence_residual_micropolar", "extra_bc_residual"),
 }
 _MODULE_OF = {name: module

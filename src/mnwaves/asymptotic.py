@@ -11,10 +11,10 @@ boundary-layer coefficient of the momentum balance,
 is nonzero whenever the other mode's relation is (they never vanish
 together).  The cure is a surface-layer analysis: fast corrections
 proportional to e^{-eta_f}, extra operator conditions on tau11 and M12
-(`extra_bc_residual`), and the traction conditions as one expansion in
-eps: the classical conditions are its O(1) terms, the first-order ones its
-O(eps) terms and the refined ones its O(eps^2) terms (`bc_residual_order`
-with order 0, 1 and 2).
+(`boundary_operator`, applied by `extra_bc_residual`), and the traction
+conditions as one expansion in eps: the classical conditions are its O(1)
+terms, the first-order ones its O(eps) terms and the refined ones its
+O(eps^2) terms (`bc_residual_order` with order 0, 1 and 2).
 
 `first_order_elastic_solution` constructs, for a given eps, the mode that
 satisfies the refined conditions through O(eps) exactly (a one-dimensional
@@ -28,11 +28,8 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
 from .dispersion import (_secular, bracketed_root, elastic_amplitudes,
                          solve_rayleigh)
-from .kernel import boundary_operator
 from .material import MaterialParams, derive_scales
 from .wavefield import (
     Amplitudes,
@@ -57,6 +54,7 @@ __all__ = [
     "equivalence_residual_micropolar",
     "bc_residual_order",
     "extra_bc_residual",
+    "boundary_operator",
     "first_order_elastic_solution",
     "bc_slope_study",
     "blayer_convergence",
@@ -160,6 +158,16 @@ def bc_residual_order(sol: ModeSolution, order: int) -> tuple[complex, complex, 
                  for row in range(3))
 
 
+def boundary_operator(g0: complex, g1: complex, eps: float) -> complex:
+    """[1 - eps d_eta - (eps^3/2) d_chi^2 d_eta] at the surface of a profile
+    e^{i chi} g(eta), from g0 = g(0) and g1 = g'(0).
+
+    d_chi^2 acts on the carrier as -1, so the operator evaluates to
+    g(0) - (eps - eps^3/2) g'(0).
+    """
+    return g0 - (eps - 0.5 * eps ** 3) * g1
+
+
 def extra_bc_residual(sol: ModeSolution) -> tuple[complex, complex]:
     """The operator [1 - a d_z - (a^3/2) d_x^2 d_z] on tau11 and M12 at z = 0.
 
@@ -224,6 +232,19 @@ def first_order_elastic_solution(m: MaterialParams, k: float, eps: float,
     return ModeSolution(m=m, mp=mp, amp=Amplitudes(*amps), de=de0)
 
 
+def _loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log y against log x, in closed form; NaN, as
+    a fit on log 0 gives, unless every value is positive."""
+    if not all(u > 0.0 for u in (*xs, *ys)):
+        return math.nan
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mx = sum(lx) / len(lx)
+    my = sum(ly) / len(ly)
+    return (sum((x - mx) * (y - my) for x, y in zip(lx, ly))
+            / sum((x - mx) ** 2 for x in lx))
+
+
 def bc_slope_study(m: MaterialParams, k: float, v0: float) -> dict:
     """Decay rate of classical vs refined residuals on corrected solutions.
 
@@ -241,15 +262,12 @@ def bc_slope_study(m: MaterialParams, k: float, v0: float) -> dict:
         refined = bc_residual_order(sol, 2)
         classical_mags.append(max(abs(c) for c in classical))
         refined_mags.append(max(abs(c) for c in refined))
-    log_eps = np.log(np.asarray(SLOPE_EPS_GRID))
-    slope_classical = float(np.polyfit(log_eps, np.log(classical_mags), 1)[0])
-    slope_refined = float(np.polyfit(log_eps, np.log(refined_mags), 1)[0])
     return {
         "eps": list(SLOPE_EPS_GRID),
         "classical_residuals": classical_mags,
         "refined_residuals": refined_mags,
-        "classical": slope_classical,
-        "refined": slope_refined,
+        "classical": _loglog_slope(SLOPE_EPS_GRID, classical_mags),
+        "refined": _loglog_slope(SLOPE_EPS_GRID, refined_mags),
     }
 
 
@@ -290,8 +308,7 @@ def blayer_convergence(m: MaterialParams,
                 series.setdefault(f"i={i},eta={eta!r}", []).append(deviation)
     slopes = None
     if len(eps_values) >= 2:
-        log_eps = np.log(np.asarray(eps_values))
-        slopes = {key: float(np.polyfit(log_eps, np.log(devs), 1)[0])
+        slopes = {key: _loglog_slope(eps_values, devs)
                   for key, devs in series.items()}
     return {
         "state": {"v": v, "omega": omega, "k": k},

@@ -267,20 +267,22 @@ def run(argv: list[str]) -> int:
         return _HANDLERS[args.command](args)
     except BrokenPipeError:
         raise   # main reports a closed stdout
-    # the first clause needs no library module: naming dispersion or specfun
-    # runs them, and with them numpy
+    # naming a module in a clause runs it: the first clause needs only
+    # `material`, the second runs the numpy-free `dispersion`, and `specfun`,
+    # which loads numpy, is named last
     except (_UsageError, material.InvalidMaterialError, OSError) as exc:
         code, message = getattr(exc, "code", _EXIT_BAD_INPUT), str(exc)
     except (dispersion.CutoffError, dispersion.NoSurfaceModeError) as exc:
         code, message = _EXIT_INFEASIBLE, str(exc)
-    except specfun.ConvergenceError as exc:
-        code, message = _EXIT_NO_CONVERGENCE, str(exc)
     except (ValueError, ArithmeticError) as exc:
         # ValueError covers any input the library rejects after parsing
         # (CutoffError, also one, is caught above); ArithmeticError covers
         # finite inputs so extreme that the arithmetic overflows or divides
         # by zero
         code, message = _EXIT_BAD_INPUT, str(exc)
+    except specfun.ConvergenceError as exc:
+        # a RuntimeError, so no clause above catches it
+        code, message = _EXIT_NO_CONVERGENCE, str(exc)
     print(f"error: {message}", file=sys.stderr)
     return code
 

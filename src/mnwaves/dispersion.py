@@ -22,8 +22,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .material import MaterialParams, derive_scales, material_fingerprint
 from .wavefield import (Amplitudes, DecayExponents, ModeParams, _branch_sqrt,
                         _leading_radicands, _micropolar_factor, _r30,
@@ -93,8 +91,22 @@ class DispersionCurve:
 
 
 def _secular(d, r10, r20, r20_sq):
-    """(1 + d)^2 r10 r20 - (r20^2 + d)^2 for scalars or numpy arrays."""
+    """(1 + d)^2 r10 r20 - (r20^2 + d)^2 for Python floats or complexes."""
     return (1.0 + d) ** 2 * r10 * r20 - (r20_sq + d) ** 2
+
+
+def _scan_secular(sc, u: float) -> float:
+    """`_secular` at the `_leading_radicands` of u in [0, c2], where both
+    are >= 0, for the scan of `solve_rayleigh`.  Each square of a computed
+    value is x*x, as numpy's array square was in the former scan; float
+    ** 2 calls pow, which differs from x*x in the last bit about once in
+    1200, and the bracket values the scan hands to `bracketed_root` steer
+    its steps, so the other form would move some roots by a few ulps."""
+    x1, x2 = u / sc.c1, u / sc.c2
+    r20_sq = 1.0 - x2 * x2
+    t = r20_sq + sc.d
+    return ((1.0 + sc.d) ** 2 * math.sqrt(1.0 - x1 * x1) * math.sqrt(r20_sq)
+            - t * t)
 
 
 def secular_leading(m: MaterialParams, v: float) -> float:
@@ -163,6 +175,17 @@ def bracketed_root(f, a: float, b: float, fa: float, fb: float,
     return 0.5 * (a + b)
 
 
+def _geomspace(start: float, stop: float, n: int) -> list[float]:
+    """numpy.geomspace(start, stop, n) for 0 < start < stop and n >= 2: the
+    exact ends, and between them 10**y on numpy.linspace's points of the
+    log10 ends, i*step + log10(start).  numpy's vectorized log10 and power
+    may round differently from the C library's, so an interior point can
+    differ from numpy's in its last digits."""
+    lo = math.log10(start)
+    step = (math.log10(stop) - lo) / (n - 1)
+    return [start] + [10.0 ** (i * step + lo) for i in range(1, n - 1)] + [stop]
+
+
 def solve_rayleigh(m: MaterialParams) -> DispersionPoint:
     """The elastic-mode root of `secular_leading` in (0.01, 1) c2.
 
@@ -178,20 +201,25 @@ def solve_rayleigh(m: MaterialParams) -> DispersionPoint:
     `bracketed_root` to `_ROOT_TOL` times c2.
     """
     sc = derive_scales(m)
-    lo = _BRACKET_LO * sc.c2
-    # one array expression for the scan; the grid stops at c2, so r10^2 and
-    # r20^2 stay >= 0 and np.sqrt stays real
-    grid = np.append(np.linspace(lo, _BRACKET_HI * sc.c2, _SCAN_POINTS), sc.c2)
-    r10_sq, r20_sq = _leading_radicands(sc, grid)
-    vals = _secular(sc.d, np.sqrt(r10_sq), np.sqrt(r20_sq), r20_sq)
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
-    if hits.size == 0:
+    lo, hi = _BRACKET_LO * sc.c2, _BRACKET_HI * sc.c2
+    step = (hi - lo) / (_SCAN_POINTS - 1)
+
+    # the grid is numpy.linspace(lo, hi, _SCAN_POINTS), i*step + lo with hi
+    # itself last, then c2.  It is walked from the top, so the first sign
+    # change met is the largest-velocity bracket and the points below it
+    # are never evaluated
+    u_hi, f_hi = sc.c2, _scan_secular(sc, sc.c2)
+    for i in range(_SCAN_POINTS - 1, -1, -1):
+        u = hi if i == _SCAN_POINTS - 1 else i * step + lo
+        f = _scan_secular(sc, u)
+        if f == 0.0 or f * f_hi < 0.0:
+            break
+        u_hi, f_hi = u, f
+    else:
         raise NoSurfaceModeError(
             "no sign change of the secular function in "
             f"({lo!r}, {sc.c2!r}); no elastic surface mode for this material")
-    i = hits[-1]
-    v = bracketed_root(lambda u: secular_leading(m, u), float(grid[i]),
-                       float(grid[i + 1]), float(vals[i]), float(vals[i + 1]),
+    v = bracketed_root(lambda x: secular_leading(m, x), u, u_hi, f, f_hi,
                        _ROOT_TOL * sc.c2)
     return DispersionPoint(
         omega=math.nan, k=math.nan, v=v, mode_tag="elastic", exponents=None,
@@ -274,16 +302,16 @@ def sweep(m: MaterialParams, omega_lo: float, omega_hi: float, n: int,
         raise ValueError("need at least 2 sweep points")
     if mode_tag not in ("elastic", "micropolar"):
         raise ValueError(f"unknown mode tag {mode_tag!r}")
-    omegas = np.geomspace(omega_lo, omega_hi, n)
+    omegas = _geomspace(omega_lo, omega_hi, n)
     points: list[DispersionPoint] = []
     if mode_tag == "elastic":
         root = solve_rayleigh(m)
-        for omega in map(float, omegas):
+        for omega in omegas:
             points.append(_solved_point(m, omega, root.v, "elastic",
                                         root.secular_residual))
     else:
         sc = derive_scales(m)
-        for omega in map(float, omegas):
+        for omega in omegas:
             if omega <= sc.omega_cutoff:
                 points.append(DispersionPoint(
                     omega=omega, k=math.nan, v=math.nan,

@@ -13,10 +13,6 @@ angle seen from the origin.  u K1(u) lies in (0, 1) and is smooth in theta,
 so one fixed Gauss rule needs no singularity subtraction, near 0 or not.
 The stencil depends only on (dx, dz, a), so the last 8 are memoized on
 those exact floats and handed out read-only, one array to every caller.
-
-`boundary_operator` is the surface operator of the 1D boundary-layer
-analysis on profiles sigma(chi, eta) = e^{i chi} g(eta), where the
-chi-derivatives act on the carrier as multiplication by i.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ __all__ = [
     "apply_helmholtz",
     "gaussian_field",
     "roundtrip_error",
-    "boundary_operator",
     "field_to_csv",
 ]
 
@@ -274,16 +269,6 @@ def roundtrip_error(f: ScalarField2D,
     err = np.max(np.abs(inner - f.values[margin:f.nz - margin,
                                          margin:f.nx - margin]))
     return convolved, margin, float(err / np.max(np.abs(f.values)))
-
-
-def boundary_operator(g0: complex, g1: complex, eps: float) -> complex:
-    """[1 - eps d_eta - (eps^3/2) d_chi^2 d_eta] at the surface of a profile
-    e^{i chi} g(eta), from g0 = g(0) and g1 = g'(0).
-
-    d_chi^2 acts on the carrier as -1, so the operator evaluates to
-    g(0) - (eps - eps^3/2) g'(0).
-    """
-    return g0 - (eps - 0.5 * eps ** 3) * g1
 
 
 def field_to_csv(f: ScalarField2D) -> str:

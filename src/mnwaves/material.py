@@ -168,7 +168,12 @@ def material_from_json(text: str) -> MaterialParams:
 
 
 def load_material(path: str | Path) -> MaterialParams:
-    return material_from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidMaterialError(f"material config is not UTF-8 text "
+                                   f"({exc.reason} at byte {exc.start})") from exc
+    return material_from_json(text)
 
 
 def material_fingerprint(m: MaterialParams) -> str:

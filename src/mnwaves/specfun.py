@@ -5,8 +5,9 @@ kernel; it is exposed here behind a strict domain contract (K0 has a
 logarithmic singularity at 0 and underflows past x ~ 700).  K1 is provided
 because the integral of the kernel over a disk of radius R is
 1 - (R/a) K1(R/a).  Both come from scipy.special, which is imported on the
-first Bessel call: `import mnwaves` loads numpy only, and only the commands
-that evaluate the kernel pay for scipy.
+first Bessel call.  This module and `kernel` are the package's only numpy
+users, so only the commands that evaluate the kernel pay for numpy, and
+they alone pay for scipy.
 
 Quadrature is a heap-driven adaptive Gauss-Legendre pair (orders 10 and 21,
 nodes from numpy.polynomial.legendre, so no tabulated constants enter the

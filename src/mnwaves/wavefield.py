@@ -157,8 +157,8 @@ def _branch_sqrt(z: complex) -> complex:
     return w
 
 
-def _leading_radicands(sc: DerivedScales, v):
-    """r10^2, r20^2 = 1 - (v/c1)^2, 1 - (v/c2)^2 for a float or array v."""
+def _leading_radicands(sc: DerivedScales, v: float) -> tuple[float, float]:
+    """r10^2, r20^2 = 1 - (v/c1)^2, 1 - (v/c2)^2 for a float v."""
     return 1.0 - (v / sc.c1) ** 2, 1.0 - (v / sc.c2) ** 2
 
 

@@ -30,6 +30,7 @@ from mnwaves.asymptotic import (
     bc_residual_order,
     bc_slope_study,
     blayer_convergence,
+    boundary_operator,
     equivalence_residual_elastic,
     equivalence_residual_micropolar,
 )
@@ -40,7 +41,7 @@ from mnwaves.dispersion import (
     secular_leading,
     solve_rayleigh,
 )
-from mnwaves.kernel import boundary_operator, kernel_weight
+from mnwaves.kernel import kernel_weight
 from mnwaves.material import derive_scales
 from mnwaves.specfun import integrate_2d_polar
 from mnwaves.wavefield import (

@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fit_slope, material_draws
+from conftest import GOLDEN_DIR, fit_slope, material_draws
 from mnwaves import asymptotic
 from mnwaves.asymptotic import (
     bc_residual_order,
+    boundary_operator,
     bc_slope_study,
     equivalence_residual_elastic,
     equivalence_residual_micropolar,
@@ -23,7 +24,6 @@ from mnwaves.dispersion import (
     secular_leading,
     solve_rayleigh,
 )
-from mnwaves.kernel import boundary_operator
 from mnwaves.material import derive_scales
 from mnwaves.wavefield import (
     Amplitudes,
@@ -434,3 +434,47 @@ class TestBlayerConvergence:
         assert set(payload) == {"state", "entries", "slopes"}
         assert set(payload["entries"][0]) == {"i", "eta", "eps", "closed",
                                               "quadrature", "deviation"}
+
+
+def _golden_point_sets():
+    """The eleven (eps, value) sets whose slopes the goldens print: the
+    classical and refined residuals of residuals.json and the nine
+    branch-depth deviation series of blayer.json."""
+    study = json.loads((GOLDEN_DIR / "residuals.json").read_text())["slopes"]
+    sets = {key: (study["eps"], study[f"{key}_residuals"])
+            for key in ("classical", "refined")}
+    blayer = json.loads((GOLDEN_DIR / "blayer.json").read_text())
+    for e in blayer["entries"]:
+        xs, ys = sets.setdefault(f"i={e['i']},eta={e['eta']!r}", ([], []))
+        xs.append(e["eps"])
+        ys.append(e["deviation"])
+    return sets
+
+
+class TestLogLogSlope:
+    @pytest.mark.parametrize("key, points", sorted(_golden_point_sets().items()))
+    def test_against_fifty_digit_fit(self, key, points):
+        mpmath = pytest.importorskip("mpmath")
+        xs, ys = points
+        with mpmath.workdps(50):
+            lx = [mpmath.log(x) for x in xs]
+            ly = [mpmath.log(y) for y in ys]
+            mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+            want = (sum((x - mx) * (y - my) for x, y in zip(lx, ly))
+                    / sum((x - mx) ** 2 for x in lx))
+            assert abs(asymptotic._loglog_slope(xs, ys) - want) < 1e-14
+
+    def test_golden_slopes_are_the_fits(self):
+        study = json.loads((GOLDEN_DIR / "residuals.json").read_text())
+        blayer = json.loads((GOLDEN_DIR / "blayer.json").read_text())
+        printed = {**blayer["slopes"], "classical": study["slopes"]["classical"],
+                   "refined": study["slopes"]["refined"]}
+        assert {key: asymptotic._loglog_slope(*points) for key, points
+                in _golden_point_sets().items()} == printed
+
+    @pytest.mark.parametrize("xs, ys", [((0.2, 0.1), (1.0, 0.0)),
+                                        ((0.0, 0.1), (1.0, 2.0)),
+                                        ((0.2, 0.1), (1.0, math.nan))])
+    def test_no_slope_without_positive_values(self, xs, ys):
+        # NaN, as a fit on log 0 gives; the JSON writers then refuse it
+        assert math.isnan(asymptotic._loglog_slope(xs, ys))

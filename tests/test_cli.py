@@ -379,34 +379,42 @@ class TestArgumentHandling:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
-    def test_failures_before_the_library_leave_numpy_unloaded(self, tmp_path):
-        """A missing material file and an unknown config key fail in
-        `material`; reporting them must not run the numpy modules."""
+    def test_error_lines_leave_numpy_unloaded(self, tmp_path):
+        """A missing material file, an unknown config key, a file that is
+        not UTF-8 and a frequency range the sweep rejects each end on one
+        error line without loading numpy: the clauses `cli.run` tries before
+        the one that catches them run no numpy module."""
         bad = tmp_path / "bad.json"
         payload = json.loads(Path(SAMPLE).read_text())
         payload["extra"] = 1.0
         bad.write_text(json.dumps(payload))
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe binary")
         script = """\
 import json, sys
 from mnwaves import cli
+bad, binary, material = sys.argv[1:]
 codes = [cli.run(["speeds", "--material", "/nonexistent.json"]),
-         cli.run(["validate", sys.argv[1]])]
+         cli.run(["validate", bad]),
+         cli.run(["validate", binary]),
+         cli.run(["dispersion", "--material", material, "--omega-min", "5",
+                  "--omega-max", "1"])]
 print(json.dumps([codes, "numpy" in sys.modules]))
 """
-        proc = subprocess.run([sys.executable, "-c", script, str(bad)],
+        proc = subprocess.run([sys.executable, "-c", script, str(bad),
+                               str(binary), SAMPLE],
                               capture_output=True, text=True,
                               env=subprocess_env())
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[1, 1], False]
+        assert json.loads(proc.stdout) == [[1, 1, 1, 1], False]
         lines = proc.stderr.splitlines()
-        assert len(lines) == 2 and all(line.startswith("error: ")
+        assert len(lines) == 4 and all(line.startswith("error: ")
                                        for line in lines), proc.stderr
 
     def test_scipy_loads_only_for_kernel_check(self, tmp_path):
-        """import mnwaves, validate and speeds leave numpy unloaded, and every
-        command but kernel-check leaves scipy unloaded.  One child process
-        runs the commands in turn and prints, per library, the first step
-        after which it is in sys.modules."""
+        """Every command but kernel-check leaves numpy and scipy unloaded.
+        One child process runs the commands in turn and prints, per library,
+        the first step after which it is in sys.modules."""
         script = """\
 import contextlib, io, json, sys
 import mnwaves
@@ -441,10 +449,10 @@ print(json.dumps(first))
             capture_output=True, text=True, env=subprocess_env())
         assert proc.returncode == 0, proc.stderr
         first = json.loads(proc.stdout)
-        # the scalar inputs need only `material`
-        assert first["numpy"] not in ("import mnwaves", "validate", "speeds")
-        # kernel-check evaluates K0 and K1, so it alone pays for scipy
-        assert first["scipy"] == "kernel-check"
+        # only the kernel and specfun modules load numpy, and of the
+        # commands only kernel-check runs them; it evaluates K0 and K1, so
+        # it alone pays for scipy as well
+        assert first == {"numpy": "kernel-check", "scipy": "kernel-check"}
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_stdout_is_one_error_line(self, unbuffered):

@@ -60,6 +60,27 @@ def classical_rayleigh_oracle(c1_over_c2: float, lo=0.5, hi=0.9999,
     return plain_bisection(f, lo, hi, flo, tol)[0]
 
 
+def numpy_scan_root(m):
+    """`solve_rayleigh` as it was written on numpy arrays, the oracle of its
+    scalar scan: the secular expression on all 513 grid points at once, the
+    last sign change by flatnonzero, then the library root loop.  Returns v
+    and the secular residual, or raises NoSurfaceModeError."""
+    sc = derive_scales(m)
+    grid = np.append(np.linspace(0.01 * sc.c2, 0.9999 * sc.c2, 512), sc.c2)
+    r10_sq = 1.0 - (grid / sc.c1) ** 2
+    r20_sq = 1.0 - (grid / sc.c2) ** 2
+    vals = ((1.0 + sc.d) ** 2 * np.sqrt(r10_sq) * np.sqrt(r20_sq)
+            - (r20_sq + sc.d) ** 2)
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    if hits.size == 0:
+        raise NoSurfaceModeError("no sign change")
+    i = hits[-1]
+    v = bracketed_root(lambda u: secular_leading(m, u), float(grid[i]),
+                       float(grid[i + 1]), float(vals[i]), float(vals[i + 1]),
+                       1e-10 * sc.c2)
+    return v, abs(secular_leading(m, v))
+
+
 def scalar_scan_root(m, tol=1e-10):
     """The root search one `secular_leading` call per scan point: the
     bracket (grid[i], grid[i + 1]) of the largest sign change, and v."""
@@ -191,12 +212,11 @@ class TestSolveRayleigh:
             assert abs(secular_leading(m, point.v)) < 1e-6, ratios
             bc_slope_study(m, 2000.0, point.v)
 
-    def test_array_scan_takes_the_scalar_bracket(self, seed, sample_material,
-                                                 poisson_material,
-                                                 study_material):
-        """The array scan may differ from the scalar one in the last bit
-        (numpy squares by x*x, float ** 2 calls pow), but it picks the same
-        bracket, so the library root loop returns the same v."""
+    def test_scan_takes_the_scalar_bracket(self, seed, sample_material,
+                                           poisson_material, study_material):
+        """The scan takes real roots with math.sqrt where `secular_leading`
+        takes `_branch_sqrt`'s complex ones, but it picks the same bracket,
+        so the library root loop returns the same v."""
         cases = [("sample", sample_material), ("poisson", poisson_material),
                  ("study", study_material), *material_draws(seed)]
         for name, m in cases:
@@ -204,6 +224,101 @@ class TestSolveRayleigh:
             got = solve_rayleigh(m).v
             assert type(got) is float, name
             assert a <= got <= b and got == want, name
+
+
+class TestScanAgainstNumpyOracle:
+    """The scalar scan walks the oracle's grid from the top, so it must land
+    on the oracle's bracket and return its root and residual bit for bit."""
+
+    @staticmethod
+    def draws(seed, n):
+        """Materials over the four dimensionless groups: lambda/mu, kappa/mu
+        (0, the classical limit d = 1, in one draw of 20), c4/c2 and
+        a omega_c/c2, at absolute scales mu and rho that set the bits of
+        c1, c2 and d.  Only the first two groups enter the root."""
+        rng = np.random.default_rng(seed)
+        groups = zip(rng.uniform(-0.95, 50.0, n),
+                     np.where(rng.uniform(size=n) < 0.05, 0.0,
+                              10.0 ** rng.uniform(-6.0, 3.0, n)),
+                     10.0 ** rng.uniform(-2.0, 2.0, n),
+                     10.0 ** rng.uniform(-4.0, 1.0, n),
+                     10.0 ** rng.uniform(6.0, 11.0, n),
+                     10.0 ** rng.uniform(2.0, 4.5, n))
+        j = 1e-6
+        for lam_mu, kappa_mu, c4_c2, a_wc_c2, mu, rho in groups:
+            kappa = float(kappa_mu * mu)
+            c2 = math.sqrt((mu + kappa) / rho)
+            omega_c = math.sqrt(2.0 * kappa / (rho * j))
+            yield (lam_mu, kappa_mu, c4_c2, a_wc_c2, mu, rho), MaterialParams(
+                lambda_lame=float(lam_mu * mu), mu=float(mu), kappa=kappa,
+                alpha_mp=1.0, beta_mp=1.0,
+                gamma_mp=float(c4_c2 ** 2 * (mu + kappa) * j), rho=float(rho),
+                j_inertia=j,
+                a_nl=float(a_wc_c2 * c2 / omega_c) if kappa > 0 else 1e-4)
+
+    def test_seeded_materials(self, seed):
+        for groups, m in self.draws(seed, 3000):
+            point = solve_rayleigh(m)
+            assert (point.v, point.secular_residual) == numpy_scan_root(m), (
+                groups)
+
+    def test_scan_values_are_the_array_values(self, seed):
+        # every point, not only the bracket the root loop is handed
+        for groups, m in self.draws(seed + 1, 200):
+            sc = derive_scales(m)
+            grid = np.append(np.linspace(0.01 * sc.c2, 0.9999 * sc.c2, 512),
+                             sc.c2)
+            r20_sq = 1.0 - (grid / sc.c2) ** 2
+            want = ((1.0 + sc.d) ** 2 * np.sqrt(1.0 - (grid / sc.c1) ** 2)
+                    * np.sqrt(r20_sq) - (r20_sq + sc.d) ** 2)
+            got = [dispersion._scan_secular(sc, u) for u in grid.tolist()]
+            assert got == want.tolist(), groups
+
+    def test_no_sign_change_raises(self, sample_material, monkeypatch):
+        monkeypatch.setattr(dispersion, "_scan_secular", lambda sc, u: 1.0)
+        with pytest.raises(NoSurfaceModeError, match="no elastic surface"):
+            solve_rayleigh(sample_material)
+
+    @pytest.mark.parametrize("i, zero", [(0, False), (5, True)])
+    def test_bracket_low_on_the_grid(self, sample_material, monkeypatch,
+                                     root_solves, i, zero):
+        """A scan value u - cut: the walk from the top evaluates every point
+        down to grid[i] and hands that bracket and its values to the root
+        loop, which returns grid[i] itself where the value there is 0."""
+        c2 = derive_scales(sample_material).c2
+        grid = np.linspace(0.01 * c2, 0.9999 * c2, 512).tolist()
+        cut = grid[i] if zero else 0.5 * (grid[i] + grid[i + 1])
+        monkeypatch.setattr(dispersion, "_scan_secular",
+                            lambda sc, u: u - cut)
+        v = solve_rayleigh(sample_material).v
+        _, a, b, fa, fb, *_ = root_solves[0]
+        assert (a, b) == (grid[i], grid[i + 1])
+        assert (fa, fb) == (grid[i] - cut, grid[i + 1] - cut)
+        assert (v == grid[i]) is zero
+
+
+class TestGeomspace:
+    """`_geomspace` against numpy.geomspace."""
+
+    @pytest.mark.parametrize("lo, hi, n", [(2e5, 2e6, 5), (3e5, 2e6, 6),
+                                           (1e5, 1e6, 2), (1e5, 1e7, 7)])
+    def test_golden_grids_are_numpy_bits(self, lo, hi, n):
+        assert dispersion._geomspace(lo, hi, n) == np.geomspace(lo, hi, n).tolist()
+
+    def test_seeded_grids(self, seed):
+        """Exact ends; inside, 1e-13 relative.  An interior point is 10**y,
+        so one ulp of y (numpy's vectorized log10 may round differently
+        from the C library's) is up to about 70 ulps of the point."""
+        rng = np.random.default_rng(seed)
+        for _ in range(3000):
+            lo = 10.0 ** rng.uniform(-3.0, 9.0)
+            hi = lo * 10.0 ** rng.uniform(1e-6, 6.0)
+            n = int(rng.integers(2, 200))
+            got = dispersion._geomspace(lo, hi, n)
+            want = np.geomspace(lo, hi, n)
+            assert len(got) == n and type(got[1]) is float
+            assert got[0] == want[0] == lo and got[-1] == want[-1] == hi
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestMicropolarVelocity:

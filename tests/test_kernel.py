@@ -16,7 +16,6 @@ from mnwaves.kernel import (
     _fft_length,
     _kernel_stencil,
     apply_helmholtz,
-    boundary_operator,
     convolve_halfplane,
     field_to_csv,
     gaussian_field,
@@ -24,6 +23,7 @@ from mnwaves.kernel import (
     roundtrip_error,
 )
 from mnwaves import kernel
+from mnwaves.asymptotic import boundary_operator
 from mnwaves.specfun import bessel_k0, bessel_k1
 from mnwaves.wavefield import blayer_closed_form, blayer_quadrature_form
 
@@ -467,9 +467,10 @@ class TestConvolveHalfplane:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
-    def test_only_specfun_imports_scipy(self):
-        # and only inside a function body, so `import mnwaves` skips scipy
-        importers = set()
+    @staticmethod
+    def importers(lib: str) -> dict[str, list[tuple[int, bool]]]:
+        """Per package file that imports lib: (line, inside a function)."""
+        found: dict[str, list[tuple[int, bool]]] = {}
         for path in Path(mnwaves.__file__).parent.glob("*.py"):
             tree = ast.parse(path.read_text())
             in_functions = {id(node) for fn in ast.walk(tree)
@@ -483,12 +484,21 @@ class TestConvolveHalfplane:
                     names = [node.module or ""]
                 else:
                     continue
-                if any(n.split(".")[0] == "scipy" for n in names):
-                    importers.add(path.name)
-                    assert id(node) in in_functions, (
-                        f"{path.name}:{node.lineno} imports scipy at module "
-                        "level")
-        assert importers == {"specfun.py"}
+                if any(n.split(".")[0] == lib for n in names):
+                    found.setdefault(path.name, []).append(
+                        (node.lineno, id(node) in in_functions))
+        return found
+
+    def test_only_specfun_imports_scipy(self):
+        # and only inside a function body, so `import mnwaves` skips scipy
+        found = self.importers("scipy")
+        assert set(found) == {"specfun.py"}
+        assert all(inside for _, inside in found["specfun.py"]), found
+
+    def test_only_kernel_and_specfun_import_numpy(self):
+        # the scalar modules stay pure Python; the CLI tests check that
+        # nothing reaches numpy through them at run time
+        assert set(self.importers("numpy")) == {"kernel.py", "specfun.py"}
 
     def test_edge_decay_precondition(self):
         n = 16

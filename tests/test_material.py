@@ -7,6 +7,7 @@ from mnwaves.material import (
     InvalidMaterialError,
     MaterialParams,
     derive_scales,
+    load_material,
     material_fingerprint,
     material_from_json,
     validate,
@@ -214,3 +215,10 @@ class TestConfigFile:
     def test_garbage_rejected(self):
         with pytest.raises(InvalidMaterialError):
             material_from_json("{not json")
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"mu": \xff}')
+        with pytest.raises(InvalidMaterialError,
+                           match="not UTF-8 text .* at byte 7"):
+            load_material(path)
