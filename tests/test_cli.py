@@ -379,36 +379,53 @@ class TestArgumentHandling:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
-    def test_error_lines_leave_numpy_unloaded(self, tmp_path):
-        """A missing material file, an unknown config key, a file that is
-        not UTF-8 and a frequency range the sweep rejects each end on one
-        error line without loading numpy: the clauses `cli.run` tries before
-        the one that catches them run no numpy module."""
+    def test_failures_before_the_library_leave_numpy_unloaded(self, tmp_path):
+        """A missing material file and an unknown config key fail in
+        `material`; reporting them must not run the numpy modules."""
         bad = tmp_path / "bad.json"
         payload = json.loads(Path(SAMPLE).read_text())
         payload["extra"] = 1.0
         bad.write_text(json.dumps(payload))
+        script = """\
+import json, sys
+from mnwaves import cli
+codes = [cli.run(["speeds", "--material", "/nonexistent.json"]),
+         cli.run(["validate", sys.argv[1]])]
+print(json.dumps([codes, "numpy" in sys.modules]))
+"""
+        proc = subprocess.run([sys.executable, "-c", script, str(bad)],
+                              capture_output=True, text=True,
+                              env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[1, 1], False]
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2 and all(line.startswith("error: ")
+                                       for line in lines), proc.stderr
+
+    def test_decode_and_range_errors_leave_numpy_unloaded(self, tmp_path):
+        """A material file that is not UTF-8 and a frequency range the sweep
+        rejects each end on one error line without loading numpy: the
+        clauses `cli.run` tries before the one that catches them run no
+        numpy module."""
         binary = tmp_path / "binary.json"
         binary.write_bytes(b"\xff\xfe binary")
         script = """\
 import json, sys
 from mnwaves import cli
-bad, binary, material = sys.argv[1:]
-codes = [cli.run(["speeds", "--material", "/nonexistent.json"]),
-         cli.run(["validate", bad]),
-         cli.run(["validate", binary]),
+binary, material = sys.argv[1:]
+codes = [cli.run(["validate", binary]),
          cli.run(["dispersion", "--material", material, "--omega-min", "5",
                   "--omega-max", "1"])]
 print(json.dumps([codes, "numpy" in sys.modules]))
 """
-        proc = subprocess.run([sys.executable, "-c", script, str(bad),
-                               str(binary), SAMPLE],
+        proc = subprocess.run([sys.executable, "-c", script, str(binary),
+                               SAMPLE],
                               capture_output=True, text=True,
                               env=subprocess_env())
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[1, 1, 1, 1], False]
+        assert json.loads(proc.stdout) == [[1, 1], False]
         lines = proc.stderr.splitlines()
-        assert len(lines) == 4 and all(line.startswith("error: ")
+        assert len(lines) == 2 and all(line.startswith("error: ")
                                        for line in lines), proc.stderr
 
     def test_scipy_loads_only_for_kernel_check(self, tmp_path):

@@ -212,6 +212,20 @@ class TestSolveRayleigh:
             assert abs(secular_leading(m, point.v)) < 1e-6, ratios
             bc_slope_study(m, 2000.0, point.v)
 
+    def test_array_scan_takes_the_scalar_bracket(self, seed, sample_material,
+                                                 poisson_material,
+                                                 study_material):
+        """The numpy array scan, the oracle of `TestScanAgainstNumpyOracle`,
+        may differ from the scalar one in the last bit (numpy squares by
+        x*x, float ** 2 calls pow), but it picks the same bracket, so the
+        library root loop returns the same v."""
+        cases = [("sample", sample_material), ("poisson", poisson_material),
+                 ("study", study_material), *material_draws(seed)]
+        for name, m in cases:
+            (a, b), want = scalar_scan_root(m)
+            got, _ = numpy_scan_root(m)
+            assert a <= got <= b and got == want, name
+
     def test_scan_takes_the_scalar_bracket(self, seed, sample_material,
                                            poisson_material, study_material):
         """The scan takes real roots with math.sqrt where `secular_leading`
