@@ -94,6 +94,8 @@ def equivalence_residual_micropolar(m: MaterialParams, v: float,
     Proportional to the elastic-mode secular expression, so it vanishes only
     at the other mode's root: the two modes never coexist.
     """
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k!r}")
     d = derive_scales(m).d
     r10, r20 = leading_exponents(m, v)
     return k ** 3 / (r20 * r20 + d) * _secular(d, r10, r20, r20 * r20)

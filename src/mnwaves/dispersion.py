@@ -43,9 +43,6 @@ __all__ = [
 ]
 
 _BRACKET_LO = 0.01     # of c2; excludes the trivial double root at v = 0
-_BRACKET_HI = 0.9999   # of c2; top of the uniform scan grid
-_SCAN_POINTS = 512
-_ROOT_TOL = 1e-10      # of c2; width of the final root bracket
 
 
 class CutoffError(ValueError):
@@ -95,20 +92,6 @@ def _secular(d, r10, r20, r20_sq):
     return (1.0 + d) ** 2 * r10 * r20 - (r20_sq + d) ** 2
 
 
-def _scan_secular(sc, u: float) -> float:
-    """`_secular` at the `_leading_radicands` of u in [0, c2], where both
-    are >= 0, for the scan of `solve_rayleigh`.  Each square of a computed
-    value is x*x, as numpy's array square was in the former scan; float
-    ** 2 calls pow, which differs from x*x in the last bit about once in
-    1200, and the bracket values the scan hands to `bracketed_root` steer
-    its steps, so the other form would move some roots by a few ulps."""
-    x1, x2 = u / sc.c1, u / sc.c2
-    r20_sq = 1.0 - x2 * x2
-    t = r20_sq + sc.d
-    return ((1.0 + sc.d) ** 2 * math.sqrt(1.0 - x1 * x1) * math.sqrt(r20_sq)
-            - t * t)
-
-
 def secular_leading(m: MaterialParams, v: float) -> float:
     """The leading-order elastic-mode secular function at phase velocity v.
 
@@ -130,16 +113,18 @@ def secular_leading(m: MaterialParams, v: float) -> float:
 def bracketed_root(f, a: float, b: float, fa: float, fb: float,
                    width: float) -> float:
     """Midpoint of a sign-change bracket [a, b] of f (fa = f(a) and
-    fb = f(b) of opposite signs) narrowed until it is at most width wide;
-    an exact zero of f ends the search.
+    fb = f(b) of opposite signs) narrowed until it is at most width wide,
+    or, where no double lies strictly inside it, on adjacent doubles, as
+    width 0 asks; an exact zero of f ends the search.
 
     Each step is an Illinois step (regula falsi that halves the stored
     value of an end kept twice in a row), moved at least width/2 inside
     the bracket so that a root within width/2 of an end is closed off by
-    the next step.  The bracket must keep up with bisection at half pace:
-    after 2j evaluations it may be at most 2^-j of its first width, and
-    while it is wider the steps are midpoints.  So where plain bisection
-    takes n evaluations this takes at most 2n + 1, on any f.
+    the next step; a step that would not fall strictly inside is a
+    midpoint instead.  The bracket must keep up with bisection at half
+    pace: after 2j evaluations it may be at most 2^-j of its first width,
+    and while it is wider the steps are midpoints.  So where plain
+    bisection takes n evaluations this takes at most 2n + 1, on any f.
     """
     if fa == 0.0 or fb == 0.0:
         return a if fa == 0.0 else b
@@ -151,11 +136,14 @@ def bracketed_root(f, a: float, b: float, fa: float, fb: float,
     steps = 0
     while b - a > width:
         w = b - a
-        if w > budget:
-            x = 0.5 * (a + b)
-        else:
+        x = 0.5 * (a + b)
+        if w <= budget:
             # max before min, so a NaN step (inf values) falls on a + half
-            x = min(b - half, max(a + half, a - fa * w / (fb - fa)))
+            step = min(b - half, max(a + half, a - fa * w / (fb - fa)))
+            if a < step < b:
+                x = step
+        if not a < x < b:
+            break
         fx = f(x)
         if fx == 0.0:
             return x
@@ -189,38 +177,36 @@ def _geomspace(start: float, stop: float, n: int) -> list[float]:
 def solve_rayleigh(m: MaterialParams) -> DispersionPoint:
     """The elastic-mode root of `secular_leading` in (0.01, 1) c2.
 
-    The secular function is positive just above the trivial v = 0 double
-    root (its leading term is +v^2 (1+d)[2/c2^2 - (1+d)(1/(2 c1^2)
-    + 1/(2 c2^2))] > 0 because c1 > c2 and d <= 1) and equals -d^2 < 0 at
-    c2, so a sign change below c2 always exists.  The scan grid ends at c2
-    itself: for kappa/mu above about 7.6 the root lies above 0.9999 c2.
-    With several sign changes the largest-velocity bracket (the physical
-    Rayleigh branch) is taken.  The leading-order mode is non-dispersive:
-    omega and k of the returned point are NaN metadata, exponents are
-    attached by `sweep`.  The bracket of the scan is narrowed by
-    `bracketed_root` to `_ROOT_TOL` times c2.
+    The unknown is x = r20^2 = 1 - (v/c2)^2, with r10^2 = 1 - q (1 - x)
+    and q = (c2/c1)^2, so that r20 keeps its digits as the root nears c2
+    (x -> 0 as kappa/mu grows).  Squared, the relation is (1+d)^4
+    (1 - q (1 - x)) x = (x + d)^4; its trivial root x = 1 (v = 0) divided
+    out, it is the cubic x^3 + (1+4d) x^2 + (1+4d+6d^2 - q (1+d)^4) x
+    - d^4, whose coefficients change sign once, so it has one positive
+    root (Descartes), and that root lies in (0, 1): the cubic is -d^4 at 0
+    and above (1 - d^2)(1 + d)^2 >= 0 at 1, as q < 1 and d <= 1.  The
+    secular function has the cubic's sign on [0, 1) and is -d^2 at x = 0,
+    so one bracket [0, 1 - 0.01^2] holds the sign change, which
+    `bracketed_root` narrows to adjacent doubles; v = c2 sqrt(1 - x).
+    The leading-order mode is non-dispersive: omega and k of the returned
+    point are NaN metadata, exponents are attached by `sweep`.
     """
     sc = derive_scales(m)
-    lo, hi = _BRACKET_LO * sc.c2, _BRACKET_HI * sc.c2
-    step = (hi - lo) / (_SCAN_POINTS - 1)
+    d = sc.d
+    q = (m.mu + m.kappa) / (m.lambda_lame + 2.0 * m.mu + m.kappa)
 
-    # the grid is numpy.linspace(lo, hi, _SCAN_POINTS), i*step + lo with hi
-    # itself last, then c2.  It is walked from the top, so the first sign
-    # change met is the largest-velocity bracket and the points below it
-    # are never evaluated
-    u_hi, f_hi = sc.c2, _scan_secular(sc, sc.c2)
-    for i in range(_SCAN_POINTS - 1, -1, -1):
-        u = hi if i == _SCAN_POINTS - 1 else i * step + lo
-        f = _scan_secular(sc, u)
-        if f == 0.0 or f * f_hi < 0.0:
-            break
-        u_hi, f_hi = u, f
-    else:
+    def f(x: float) -> float:
+        return _secular(d, math.sqrt(1.0 - q * (1.0 - x)), math.sqrt(x), x)
+
+    hi = 1.0 - _BRACKET_LO ** 2
+    f_hi = f(hi)
+    if not f_hi > 0.0:
         raise NoSurfaceModeError(
-            "no sign change of the secular function in "
-            f"({lo!r}, {sc.c2!r}); no elastic surface mode for this material")
-    v = bracketed_root(lambda x: secular_leading(m, x), u, u_hi, f, f_hi,
-                       _ROOT_TOL * sc.c2)
+            "no sign change of the secular function between "
+            f"{_BRACKET_LO!r} c2 and c2; no elastic surface mode for this "
+            "material")
+    x = bracketed_root(f, 0.0, hi, -d ** 2, f_hi, 0.0)
+    v = sc.c2 * math.sqrt(1.0 - x)
     return DispersionPoint(
         omega=math.nan, k=math.nan, v=v, mode_tag="elastic", exponents=None,
         secular_residual=abs(secular_leading(m, v)),

@@ -98,6 +98,12 @@ class TestEquivalenceMicropolar:
         value = equivalence_residual_micropolar(m, v, k)
         assert abs(value) > 1e-6 * k ** 3
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0])
+    def test_needs_wavenumber(self, sample_material, k):
+        v = 0.5 * derive_scales(sample_material).c2
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            equivalence_residual_micropolar(sample_material, v, k)
+
     def test_identity_with_secular_function(self, sample_material, seed):
         # same algebra, two code paths, twenty random velocities
         m = sample_material
@@ -118,14 +124,15 @@ class TestBcResidualOrder:
             self, seed, poisson_material, sample_material):
         """At eps = 0 the elastic mode at its root meets the classical
         conditions across the material space.  The sigma33 row keeps what
-        the 1e-10 c2 root tolerance leaves of the secular function (about
-        1e-8 at worst over the draws, 6e-11 on the Poisson solid); Pi32 has
-        no rotation branch and is exactly 0."""
+        the root, exact in x = r20^2 up to rounding, leaves of the secular
+        function once v is re-derived from x (at most 6.3e-14 over the
+        draws of seeds 0-49, 2.2e-16 on the Poisson solid); Pi32 has no
+        rotation branch and is exactly 0."""
         sol = _printed_mode(poisson_material, 100.0, 0.0)
-        assert all(abs(c) < 1e-9 for c in bc_residual_order(sol, 0))
+        assert all(abs(c) < 1e-15 for c in bc_residual_order(sol, 0))
         for m in (sample_material, *(m for _, m in material_draws(seed))):
             triple = bc_residual_order(_printed_mode(m, 100.0, 0.0), 0)
-            assert all(abs(c) < 1e-7 for c in triple), m
+            assert all(abs(c) < 1e-12 for c in triple), m
             assert triple[2] == 0, m
 
     def test_zero_amplitudes(self, sample_material):
@@ -340,7 +347,7 @@ class TestFirstOrderSolution:
             first_order_elastic_solution(study_material, 2000.0, 0.1, 0.5 * v0)
 
     def test_bracket_reaches_c2(self, study_material, monkeypatch):
-        # the bracket top is min(1.1 v0, c2), not the scan grid's 0.9999 c2
+        # the bracket top is min(1.1 v0, c2), not 1.1 v0 past c2
         brackets = []
 
         def recording_root(f, a, b, fa, fb, width):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,16 +23,20 @@ from mnwaves.dispersion import (
     sweep,
 )
 from mnwaves.material import MaterialParams, derive_scales
+from mnwaves.wavefield import leading_exponents
 
 
 def plain_bisection(f, a, b, fa, width):
     """Midpoint of a sign-change bracket [a, b] of f (fa = f(a)) halved until
     at most width wide, and the number of evaluations of f.  Written apart
     from the library: the oracle's root loop and the reference that
-    `bracketed_root` is checked against."""
+    `bracketed_root` is checked against.  With no double strictly inside
+    the bracket it stops on adjacent doubles, as width 0 asks."""
     evals = 0
     while b - a > width:
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
         fm = f(mid)
         evals += 1
         if fm == 0.0:
@@ -41,6 +46,53 @@ def plain_bisection(f, a, b, fa, width):
         else:
             b = mid
     return 0.5 * (a + b), evals
+
+
+def _poly_mul(*polys):
+    """Product of polynomials given as coefficient lists, highest first."""
+    out = [1]
+    for p in polys:
+        prod = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _poly_sub(p, r):
+    r = [0] * (len(p) - len(r)) + list(r)
+    return [a - b for a, b in zip(p, r)]
+
+
+def _poly_rem(p, r):
+    """Remainder of p divided by r, exact on Fractions."""
+    p = list(p)
+    while len(p) >= len(r):
+        c = Fraction(p[0]) / r[0]
+        p = [a - c * b for a, b in zip(p, list(r) + [0] * (len(p) - len(r)))]
+        p.pop(0)
+    while p and p[0] == 0:
+        p.pop(0)
+    return p
+
+
+def _sturm_count(p, a, b):
+    """Number of distinct real roots of p in (a, b], by Sturm's theorem."""
+    chain = [p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]]
+    while len(chain[-1]) > 1:
+        rem = _poly_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def changes(x):
+        vals = [sum(c * x ** (len(q) - 1 - i) for i, c in enumerate(q))
+                for q in chain]
+        signs = [v > 0 for v in vals if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return changes(Fraction(a)) - changes(Fraction(b))
 
 
 def classical_rayleigh_oracle(c1_over_c2: float, lo=0.5, hi=0.9999,
@@ -58,44 +110,6 @@ def classical_rayleigh_oracle(c1_over_c2: float, lo=0.5, hi=0.9999,
     flo = f(lo)
     assert flo * f(hi) < 0.0
     return plain_bisection(f, lo, hi, flo, tol)[0]
-
-
-def numpy_scan_root(m):
-    """`solve_rayleigh` as it was written on numpy arrays, the oracle of its
-    scalar scan: the secular expression on all 513 grid points at once, the
-    last sign change by flatnonzero, then the library root loop.  Returns v
-    and the secular residual, or raises NoSurfaceModeError."""
-    sc = derive_scales(m)
-    grid = np.append(np.linspace(0.01 * sc.c2, 0.9999 * sc.c2, 512), sc.c2)
-    r10_sq = 1.0 - (grid / sc.c1) ** 2
-    r20_sq = 1.0 - (grid / sc.c2) ** 2
-    vals = ((1.0 + sc.d) ** 2 * np.sqrt(r10_sq) * np.sqrt(r20_sq)
-            - (r20_sq + sc.d) ** 2)
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
-    if hits.size == 0:
-        raise NoSurfaceModeError("no sign change")
-    i = hits[-1]
-    v = bracketed_root(lambda u: secular_leading(m, u), float(grid[i]),
-                       float(grid[i + 1]), float(vals[i]), float(vals[i + 1]),
-                       1e-10 * sc.c2)
-    return v, abs(secular_leading(m, v))
-
-
-def scalar_scan_root(m, tol=1e-10):
-    """The root search one `secular_leading` call per scan point: the
-    bracket (grid[i], grid[i + 1]) of the largest sign change, and v."""
-    sc = derive_scales(m)
-    grid = [float(v) for v in np.linspace(0.01 * sc.c2, 0.9999 * sc.c2,
-                                          512)] + [sc.c2]
-    vals = [secular_leading(m, v) for v in grid]
-    for i in range(len(grid) - 2, -1, -1):
-        if vals[i] == 0.0:
-            return (grid[i], grid[i + 1]), grid[i]
-        if vals[i] * vals[i + 1] < 0.0:
-            return (grid[i], grid[i + 1]), bracketed_root(
-                lambda u: secular_leading(m, u), grid[i], grid[i + 1],
-                vals[i], vals[i + 1], tol * sc.c2)
-    raise AssertionError("no sign change")
 
 
 @pytest.fixture
@@ -178,12 +192,14 @@ class TestSolveRayleigh:
         assert got.v / sc.c2 == pytest.approx(want, abs=1e-6)
 
     def test_micropolar_material_root_certificate(self, sample_material):
+        # the root is narrowed to adjacent doubles of x = 1 - (v/c2)^2; a
+        # step of 1e-12 c2 either side of v moves the secular function by
+        # 4.7e-12, far above its rounding near the root
         sc = derive_scales(sample_material)
-        tol = 1e-10   # the fixed root tolerance, relative to c2
         point = solve_rayleigh(sample_material)
-        assert abs(secular_leading(sample_material, point.v)) < 1e-9
-        below = secular_leading(sample_material, point.v - tol * sc.c2)
-        above = secular_leading(sample_material, point.v + tol * sc.c2)
+        assert abs(secular_leading(sample_material, point.v)) < 1e-15
+        below = secular_leading(sample_material, point.v - 1e-12 * sc.c2)
+        above = secular_leading(sample_material, point.v + 1e-12 * sc.c2)
         assert below * above < 0.0
 
     def test_extreme_micropolarity_contract(self):
@@ -203,112 +219,77 @@ class TestSolveRayleigh:
         The secular function is positive just above v = 0 and equals -d^2 at
         c2, so a root always exists; from kappa/mu ~ 7.6 it lies above
         0.9999 c2 (the fixed kappa/mu = 16 draw guarantees one such case).
-        A root within 1e-10 c2 leaves |secular| <= ~2e-10 / r20, and r20 at
-        the root stays above ~1e-3 on this range: 1e-6 bounds it.
+        The root is exact in x = r20^2 up to rounding; v = c2 sqrt(1 - x)
+        and the r20^2 that `secular_leading` forms from it are each off by
+        a few ulps, which the 1/(2 r20) slope of r20 in x amplifies, and
+        r20 at the root stays above ~1e-3 on this range: 1e-12 bounds it
+        (at most 6.3e-14 measured over seeds 0-49).
         """
         for ratios, m in material_draws(seed):
             point = solve_rayleigh(m)
             assert 0.0 < point.v < derive_scales(m).c2, ratios
-            assert abs(secular_leading(m, point.v)) < 1e-6, ratios
+            assert abs(secular_leading(m, point.v)) < 1e-12, ratios
             bc_slope_study(m, 2000.0, point.v)
 
-    def test_array_scan_takes_the_scalar_bracket(self, seed, sample_material,
-                                                 poisson_material,
-                                                 study_material):
-        """The numpy array scan, the oracle of `TestScanAgainstNumpyOracle`,
-        may differ from the scalar one in the last bit (numpy squares by
-        x*x, float ** 2 calls pow), but it picks the same bracket, so the
-        library root loop returns the same v."""
-        cases = [("sample", sample_material), ("poisson", poisson_material),
-                 ("study", study_material), *material_draws(seed)]
-        for name, m in cases:
-            (a, b), want = scalar_scan_root(m)
-            got, _ = numpy_scan_root(m)
-            assert a <= got <= b and got == want, name
-
-    def test_scan_takes_the_scalar_bracket(self, seed, sample_material,
-                                           poisson_material, study_material):
-        """The scan takes real roots with math.sqrt where `secular_leading`
-        takes `_branch_sqrt`'s complex ones, but it picks the same bracket,
-        so the library root loop returns the same v."""
-        cases = [("sample", sample_material), ("poisson", poisson_material),
-                 ("study", study_material), *material_draws(seed)]
-        for name, m in cases:
-            (a, b), want = scalar_scan_root(m)
-            got = solve_rayleigh(m).v
-            assert type(got) is float, name
-            assert a <= got <= b and got == want, name
-
-
-class TestScanAgainstNumpyOracle:
-    """The scalar scan walks the oracle's grid from the top, so it must land
-    on the oracle's bracket and return its root and residual bit for bit."""
-
-    @staticmethod
-    def draws(seed, n):
-        """Materials over the four dimensionless groups: lambda/mu, kappa/mu
-        (0, the classical limit d = 1, in one draw of 20), c4/c2 and
-        a omega_c/c2, at absolute scales mu and rho that set the bits of
-        c1, c2 and d.  Only the first two groups enter the root."""
-        rng = np.random.default_rng(seed)
-        groups = zip(rng.uniform(-0.95, 50.0, n),
-                     np.where(rng.uniform(size=n) < 0.05, 0.0,
-                              10.0 ** rng.uniform(-6.0, 3.0, n)),
-                     10.0 ** rng.uniform(-2.0, 2.0, n),
-                     10.0 ** rng.uniform(-4.0, 1.0, n),
-                     10.0 ** rng.uniform(6.0, 11.0, n),
-                     10.0 ** rng.uniform(2.0, 4.5, n))
-        j = 1e-6
-        for lam_mu, kappa_mu, c4_c2, a_wc_c2, mu, rho in groups:
-            kappa = float(kappa_mu * mu)
-            c2 = math.sqrt((mu + kappa) / rho)
-            omega_c = math.sqrt(2.0 * kappa / (rho * j))
-            yield (lam_mu, kappa_mu, c4_c2, a_wc_c2, mu, rho), MaterialParams(
-                lambda_lame=float(lam_mu * mu), mu=float(mu), kappa=kappa,
-                alpha_mp=1.0, beta_mp=1.0,
-                gamma_mp=float(c4_c2 ** 2 * (mu + kappa) * j), rho=float(rho),
-                j_inertia=j,
-                a_nl=float(a_wc_c2 * c2 / omega_c) if kappa > 0 else 1e-4)
-
-    def test_seeded_materials(self, seed):
-        for groups, m in self.draws(seed, 3000):
-            point = solve_rayleigh(m)
-            assert (point.v, point.secular_residual) == numpy_scan_root(m), (
-                groups)
-
-    def test_scan_values_are_the_array_values(self, seed):
-        # every point, not only the bracket the root loop is handed
-        for groups, m in self.draws(seed + 1, 200):
-            sc = derive_scales(m)
-            grid = np.append(np.linspace(0.01 * sc.c2, 0.9999 * sc.c2, 512),
-                             sc.c2)
-            r20_sq = 1.0 - (grid / sc.c2) ** 2
-            want = ((1.0 + sc.d) ** 2 * np.sqrt(1.0 - (grid / sc.c1) ** 2)
-                    * np.sqrt(r20_sq) - (r20_sq + sc.d) ** 2)
-            got = [dispersion._scan_secular(sc, u) for u in grid.tolist()]
-            assert got == want.tolist(), groups
-
     def test_no_sign_change_raises(self, sample_material, monkeypatch):
-        monkeypatch.setattr(dispersion, "_scan_secular", lambda sc, u: 1.0)
+        monkeypatch.setattr(dispersion, "_secular", lambda *args: -1.0)
         with pytest.raises(NoSurfaceModeError, match="no elastic surface"):
             solve_rayleigh(sample_material)
 
-    @pytest.mark.parametrize("i, zero", [(0, False), (5, True)])
-    def test_bracket_low_on_the_grid(self, sample_material, monkeypatch,
-                                     root_solves, i, zero):
-        """A scan value u - cut: the walk from the top evaluates every point
-        down to grid[i] and hands that bracket and its values to the root
-        loop, which returns grid[i] itself where the value there is 0."""
-        c2 = derive_scales(sample_material).c2
-        grid = np.linspace(0.01 * c2, 0.9999 * c2, 512).tolist()
-        cut = grid[i] if zero else 0.5 * (grid[i] + grid[i + 1])
-        monkeypatch.setattr(dispersion, "_scan_secular",
-                            lambda sc, u: u - cut)
-        v = solve_rayleigh(sample_material).v
-        _, a, b, fa, fb, *_ = root_solves[0]
-        assert (a, b) == (grid[i], grid[i + 1])
-        assert (fa, fb) == (grid[i] - cut, grid[i + 1] - cut)
-        assert (v == grid[i]) is zero
+    @pytest.mark.parametrize("kappa_mu", [1.0, 16.0, 100.0, 482.0, 1000.0,
+                                          5000.0, 1e5])
+    def test_root_against_mpmath(self, sample_material, kappa_mu):
+        """v within 2e-16 relative of a 60-digit root, found by bisection
+        in x = r20^2 on the unrounded moduli, as kappa/mu drives the root to
+        c2 (1 - v/c2 = 2e-12 at 5000).  r20 from the returned v keeps 1e-10
+        up to kappa/mu = 100; beyond, re-deriving it from v cancels."""
+        mpmath = pytest.importorskip("mpmath")
+        mu = 2e9
+        m = MaterialParams(
+            lambda_lame=mu, mu=mu, kappa=kappa_mu * mu,
+            alpha_mp=sample_material.alpha_mp, beta_mp=sample_material.beta_mp,
+            gamma_mp=sample_material.gamma_mp, rho=sample_material.rho,
+            j_inertia=sample_material.j_inertia, a_nl=sample_material.a_nl)
+        point = solve_rayleigh(m)
+        with mpmath.workdps(60):
+            lam, mu_, kappa, rho = (mpmath.mpf(t) for t in
+                                    (m.lambda_lame, m.mu, m.kappa, m.rho))
+            d = mu_ / (mu_ + kappa)
+            q = (mu_ + kappa) / (lam + 2 * mu_ + kappa)
+            lo, hi = mpmath.mpf(0), mpmath.mpf(1) - mpmath.mpf("0.01") ** 2
+            for _ in range(220):
+                x = (lo + hi) / 2
+                f = ((1 + d) ** 2 * mpmath.sqrt(1 - q * (1 - x))
+                     * mpmath.sqrt(x) - (x + d) ** 2)
+                lo, hi = (x, hi) if f < 0 else (lo, x)
+            v = mpmath.sqrt((mu_ + kappa) / rho) * mpmath.sqrt(1 - lo)
+            r20 = mpmath.sqrt(lo)
+        assert abs(point.v - v) <= 2e-16 * v
+        if kappa_mu <= 100.0:
+            r20_got = leading_exponents(m, point.v)[1].real
+            assert abs(r20_got - r20) <= 1e-10 * r20
+
+    def test_one_root_of_the_cubic_in_the_bracket(self, seed):
+        """Squared, the relation is (1+d)^4 (1 - q (1 - x)) x = (x + d)^4,
+        q = (c2/c1)^2; with its trivial root x = 1 (v = 0) divided out it
+        is the cubic x^3 + (1+4d) x^2 + (1+4d+6d^2 - q (1+d)^4) x - d^4.
+        On seeded (q, d), in exact rationals, the division leaves no
+        remainder and Sturm's theorem counts one root in (0, 1), so the
+        single bracket of `solve_rayleigh` holds the one sign change."""
+        rng = np.random.default_rng(seed)
+        lam_mu = rng.uniform(-0.99, 50.0, 1000)
+        kappa_mu = np.where(rng.uniform(size=1000) < 0.05, 0.0,
+                            10.0 ** rng.uniform(-6.0, 5.0, 1000))
+        for lm, km in zip(lam_mu.tolist(), kappa_mu.tolist()):
+            q = Fraction((1.0 + km) / (lm + 2.0 + km))
+            d = Fraction(1.0 / (1.0 + km))
+            cubic = [1, 1 + 4 * d, 1 + 4 * d + 6 * d ** 2 - q * (1 + d) ** 4,
+                     -d ** 4]
+            quartic = _poly_sub(_poly_mul([1, d], [1, d], [1, d], [1, d]),
+                                _poly_mul([(1 + d) ** 4 * q,
+                                           (1 + d) ** 4 * (1 - q)], [1, 0]))
+            assert _poly_mul(cubic, [1, -1]) == quartic, (lm, km)
+            assert _sturm_count(cubic, 0, 1) == 1, (lm, km)
 
 
 class TestGeomspace:
@@ -461,6 +442,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(sample_material, 1.0, 10.0, 1)
 
+    def test_csv_without_rotation_branch(self, poisson_material):
+        # kappa = 0 has no branch 3: its r3 columns print nan, nan
+        curve = sweep(poisson_material, 1e5, 1e6, 3, "elastic")
+        rows = curve_to_csv(curve).splitlines()
+        header = rows[0].split(",")
+        cols = header.index("r3_re"), header.index("r3_im")
+        assert len(rows) == 4
+        for row in rows[1:]:
+            fields = row.split(",")
+            assert [fields[i] for i in cols] == ["nan", "nan"], row
+            assert fields[header.index("r2")] != "nan", row
+
     def test_deterministic(self, sample_material):
         a = sweep(sample_material, 1e5, 1e6, 5, "elastic")
         b = sweep(sample_material, 1e5, 1e6, 5, "elastic")
@@ -539,6 +532,42 @@ class TestBracketedRoot:
                     else:
                         hi = u
 
+    def test_adjacent_doubles_at_width_zero(self, seed):
+        """With width 0 the result is an exact zero of f or lies on
+        adjacent doubles where f changes sign, every step lies strictly
+        inside the current bracket, and the evaluations stay within
+        2n + 1, n those of plain bisection to adjacent doubles."""
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            r, cases = steep_flat_kinked(rng)
+            a = r - float(rng.uniform(1e-3, 1.0))
+            b = r + float(rng.uniform(1e-3, 1.0))
+            for name, f in cases.items():
+                steps = []
+
+                def logged(x):
+                    steps.append(x)
+                    return f(x)
+
+                fa, fb = f(a), f(b)
+                x = bracketed_root(logged, a, b, fa, fb, 0.0)
+                label = (name, r, a, b)
+                fx = f(x)
+                assert fx == 0.0 or any(
+                    (f(y) < 0.0) != (fx < 0.0)
+                    for y in (math.nextafter(x, -math.inf),
+                              math.nextafter(x, math.inf))), label
+                _, n = plain_bisection(lambda u: -1.0 if u < r else 1.0,
+                                       a, b, -1.0, 0.0)
+                assert len(steps) <= 2 * n + 1, (label, len(steps), n)
+                lo, hi, flo = a, b, fa
+                for u in steps:
+                    assert lo < u < hi, label
+                    if (f(u) < 0.0) == (flo < 0.0):
+                        lo, flo = u, f(u)
+                    else:
+                        hi = u
+
     def test_exact_zero_ends_the_search(self):
         calls = []
 
@@ -558,8 +587,9 @@ class TestBracketedRoot:
 
     def test_report_evaluation_budget(self, root_solves, sample_material):
         """One `mnw residuals` report (eps = 0.1) solves four roots: the
-        classical one and three first-order ones.  Plain bisection took 151
-        evaluations for them."""
+        classical one, to adjacent doubles in x = r20^2, and three
+        first-order ones.  They take 15 + 29 evaluations where plain
+        bisection takes 52 + 126."""
         residual_report_json(sample_material, 0.1 / sample_material.a_nl,
                              0.1)
         assert len(root_solves) == 4
@@ -570,8 +600,14 @@ class TestBracketedRoot:
                                               poisson_material,
                                               study_material):
         """Over the fixture materials and the sampled material space, every
-        root of both callers lies within width of plain bisection's on the
-        same bracket, in at most 20 evaluations."""
+        first-order root lies within width of plain bisection's on the same
+        bracket, in at most 20 evaluations.  The elastic root (width 0, in
+        x = r20^2) sits, like plain bisection's, where the computed f
+        changes sign; that happens only within f's rounding (a few ulps of
+        its O(1) terms, ~2e-15) over its slope (above 0.24 at the roots of
+        seeds 0-49) of the exact root, so the two agree within 2e-14 (2.0e-15
+        measured); it takes at most 30 evaluations (29 measured over the
+        12 300 solves of seeds 0-299, 14.5 on average)."""
         cases = [sample_material, poisson_material, study_material,
                  *(m for _, m in material_draws(seed))]
         for m in cases:
@@ -580,5 +616,9 @@ class TestBracketedRoot:
         assert len(root_solves) == 4 * len(cases)
         for f, a, b, fa, _, width, x, evals in root_solves:
             want, _ = plain_bisection(f, a, b, fa, width)
-            assert abs(x - want) <= width, (a, b, x, want)
-            assert evals <= 20, (a, b, evals)
+            if width > 0.0:
+                assert abs(x - want) <= width, (a, b, x, want)
+                assert evals <= 20, (a, b, evals)
+            else:
+                assert abs(x - want) <= 2e-14, (a, b, x, want)
+                assert evals <= 30, (a, b, evals)
