@@ -19,18 +19,16 @@ simultaneously.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .material import MaterialParams, derive_scales, material_fingerprint
-from .wavefield import (Amplitudes, DecayExponents, ModeParams, _branch_sqrt,
+from .material import MaterialParams, derive_scales
+from .wavefield import (Amplitudes, DecayExponents, ModeParams,
                         _leading_radicands, _micropolar_factor, _r30,
                         _r30_squared, decay_exponents, leading_exponents)
 
 __all__ = [
     "CutoffError",
     "NoSurfaceModeError",
-    "LeakyRegimeWarning",
     "DispersionPoint",
     "DispersionCurve",
     "secular_leading",
@@ -53,10 +51,6 @@ class NoSurfaceModeError(RuntimeError):
     """The secular function has no sign change in the physical bracket."""
 
 
-class LeakyRegimeWarning(UserWarning):
-    """secular_leading evaluated at v > c2 (complex r20, real part returned)."""
-
-
 @dataclass(frozen=True)
 class DispersionPoint:
     omega: float
@@ -75,7 +69,6 @@ class DispersionPoint:
 @dataclass(frozen=True)
 class DispersionCurve:
     points: tuple[DispersionPoint, ...]
-    fingerprint: str
 
     def __post_init__(self):
         omegas = [p.omega for p in self.points]
@@ -93,21 +86,18 @@ def _secular(d, r10, r20, r20_sq):
 
 
 def secular_leading(m: MaterialParams, v: float) -> float:
-    """The leading-order elastic-mode secular function at phase velocity v.
+    """The leading-order elastic-mode secular function at a phase velocity
+    0 <= v <= c2, where r10 and r20 are real; any other v is a ValueError.
 
-    Real for 0 <= v <= c2; past c2 r20 turns imaginary and the real part is
-    returned under a LeakyRegimeWarning.  Radicands, roots and expression
-    have one home each: `_leading_radicands`, `_branch_sqrt`, `_secular`.
+    Radicands and expression have one home each: `_leading_radicands` and
+    `_secular`.
     """
-    if v < 0:
-        raise ValueError("phase velocity must be >= 0")
     sc = derive_scales(m)
     r10_sq, r20_sq = _leading_radicands(sc, v)
-    if not r20_sq >= 0.0:
-        warnings.warn("evaluating the secular function in the leaky regime "
-                      f"(v = {v!r} > c2)", LeakyRegimeWarning, stacklevel=2)
-    return _secular(sc.d, _branch_sqrt(r10_sq), _branch_sqrt(r20_sq),
-                    r20_sq).real
+    if not (v >= 0.0 and r20_sq >= 0.0):
+        raise ValueError(f"phase velocity must lie in [0, c2] = "
+                         f"[0, {sc.c2!r}], got {v!r}")
+    return _secular(sc.d, math.sqrt(r10_sq), math.sqrt(r20_sq), r20_sq)
 
 
 def bracketed_root(f, a: float, b: float, fa: float, fb: float,
@@ -188,8 +178,11 @@ def solve_rayleigh(m: MaterialParams) -> DispersionPoint:
     secular function has the cubic's sign on [0, 1) and is -d^2 at x = 0,
     so one bracket [0, 1 - 0.01^2] holds the sign change, which
     `bracketed_root` narrows to adjacent doubles; v = c2 sqrt(1 - x).
-    The leading-order mode is non-dispersive: omega and k of the returned
-    point are NaN metadata, exponents are attached by `sweep`.
+    The residual |f(x)| and admissibility, x > 0 (r20 = sqrt(x) decays),
+    are read from that x, not from v, which rounds to c2 once x is below
+    about an ulp of 1.  The leading-order mode is non-dispersive: omega
+    and k of the returned point are NaN metadata, exponents are attached
+    by `sweep`.
     """
     sc = derive_scales(m)
     d = sc.d
@@ -206,11 +199,10 @@ def solve_rayleigh(m: MaterialParams) -> DispersionPoint:
             f"{_BRACKET_LO!r} c2 and c2; no elastic surface mode for this "
             "material")
     x = bracketed_root(f, 0.0, hi, -d ** 2, f_hi, 0.0)
-    v = sc.c2 * math.sqrt(1.0 - x)
     return DispersionPoint(
-        omega=math.nan, k=math.nan, v=v, mode_tag="elastic", exponents=None,
-        secular_residual=abs(secular_leading(m, v)),
-        admissible=v < sc.c2,
+        omega=math.nan, k=math.nan, v=sc.c2 * math.sqrt(1.0 - x),
+        mode_tag="elastic", exponents=None, secular_residual=abs(f(x)),
+        admissible=x > 0.0,
     )
 
 
@@ -307,8 +299,7 @@ def sweep(m: MaterialParams, omega_lo: float, omega_hi: float, n: int,
             v = micropolar_velocity(m, omega)
             points.append(_solved_point(m, omega, v, "micropolar",
                                         abs(_r30_squared(sc, v, omega))))
-    return DispersionCurve(points=tuple(points),
-                           fingerprint=material_fingerprint(m))
+    return DispersionCurve(points=tuple(points))
 
 
 def curve_to_csv(curve: DispersionCurve) -> str:

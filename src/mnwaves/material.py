@@ -20,7 +20,6 @@ non-locality parameter in dimensionless form is eps = a*k.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
@@ -174,9 +173,3 @@ def load_material(path: str | Path) -> MaterialParams:
         raise InvalidMaterialError(f"material config is not UTF-8 text "
                                    f"({exc.reason} at byte {exc.start})") from exc
     return material_from_json(text)
-
-
-def material_fingerprint(m: MaterialParams) -> str:
-    """Stable hash of the nine constants, used to tag dispersion curves."""
-    payload = ",".join(map(repr, _values(m)))
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -321,6 +322,49 @@ class TestKernelCheckCommand:
         code, _, err = run_cli(["kernel-check", "--material", path], capsys)
         assert code == 1
         assert "lambda + mu > 0" in err
+
+    @staticmethod
+    def _rejects(a, tmp_path, capsys):
+        path = material_file(tmp_path, a=a)
+        code, out, err = run_cli(["kernel-check", "--material", path], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"a_nl = {a!r} " in err
+
+    @pytest.mark.parametrize("a", [
+        3e-155, 7.9e-155,          # the disk quadrature would meet NaNs
+        1e-154, 1.26e-154,         # the Helmholtz stencil would overflow
+        5e152, 1.5e153, 2.5e153,   # the Gaussian would overflow, and from
+                                   # 1.5e153 roundtrip_rel_linf be wrong
+    ])
+    def test_a_outside_range_is_bad_input(self, a, tmp_path, capsys):
+        self._rejects(a, tmp_path, capsys)
+
+    def test_range_is_closed(self, tmp_path, capsys):
+        lo, hi = cli._KERNEL_CHECK_A
+        self._rejects(math.nextafter(lo, 0.0), tmp_path, capsys)
+        self._rejects(math.nextafter(hi, math.inf), tmp_path, capsys)
+
+    def test_numbers_do_not_depend_on_a(self, seed, tmp_path, capsys):
+        """Both ends of the accepted range of a and seeded log-uniform a
+        between them print the sample material's numbers: the check
+        integrates the same K0(u) u over u <= 40 and convolves the same
+        Gaussian in units of a, whatever a is."""
+        golden = json.loads((GOLDEN_DIR / "kernel_check.json").read_text())
+        lo, hi = cli._KERNEL_CHECK_A
+        rng = np.random.default_rng(seed)
+        draws = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), 30)
+        for a in [lo, hi, *draws.tolist()]:
+            path = material_file(tmp_path, a=a)
+            code, out, err = run_cli(["kernel-check", "--material", path],
+                                     capsys)
+            assert (code, err) == (0, ""), a
+            payload = json.loads(out)
+            assert abs(payload["kernel_mass"]
+                       - golden["kernel_mass"]) <= 1e-14, a
+            assert payload["roundtrip_rel_linf"] == pytest.approx(
+                golden["roundtrip_rel_linf"], rel=1e-11, abs=0.0), a
 
 
 class TestArgumentHandling:

@@ -1,6 +1,5 @@
 import cmath
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +10,6 @@ from mnwaves import asymptotic, dispersion
 from mnwaves.asymptotic import bc_slope_study, residual_report_json
 from mnwaves.dispersion import (
     CutoffError,
-    LeakyRegimeWarning,
     NoSurfaceModeError,
     bracketed_root,
     curve_to_csv,
@@ -23,7 +21,8 @@ from mnwaves.dispersion import (
     sweep,
 )
 from mnwaves.material import MaterialParams, derive_scales
-from mnwaves.wavefield import leading_exponents
+from mnwaves.wavefield import (_branch_sqrt, _leading_radicands,
+                               leading_exponents)
 
 
 def plain_bisection(f, a, b, fa, width):
@@ -151,32 +150,28 @@ class TestSecularLeading:
             assert secular_leading(poisson_material, v) == pytest.approx(
                 want, rel=1e-13)
 
-    def test_leaky_regime_warns(self, sample_material):
-        sc = derive_scales(sample_material)
-        with pytest.warns(LeakyRegimeWarning):
-            value = secular_leading(sample_material, 1.1 * sc.c2)
-        assert math.isfinite(value)
-
-    def test_leaky_value_is_real_part(self, seed, sample_material):
-        # Re[(1+d)^2 r10 r20 - (r20^2 + d)^2] with r20 = i sqrt((v/c2)^2 - 1)
-        for m in [sample_material, *(m for _, m in material_draws(seed))]:
+    def test_real_branch_on_zero_to_c2(self, seed):
+        """On 0 <= v <= c2 the value is bit for bit the real part of the
+        complex-branch evaluation (`_branch_sqrt` of each radicand), over
+        seeded materials with and without kappa; it is -d^2 at c2 and a
+        ValueError one double above."""
+        rng = np.random.default_rng(seed)
+        materials = [m for _, m in material_draws(seed)]
+        materials += [MaterialParams(lambda_lame=lm * 1e9, mu=1e9,
+                                     kappa=0.0, alpha_mp=1.0, beta_mp=1.0,
+                                     gamma_mp=100.0, rho=1000.0,
+                                     j_inertia=1e-6, a_nl=0.0)
+                      for lm in rng.uniform(-0.95, 20.0, 10).tolist()]
+        for m in materials:
             sc = derive_scales(m)
-            v = 1.1 * sc.c2
-            r10 = cmath.sqrt(1.0 - (v / sc.c1) ** 2)
-            r20 = 1j * math.sqrt((v / sc.c2) ** 2 - 1.0)
-            r20sq = 1.0 - (v / sc.c2) ** 2
-            want = ((1.0 + sc.d) ** 2 * r10 * r20 - (r20sq + sc.d) ** 2).real
-            with pytest.warns(LeakyRegimeWarning):
-                got = secular_leading(m, v)
-            assert got == pytest.approx(want, rel=1e-12)
-
-    def test_warns_only_above_c2(self, sample_material):
-        sc = derive_scales(sample_material)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LeakyRegimeWarning)
-            assert secular_leading(sample_material, sc.c2) == -sc.d ** 2
-        with pytest.warns(LeakyRegimeWarning):
-            secular_leading(sample_material, math.nextafter(sc.c2, math.inf))
+            for v in [0.0, sc.c2, *rng.uniform(0.0, sc.c2, 20).tolist()]:
+                r10_sq, r20_sq = _leading_radicands(sc, v)
+                want = dispersion._secular(sc.d, _branch_sqrt(r10_sq),
+                                           _branch_sqrt(r20_sq), r20_sq).real
+                assert secular_leading(m, v) == want, (m, v)
+            assert secular_leading(m, sc.c2) == -sc.d ** 2
+            with pytest.raises(ValueError, match="c2"):
+                secular_leading(m, math.nextafter(sc.c2, math.inf))
 
     def test_negative_velocity_rejected(self, sample_material):
         with pytest.raises(ValueError):
@@ -268,6 +263,23 @@ class TestSolveRayleigh:
         if kappa_mu <= 100.0:
             r20_got = leading_exponents(m, point.v)[1].real
             assert abs(r20_got - r20) <= 1e-10 * r20
+
+    def test_root_read_from_x_where_v_rounds_to_c2(self, sample_material,
+                                                   root_solves):
+        """At kappa/mu = 1e6 the root x = r20^2 is positive but below half
+        an ulp of 1, so v = c2 sqrt(1 - x) is c2 itself; the residual and
+        admissibility come from x, where the mode decays."""
+        mu = 2e9
+        m = MaterialParams(
+            lambda_lame=mu, mu=mu, kappa=1e6 * mu,
+            alpha_mp=sample_material.alpha_mp, beta_mp=sample_material.beta_mp,
+            gamma_mp=sample_material.gamma_mp, rho=sample_material.rho,
+            j_inertia=sample_material.j_inertia, a_nl=sample_material.a_nl)
+        point = solve_rayleigh(m)
+        [(f, *_, x, _)] = root_solves
+        assert 0.0 < x and point.v == derive_scales(m).c2
+        assert point.admissible
+        assert point.secular_residual == abs(f(x))
 
     def test_one_root_of_the_cubic_in_the_bracket(self, seed):
         """Squared, the relation is (1+d)^4 (1 - q (1 - x)) x = (x + d)^4,
@@ -465,14 +477,7 @@ class TestCurveInvariants:
         from mnwaves.dispersion import DispersionCurve
         curve = sweep(sample_material, 1e5, 1e6, 3, "elastic")
         with pytest.raises(ValueError):
-            DispersionCurve(points=tuple(reversed(curve.points)),
-                            fingerprint=curve.fingerprint)
-
-    def test_fingerprint_tracks_material(self, sample_material,
-                                         poisson_material):
-        a = sweep(sample_material, 1e5, 1e6, 2, "elastic")
-        b = sweep(poisson_material, 1e5, 1e6, 2, "elastic")
-        assert a.fingerprint != b.fingerprint
+            DispersionCurve(points=tuple(reversed(curve.points)))
 
 
 def steep_flat_kinked(rng):
