@@ -98,16 +98,19 @@ def _check_length(a_nl: float, allow_zero: bool = False) -> None:
 
 def kernel_weight(r, a_nl: float):
     """K0(r/a) / (2 pi a^2) at r > 0, a scalar or an array; singular as r -> 0,
-    and a ValueError where 1/(2 pi a^2) is not a finite normal float."""
+    and a ValueError where 2 pi a^2 or its inverse is not a normal float."""
     _check_length(a_nl)
     area = 2.0 * math.pi * a_nl * a_nl
-    if not (area > 0.0 and sys.float_info.min <= 1.0 / area < math.inf):
-        raise ValueError(f"a_nl = {a_nl!r} is out of range: 1/(2 pi a_nl^2) "
-                         "is not a finite normal float")
-    if not (np.asarray(r) > 0).all():
-        raise ValueError("kernel_weight is singular at r = 0; integrate over "
-                         "the cell instead of evaluating at the origin")
-    return bessel_k0(r / a_nl) / area
+    if not (sys.float_info.min <= area and sys.float_info.min <= 1.0 / area):
+        raise ValueError(f"a_nl = {a_nl!r} is out of range: 2 pi a_nl^2 or "
+                         "its inverse is not a normal float")
+    # bessel_k0 checks r/a > 0 (so r > 0) in the same pass as its table range
+    try:
+        return bessel_k0(r / a_nl) / area
+    except ValueError:
+        raise ValueError("kernel_weight is singular at r = 0; integrate "
+                         "over the cell instead of evaluating at the "
+                         "origin") from None
 
 
 def _edge_flux(dist, along, width: float, a: float):

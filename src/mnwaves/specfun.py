@@ -4,19 +4,23 @@ The modified Bessel function K0 is the radial profile of the 2D non-local
 kernel; it is exposed here behind a strict domain contract (K0 has a
 logarithmic singularity at 0 and underflows past x ~ 700).  K1 is provided
 because the integral of the kernel over a disk of radius R is
-1 - (R/a) K1(R/a).  Both come from scipy.special, which is imported on the
-first Bessel call.  This module and `kernel` are the package's only numpy
-users, so only the commands that evaluate the kernel pay for numpy, and
-they alone pay for scipy.
+1 - (R/a) K1(R/a).  Both are read from a table of polynomials in ln x
+(`_bessel_table`, written by tools/bessel_table.py with mpmath) and stay
+within 1e-15 relative of K0 and K1 from the smallest normal float to 700;
+below 1e-9 the leading terms of their series at 0 are exact to double
+precision.  This module and `kernel` are the package's only numpy users, so
+only the commands that evaluate the kernel pay for numpy; nothing needs
+scipy.
 
 Quadrature is a heap-driven adaptive Gauss-Legendre pair (orders 10 and 21,
 nodes from numpy.polynomial.legendre, so no tabulated constants enter the
 code).  Semi-infinite integrals are mapped to (0, 1] with t = lo - ln(u),
 which turns every exponentially decaying integrand into an algebraic one.
-Integrands take the numpy array of a panel's abscissae and return a (complex)
-array or a scalar that broadcasts; results are bitwise deterministic.  The
-one 2D integral, over a disk, is of a radially symmetric g: 2 pi times one
-radial integral.
+Integrands take the numpy array of the abscissae of one panel (31 nodes) or
+of both halves of a split panel (62) and return a (complex) array or a
+scalar that broadcasts; results are bitwise deterministic.  The one 2D
+integral, over a disk, is of a radially symmetric g: 2 pi times one radial
+integral.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from . import _bessel_table as _table
 
 __all__ = [
     "QuadratureSpec",
@@ -68,24 +74,69 @@ class ConvergenceError(RuntimeError):
         self.error_bound = error_bound
 
 
+def _rows(text: str) -> np.ndarray:
+    """The table's numbers, read with float() so that each is exact."""
+    return np.array([float(v) for v in text.split()])
+
+
+_SMALL_X = 1e-9   # below it K0 = ln 2 - gamma - ln x and K1 = 1/x to 1e-17
+_LN2_MINUS_EULER = 0.11593151565841245
+# x in [1e-9, 700] lies in interval int(4 ln x + 83) of the table; numpy
+# scalars, because a Python float is converted again on every call
+_PER_WIDTH = np.float64(1.0 / _table.WIDTH)
+_SHIFT = np.float64(-_table.T_LO / _table.WIDTH)
+_INVERSE_CENTERS = _rows(_table.INVERSE_CENTERS)
+# per order, coefficient k of interval i at [k, i]
+_COEFFS = tuple(
+    np.ascontiguousarray(_rows(text).reshape(_table.COUNT, -1).T)
+    for text in (_table.K0, _table.K1))
+
+
+def _tabulated(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """K_nu at xs in [1e-9, 700] from the table: the interval's polynomial
+    in s = ln(x / x_i), by Horner, over e^x.  s comes from x, not from the
+    rounded ln x that picks the interval, so ln x's rounding costs nothing."""
+    i = (np.log(xs) * _PER_WIDTH + _SHIFT).astype(np.intp)
+    s = np.log(xs * _INVERSE_CENTERS.take(i))
+    c = coeffs.take(i, axis=1)
+    acc = c[-1]
+    for row in c[-2::-1]:
+        acc *= s
+        acc += row
+    return acc / np.exp(xs)
+
+
 def _bessel(order: int, x):
     """K0 (order 0) or K1 (order 1) of a scalar or an array x > 0, with 0.0
-    (underflow) past 700.  scipy is imported here, on the first call, so
-    that `import mnwaves` does not pay for it."""
-    from scipy.special import k0, k1
-
-    xs = np.asarray(x, dtype=float)
-    if not (xs > 0.0).all():
+    (underflow) past 700.  The domain and the range of the table are
+    checked once, on the extremes of x, so that a small array inside the
+    table, as the kernel's quadrature panels are, runs no masks."""
+    xs = np.asarray(x, dtype=float, order="C")
+    lo = np.minimum.reduce(xs, axis=None, initial=math.inf)
+    hi = np.maximum.reduce(xs, axis=None, initial=-math.inf)
+    if not lo > 0.0:
         raise ValueError(f"bessel_k{order} requires x > 0, got {x}")
-    values = np.where(xs > _UNDERFLOW_X, 0.0, (k0, k1)[order](xs))
+    if _SMALL_X <= lo and hi <= _UNDERFLOW_X:
+        values = _tabulated(_COEFFS[order], xs)
+    else:
+        values = np.zeros(xs.shape)
+        inside = (xs >= _SMALL_X) & (xs <= _UNDERFLOW_X)
+        values[inside] = _tabulated(_COEFFS[order], xs[inside])
+        small = xs < _SMALL_X
+        if order == 0:
+            values[small] = _LN2_MINUS_EULER - np.log(xs[small])
+        else:
+            with np.errstate(over="ignore"):  # K1 is inf at subnormal x
+                values[small] = 1.0 / xs[small]
     return float(values) if values.ndim == 0 else values
 
 
 def bessel_k0(x):
     """Modified Bessel function K0(x) for x > 0, a scalar or an array.
 
-    Relative error <= 1e-12 on [1e-6, 700]; returns 0.0 (underflow) for
-    x > 700.  x <= 0 is a domain error: K0 diverges logarithmically at 0.
+    Relative error <= 1e-15 from the smallest normal float to 700; returns
+    0.0 (underflow) for x > 700.  x <= 0 is a domain error: K0 diverges
+    logarithmically at 0.
     """
     return _bessel(0, x)
 
@@ -97,31 +148,36 @@ def bessel_k1(x):
 
 # Gauss-Legendre node/weight pairs on [-1, 1].  The order-21 rule is the
 # estimate, the order-10 rule the comparison; neither touches an endpoint,
-# so integrable endpoint singularities are admissible.  One integrand call
-# takes all 31 nodes, the order-21 ones first.  The weights are complex so
-# that no dot product with the complex values casts them again: the sums
-# are the same, and a panel costs less.
+# so integrable endpoint singularities are admissible.  A panel's 31 nodes
+# sit together in one integrand call, the order-21 ones first.  The weights
+# are complex so that no dot product with the complex values casts them
+# again: the sums are the same, and a panel costs less.
 _GL_HI_X, _GL_HI_W = leggauss(21)
 _GL_LO_X, _GL_LO_W = leggauss(10)
 _GL_X = np.concatenate([_GL_HI_X, _GL_LO_X])
 _GL_HI_W, _GL_LO_W = _GL_HI_W.astype(complex), _GL_LO_W.astype(complex)
 
 
-def _eval_panel(f: Callable[[np.ndarray], np.ndarray], a: float,
-                b: float) -> tuple[complex, float]:
-    """(estimate, error) of the panel [a, b], summed in Python complex."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    values = np.empty(31, dtype=complex)
-    values[:] = f(mid + half * _GL_X)  # a constant integrand broadcasts
-    hi = complex(_GL_HI_W @ values[:21]) * half
-    lo = complex(_GL_LO_W @ values[21:]) * half
-    return hi, abs(hi - lo)
+def _eval_panels(f: Callable[[np.ndarray], np.ndarray],
+                 bounds: list[tuple[float, float]]
+                 ) -> list[tuple[complex, float]]:
+    """(estimate, error) of each panel [a, b] in bounds, from one integrand
+    call on all their nodes, so that the two halves of a split panel cost
+    one call; each panel's sums are scaled in Python complex."""
+    halves = [0.5 * (b - a) for a, b in bounds]
+    nodes = np.multiply.outer(halves, _GL_X)
+    nodes += np.array([[0.5 * (a + b)] for a, b in bounds])
+    values = np.empty(nodes.shape, dtype=complex)
+    values.reshape(-1)[:] = f(nodes.reshape(-1))  # a constant broadcasts
+    his = (values[:, :21] @ _GL_HI_W).tolist()
+    los = (values[:, 21:] @ _GL_LO_W).tolist()
+    return [(hi * half, abs(hi * half - lo * half))
+            for hi, lo, half in zip(his, los, halves)]
 
 
 def _adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
               spec: QuadratureSpec) -> complex:
-    total, total_err = _eval_panel(f, a, b)
+    [(total, total_err)] = _eval_panels(f, [(a, b)])
     # heap of (-error, insertion counter, a, b, value, error); the counter
     # makes tie-breaking, and therefore the refinement order, deterministic
     counter = 0
@@ -137,8 +193,7 @@ def _adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             counter += 1
             total_err -= perr  # remove its error from the budget
             continue
-        lval, lerr = _eval_panel(f, pa, mid)
-        rval, rerr = _eval_panel(f, mid, pb)
+        (lval, lerr), (rval, rerr) = _eval_panels(f, [(pa, mid), (mid, pb)])
         total += lval + rval - pval
         total_err += lerr + rerr - perr
         counter += 1
@@ -177,9 +232,9 @@ def integrate_2d_polar(g: Callable[[np.ndarray, float], np.ndarray],
     """Integral of g(r, theta) * r over the disk of radius r_max; r_max may
     be +inf.
 
-    g must not depend on theta: it is called with the (31,) array of radii
-    and theta = 0.0, and the result is 2 pi times its radial integral.  The
-    Jacobian r tames integrable singularities of g at r = 0.
+    g must not depend on theta: it is called with a (31,) or (62,) array of
+    radii and theta = 0.0, and the result is 2 pi times its radial
+    integral.  The Jacobian r tames integrable singularities of g at r = 0.
     """
     if not r_max > 0:
         raise ValueError("r_max must be positive")

@@ -472,8 +472,9 @@ print(json.dumps([codes, "numpy" in sys.modules]))
         assert len(lines) == 2 and all(line.startswith("error: ")
                                        for line in lines), proc.stderr
 
-    def test_scipy_loads_only_for_kernel_check(self, tmp_path):
-        """Every command but kernel-check leaves numpy and scipy unloaded.
+    def test_no_command_loads_scipy(self, tmp_path):
+        """No command loads scipy, and every command but kernel-check leaves
+        numpy unloaded.
         One child process runs the commands in turn and prints, per library,
         the first step after which it is in sys.modules."""
         script = """\
@@ -511,9 +512,22 @@ print(json.dumps(first))
         assert proc.returncode == 0, proc.stderr
         first = json.loads(proc.stdout)
         # only the kernel and specfun modules load numpy, and of the
-        # commands only kernel-check runs them; it evaluates K0 and K1, so
-        # it alone pays for scipy as well
-        assert first == {"numpy": "kernel-check", "scipy": "kernel-check"}
+        # commands only kernel-check runs them; K0 and K1 come from the
+        # package's own table
+        assert first == {"numpy": "kernel-check", "scipy": None}
+
+    def test_kernel_check_without_scipy(self):
+        """kernel-check prints its golden bytes where scipy cannot be
+        imported: a None entry in sys.modules makes `import scipy` fail."""
+        script = ("import sys\n"
+                  "sys.modules['scipy'] = None\n"
+                  "from mnwaves.cli import main\n"
+                  "main()\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "kernel-check", "--material",
+             SAMPLE], capture_output=True, text=True, env=subprocess_env())
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (GOLDEN_DIR / "kernel_check.json").read_text()
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_stdout_is_one_error_line(self, unbuffered):

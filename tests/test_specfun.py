@@ -1,13 +1,20 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mnwaves import _bessel_table as _table
 from mnwaves.specfun import (
     ConvergenceError,
     DEFAULT_QUAD_SPEC,
     QuadratureSpec,
+    _COEFFS,
+    _INVERSE_CENTERS,
     _MAX_SUBDIVISIONS,
+    _SMALL_X,
     bessel_k0,
     bessel_k1,
     integrate_1d,
@@ -84,6 +91,64 @@ class TestBesselK0:
         assert bessel_k1(x) == pytest.approx(-fd, rel=1e-8)
 
 
+def load_generator():
+    """tools/bessel_table.py, the script that writes the coefficient table."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "bessel_table.py"
+    spec = importlib.util.spec_from_file_location("bessel_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBesselTable:
+    """K0 and K1 from the coefficient table against mpmath at 50 digits."""
+
+    @staticmethod
+    def sample(seed) -> np.ndarray:
+        # log-uniform over the whole normal range, every interval edge of
+        # the table with the double below it, and the ends of each branch
+        rng = np.random.default_rng(seed)
+        tiny = sys.float_info.min
+        draws = np.exp(rng.uniform(math.log(tiny), math.log(700.0), 120))
+        edges = np.append(
+            np.exp(_table.T_LO + _table.WIDTH * np.arange(_table.COUNT)),
+            [_SMALL_X, 700.0])
+        return np.concatenate([draws, [tiny], edges,
+                               np.nextafter(edges, 0.0)])
+
+    @pytest.mark.parametrize("order, bessel", [(0, bessel_k0), (1, bessel_k1)])
+    def test_against_mpmath(self, order, bessel, seed):
+        mpmath = pytest.importorskip("mpmath")
+        xs = self.sample(seed)
+        got = bessel(xs)
+        assert (got == np.array([bessel(float(x)) for x in xs])).all()
+        with mpmath.workdps(50):
+            worst = max(abs(mpmath.mpf(float(value))
+                            / mpmath.besselk(order, mpmath.mpf(float(x))) - 1)
+                        for x, value in zip(xs, got))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("bessel", [bessel_k0, bessel_k1])
+    def test_underflow_cut_is_exact(self, bessel):
+        assert bessel(700.0) > 0.0
+        assert bessel(math.nextafter(700.0, math.inf)) == 0.0
+        assert bessel(math.inf) == 0.0
+
+    def test_generator_reproduces_table(self):
+        pytest.importorskip("mpmath")
+        gen = load_generator()
+        assert (gen.T_LO, gen.WIDTH, gen.COUNT, gen.DEGREE) == (
+            _table.T_LO, _table.WIDTH, _table.COUNT, _table.DEGREE)
+        assert _INVERSE_CENTERS.tolist() == [gen.inverse_center(i)
+                                             for i in range(gen.COUNT)]
+        # the first interval, one near x = 3e-4 and the last; intervals
+        # near x = 30 cost mpmath seconds each
+        for i in (0, 50, gen.COUNT - 1):
+            for order in (0, 1):
+                assert _COEFFS[order][:, i].tolist() == list(
+                    gen.coefficients(order, i)), (order, i)
+
+
 class TestQuadratureSpec:
     def test_defaults(self):
         assert DEFAULT_QUAD_SPEC.rel_tol == 1e-10
@@ -138,8 +203,10 @@ class TestIntegrate1D:
             with pytest.raises(ValueError):
                 integrate_1d(lambda t: 1.0, lo, hi)
 
-    def test_one_call_per_panel(self):
-        # an exhausted budget has evaluated 1 + 2 * budget panels
+    def test_one_call_per_split(self):
+        # an exhausted budget has evaluated 1 + 2 * budget panels: the first
+        # panel's 31 nodes in one call, then both halves of each split
+        # panel, 62 nodes, in one call
         calls = []
 
         def recording(t):
@@ -148,10 +215,11 @@ class TestIntegrate1D:
 
         with pytest.raises(ConvergenceError):
             integrate_1d(recording, 0.0, 1.0)
-        assert len(calls) == 1 + 2 * _MAX_SUBDIVISIONS
+        assert len(calls) == 1 + _MAX_SUBDIVISIONS
+        assert [t.shape for t in calls] == ([(31,)]
+                                            + [(62,)] * _MAX_SUBDIVISIONS)
         for t in calls:
-            assert isinstance(t, np.ndarray)
-            assert t.dtype == np.float64 and t.shape == (31,)
+            assert isinstance(t, np.ndarray) and t.dtype == np.float64
 
     def test_constant_integrand(self):
         assert integrate_1d(lambda t: 2.5, 1.0, 3.0) == pytest.approx(5.0, rel=1e-14)
@@ -203,8 +271,10 @@ class TestIntegrate2DPolar:
 
         mass = integrate_2d_polar(g, 40.0 * a)
         assert abs(mass - 1.0) <= 1e-8
+        shapes = [r.shape for r, _ in calls]
+        assert shapes == [(31,)] + [(62,)] * (len(calls) - 1)
         for r, theta in calls:
-            assert r.dtype == np.float64 and r.shape == (31,)
+            assert r.dtype == np.float64
             assert type(theta) is float and theta == 0.0
         radial = []
 
