@@ -19,8 +19,8 @@ simultaneously.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record, setfield
 from .material import MaterialParams, derive_scales
 from .wavefield import (Amplitudes, DecayExponents, ModeParams,
                         _leading_radicands, _micropolar_factor, _r30,
@@ -51,29 +51,29 @@ class NoSurfaceModeError(RuntimeError):
     """The secular function has no sign change in the physical bracket."""
 
 
-@dataclass(frozen=True)
-class DispersionPoint:
-    omega: float
-    k: float
-    v: float
-    mode_tag: str
-    exponents: DecayExponents | None
-    secular_residual: float
-    admissible: bool
+class DispersionPoint(Record):
+    def __init__(self, omega: float, k: float, v: float, mode_tag: str,
+                 exponents: DecayExponents | None, secular_residual: float,
+                 admissible: bool):
+        setfield(self, "omega", omega)
+        setfield(self, "k", k)
+        setfield(self, "v", v)
+        setfield(self, "mode_tag", mode_tag)
+        setfield(self, "exponents", exponents)
+        setfield(self, "secular_residual", secular_residual)
+        setfield(self, "admissible", admissible)
 
     @property
     def propagating(self) -> bool:
         return math.isfinite(self.v)
 
 
-@dataclass(frozen=True)
-class DispersionCurve:
-    points: tuple[DispersionPoint, ...]
-
-    def __post_init__(self):
-        omegas = [p.omega for p in self.points]
+class DispersionCurve(Record):
+    def __init__(self, points: tuple[DispersionPoint, ...]):
+        omegas = [p.omega for p in points]
         if any(b <= a for a, b in zip(omegas, omegas[1:])):
             raise ValueError("curve frequencies must be strictly increasing")
+        setfield(self, "points", points)
 
     @property
     def propagating_count(self) -> int:

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from ._record import Record, setfield
 from .specfun import bessel_k0, bessel_k1
 
 __all__ = [
@@ -42,8 +42,7 @@ _MAX_STENCIL_SIDE = 2401  # cells per stencil side: spacings down to a/100
 _GAUSS_EDGE_X, _GAUSS_EDGE_W = leggauss(8)
 
 
-@dataclass(frozen=True)
-class ScalarField2D:
+class ScalarField2D(Record):
     """Complex samples on a uniform half-plane grid.
 
     values has shape (nz, nx) (row-major over z then x); node (ix, iz) sits
@@ -51,32 +50,32 @@ class ScalarField2D:
     positive for interior sub-grids produced by apply_helmholtz.
     """
 
-    nx: int
-    nz: int
-    dx: float
-    dz: float
-    x0: float
-    values: np.ndarray
-    z0: float = 0.0
-    warnings: tuple[str, ...] = field(default=())
-
-    def __post_init__(self):
-        if self.nx < 4 or self.nz < 4:
+    def __init__(self, nx: int, nz: int, dx: float, dz: float, x0: float,
+                 values: np.ndarray, z0: float = 0.0,
+                 warnings: tuple[str, ...] = ()):
+        if nx < 4 or nz < 4:
             raise ValueError("grid must be at least 4 x 4")
-        for name, value in (("dx", self.dx), ("dz", self.dz)):
+        for name, value in (("dx", dx), ("dz", dz)):
             if not 0 < value < math.inf:
                 raise ValueError(f"grid spacing {name} must be positive and "
                                  f"finite, got {value!r}")
-        for name, value in (("x0", self.x0), ("z0", self.z0)):
+        for name, value in (("x0", x0), ("z0", z0)):
             if not math.isfinite(value):
                 raise ValueError(f"grid origin {name} must be finite, got "
                                  f"{value!r}")
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.nz, self.nx):
-            raise ValueError(f"values must have shape (nz, nx) = {(self.nz, self.nx)}")
-        if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
+        values = np.asarray(values, dtype=complex)
+        if values.shape != (nz, nx):
+            raise ValueError(f"values must have shape (nz, nx) = {(nz, nx)}")
+        if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
             raise ValueError("field values must all be finite")
-        object.__setattr__(self, "values", vals)
+        setfield(self, "nx", nx)
+        setfield(self, "nz", nz)
+        setfield(self, "dx", dx)
+        setfield(self, "dz", dz)
+        setfield(self, "x0", x0)
+        setfield(self, "values", values)
+        setfield(self, "z0", z0)
+        setfield(self, "warnings", warnings)
 
     @property
     def xs(self) -> np.ndarray:
@@ -226,7 +225,7 @@ def convolve_halfplane(f: ScalarField2D, a_nl: float) -> ScalarField2D:
             f"edge effects: truncation radius {r_cut!r} exceeds half the "
             f"grid extent",
         )
-    return replace(f, values=out, warnings=warnings)
+    return f.replace(values=out, warnings=warnings)
 
 
 def apply_helmholtz(f: ScalarField2D, a_nl: float) -> ScalarField2D:

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from functools import cached_property
-from operator import attrgetter
 from pathlib import Path
+
+from ._record import Record, setfield
 
 
 class InvalidMaterialError(ValueError):
@@ -36,19 +36,28 @@ class InvalidMaterialError(ValueError):
 _CONFIG_KEYS = ("lambda", "mu", "kappa", "alpha", "beta", "gamma", "rho", "j", "a")
 
 
-@dataclass(frozen=True)
-class MaterialParams:
+class MaterialParams(Record):
     """The nine physical constants, all in SI units."""
 
-    lambda_lame: float  # Pa
-    mu: float           # Pa
-    kappa: float        # Pa
-    alpha_mp: float     # N, couple-stress constant (validated, unused in plane strain)
-    beta_mp: float      # N, couple-stress constant (validated, unused in plane strain)
-    gamma_mp: float     # N
-    rho: float          # kg/m^3
-    j_inertia: float    # m^2
-    a_nl: float         # m, non-locality length
+    def __init__(self,
+                 lambda_lame: float,  # Pa
+                 mu: float,           # Pa
+                 kappa: float,        # Pa
+                 alpha_mp: float,     # N, couple-stress constant (validated, unused in plane strain)
+                 beta_mp: float,      # N, couple-stress constant (validated, unused in plane strain)
+                 gamma_mp: float,     # N
+                 rho: float,          # kg/m^3
+                 j_inertia: float,    # m^2
+                 a_nl: float):        # m, non-locality length
+        setfield(self, "lambda_lame", lambda_lame)
+        setfield(self, "mu", mu)
+        setfield(self, "kappa", kappa)
+        setfield(self, "alpha_mp", alpha_mp)
+        setfield(self, "beta_mp", beta_mp)
+        setfield(self, "gamma_mp", gamma_mp)
+        setfield(self, "rho", rho)
+        setfield(self, "j_inertia", j_inertia)
+        setfield(self, "a_nl", a_nl)
 
     @cached_property
     def _scales(self) -> DerivedScales:
@@ -68,38 +77,38 @@ class MaterialParams:
         )
 
 
-@dataclass(frozen=True)
-class DerivedScales:
-    c1: float            # m/s
-    c2: float            # m/s
-    c3: float            # m/s
-    c4: float            # m/s
-    d: float             # mu / (mu + kappa)
-    omega_cutoff: float  # rad/s
-
-    def __post_init__(self):
-        if not (self.c1 > self.c2 > 0.0):
+class DerivedScales(Record):
+    def __init__(self,
+                 c1: float,             # m/s
+                 c2: float,             # m/s
+                 c3: float,             # m/s
+                 c4: float,             # m/s
+                 d: float,              # mu / (mu + kappa)
+                 omega_cutoff: float):  # rad/s
+        if not (c1 > c2 > 0.0):
             raise InvalidMaterialError(
-                f"derived speeds violate c1 > c2 > 0 (c1={self.c1}, c2={self.c2})"
+                f"derived speeds violate c1 > c2 > 0 (c1={c1}, c2={c2})"
             )
-        if not (0.0 < self.d <= 1.0):
-            raise InvalidMaterialError(f"d out of (0, 1]: {self.d}")
+        if not (0.0 < d <= 1.0):
+            raise InvalidMaterialError(f"d out of (0, 1]: {d}")
+        setfield(self, "c1", c1)
+        setfield(self, "c2", c2)
+        setfield(self, "c3", c3)
+        setfield(self, "c4", c4)
+        setfield(self, "d", d)
+        setfield(self, "omega_cutoff", omega_cutoff)
 
 
-@dataclass(frozen=True)
-class ValidationOutcome:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-# the nine constants of a material as a tuple, in _CONFIG_KEYS order
-_values = attrgetter(*(f.name for f in fields(MaterialParams)))
+class ValidationOutcome(Record):
+    def __init__(self, ok: bool, violations: tuple[str, ...]):
+        setfield(self, "ok", ok)
+        setfield(self, "violations", violations)
 
 
 def validate(m: MaterialParams) -> ValidationOutcome:
     """Check the material invariants; diagnostic, never raises."""
     violations = [f"{key} finite"
-                  for key, value in zip(_CONFIG_KEYS, _values(m))
+                  for key, value in zip(_CONFIG_KEYS, m._values())
                   if not math.isfinite(value)]
     if violations:
         return ValidationOutcome(False, tuple(violations))

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import _bessel_table as _table
+from ._record import Record, setfield
 
 __all__ = [
     "QuadratureSpec",
@@ -50,13 +50,11 @@ _ABS_TOL = 1e-14           # an error bound this small converges near 0
 _MAX_SUBDIVISIONS = 2000   # panel bisections before ConvergenceError
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not 0 < self.rel_tol < math.inf:
+class QuadratureSpec(Record):
+    def __init__(self, rel_tol: float = 1e-10):
+        if not 0 < rel_tol < math.inf:
             raise ValueError("rel_tol must be finite and > 0")
+        setfield(self, "rel_tol", rel_tol)
 
 
 DEFAULT_QUAD_SPEC = QuadratureSpec()

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 
+from ._record import Record, setfield
 from .material import DerivedScales, MaterialParams, derive_scales
 
 __all__ = [
@@ -55,28 +55,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModeParams:
-    k: float          # 1/m
-    omega: float      # rad/s
-    v: float          # m/s, = omega/k
-    eps: float        # dimensionless non-locality, a*k
-
-    def __post_init__(self):
-        for name, value in (("k", self.k), ("omega", self.omega)):
+class ModeParams(Record):
+    def __init__(self,
+                 k: float,      # 1/m
+                 omega: float,  # rad/s
+                 v: float,      # m/s, = omega/k
+                 eps: float):   # dimensionless non-locality, a*k
+        for name, value in (("k", k), ("omega", omega)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got "
                                  f"{value!r}")
-        if not abs(self.v - self.omega / self.k) <= 1e-14 * abs(self.v):
+        if not abs(v - omega / k) <= 1e-14 * abs(v):
             raise ValueError("v must equal omega/k")
-        if not self.v > 0:  # omega/k underflowed to zero
-            raise ValueError(f"v must be positive, got {self.v!r}")
-        if not 0 <= self.eps < math.inf:
-            raise ValueError(f"eps must be finite and >= 0, got {self.eps!r}")
+        if not v > 0:  # omega/k underflowed to zero
+            raise ValueError(f"v must be positive, got {v!r}")
+        if not 0 <= eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+        setfield(self, "k", k)
+        setfield(self, "omega", omega)
+        setfield(self, "v", v)
+        setfield(self, "eps", eps)
 
 
-@dataclass(frozen=True)
-class DecayExponents:
+class DecayExponents(Record):
     """Branch exponents (full and leading order) for one mode state.
 
     In the classical limit kappa = 0 the microrotation decouples and the
@@ -84,13 +85,16 @@ class DecayExponents:
     absent.
     """
 
-    r1: complex
-    r2: complex
-    r10: complex
-    r20: complex
-    r3: complex | None = None
-    s: complex | None = None
-    r30: complex | None = None
+    def __init__(self, r1: complex, r2: complex, r10: complex, r20: complex,
+                 r3: complex | None = None, s: complex | None = None,
+                 r30: complex | None = None):
+        setfield(self, "r1", r1)
+        setfield(self, "r2", r2)
+        setfield(self, "r10", r10)
+        setfield(self, "r20", r20)
+        setfield(self, "r3", r3)
+        setfield(self, "s", s)
+        setfield(self, "r30", r30)
 
     @property
     def decoupled(self) -> bool:
@@ -112,15 +116,14 @@ class DecayExponents:
         return True
 
 
-@dataclass(frozen=True)
-class Amplitudes:
-    P: complex
-    Q: complex
-    R: complex
+class Amplitudes(Record):
+    def __init__(self, P: complex, Q: complex, R: complex):
+        setfield(self, "P", P)
+        setfield(self, "Q", Q)
+        setfield(self, "R", R)
 
 
-@dataclass(frozen=True)
-class StressState:
+class StressState(Record):
     """Displacements, microrotation and the stresses at one point.
 
     `local_stresses` fills the stress slots with the local force and couple
@@ -128,25 +131,29 @@ class StressState:
     counterparts tau and M.
     """
 
-    u1: complex
-    u3: complex
-    phi2: complex
-    sigma11: complex
-    sigma13: complex
-    sigma31: complex
-    sigma33: complex
-    pi12: complex
-    pi32: complex
+    def __init__(self, u1: complex, u3: complex, phi2: complex,
+                 sigma11: complex, sigma13: complex, sigma31: complex,
+                 sigma33: complex, pi12: complex, pi32: complex):
+        setfield(self, "u1", u1)
+        setfield(self, "u3", u3)
+        setfield(self, "phi2", phi2)
+        setfield(self, "sigma11", sigma11)
+        setfield(self, "sigma13", sigma13)
+        setfield(self, "sigma31", sigma31)
+        setfield(self, "sigma33", sigma33)
+        setfield(self, "pi12", pi12)
+        setfield(self, "pi32", pi32)
 
 
-@dataclass(frozen=True)
-class ModeSolution:
+class ModeSolution(Record):
     """A complete mode state: material, wave parameters, amplitudes, exponents."""
 
-    m: MaterialParams
-    mp: ModeParams
-    amp: Amplitudes
-    de: DecayExponents
+    def __init__(self, m: MaterialParams, mp: ModeParams, amp: Amplitudes,
+                 de: DecayExponents):
+        setfield(self, "m", m)
+        setfield(self, "mp", mp)
+        setfield(self, "amp", amp)
+        setfield(self, "de", de)
 
 
 def _branch_sqrt(z: complex) -> complex:
@@ -495,7 +502,7 @@ def nonlocal_stresses(amp: Amplitudes, de: DecayExponents, mp: ModeParams,
     weights = [a * blayer_closed_form(r, r0, mp.eps, k * z) * carrier
                for a, r, r0, _ in _branches(amp, de)]
     mk = m.mu + m.kappa
-    return replace(kin, **{
+    return kin.replace(**{
         comp: (k * mk if comp.startswith("pi") else k * k * mk)
         * sum(c * w for c, w in zip(coeffs, weights))
         for comp, coeffs in stress_branch_coeffs(m, de, k).items()})

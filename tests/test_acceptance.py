@@ -4,8 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they execute.  Measured values (including the boundary-condition
 slope study) are archived to acceptance_report.json at the repository root,
 as {"provenance": {...}, "criteria": [...]}: the provenance names the
-package, Python, numpy and scipy versions and the sha256 of the sample
-material file, so the file changes only when one of those does.
+package, Python, numpy and scipy versions, the dispatched CPU features numpy
+runs with and the sha256 of the sample material file, so the file changes
+only when one of those does.  The features matter: numpy's SIMD kernels for
+arctan2 and exp round differently at each level, which moves C3's error in
+its last digits.
 """
 
 import hashlib
@@ -63,11 +66,20 @@ def record(criterion: str, passed: bool, detail: dict) -> None:
     RESULTS.append({"criterion": criterion, "status": status, **detail})
 
 
+def numpy_cpu_dispatch() -> list[str]:
+    """The dispatch targets numpy's build offers that this CPU enables
+    (NPY_DISABLE_CPU_FEATURES can turn them off)."""
+    from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                               __cpu_features__)
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+
 def provenance() -> dict:
     material = (DATA_DIR / "sample_material.json").read_bytes()
     return {"mnwaves": mnwaves.__version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "numpy_cpu_dispatch": numpy_cpu_dispatch(),
             "scipy": scipy.__version__,
             "sample_material_sha256": hashlib.sha256(material).hexdigest()}
 
@@ -223,7 +235,6 @@ def test_c08_refined_bc_reduction_and_hierarchy(sample_material,
 
 
 def test_c09_pde_residual_certificate(sample_material):
-    from dataclasses import replace
     m = sample_material
     sc = derive_scales(m)
     v = 0.3 * sc.c2
@@ -237,7 +248,7 @@ def test_c09_pde_residual_certificate(sample_material):
     kappas = [2e8 * 0.5 ** t for t in range(4)]
     devs = []
     for kappa in kappas:
-        mt = replace(m, kappa=kappa)
+        mt = m.replace(kappa=kappa)
         mpt = make_mode_params(mt, omega / v, omega)
         det = decay_exponents(mt, mpt)
         roots = exact_shear_exponents(mt, mpt)

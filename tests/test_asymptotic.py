@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,7 +259,7 @@ class TestBcResidualRefined:
         amp = Amplitudes(0.4 + 0.3j, 1.0, 0.2j)
         scaled = []
         for eps in (0.1, 0.05):
-            sol = ModeSolution(m=sample_material, mp=replace(mp, eps=eps),
+            sol = ModeSolution(m=sample_material, mp=mp.replace(eps=eps),
                                amp=amp, de=de)
             first = bc_residual_order(sol, 1)
             refined = bc_residual_order(sol, 2)
@@ -294,7 +293,7 @@ class TestFirstOrderSolution:
         v0 = solve_rayleigh(sample_material).v
 
         def row(sol, eps):
-            return bc_residual_order(replace(sol, mp=replace(sol.mp, eps=eps)),
+            return bc_residual_order(sol.replace(mp=sol.mp.replace(eps=eps)),
                                      1)[0]
 
         for eps in (0.2, 0.1, 0.05, 0.01):
@@ -318,7 +317,7 @@ class TestFirstOrderSolution:
             mp = ModeParams(k=k, omega=v * k, v=v, eps=0.0)
             de = decay_exponents(m, mp)  # leading order, as the solver's
             c = stress_branch_coeffs(m, de, k)["sigma33"]
-            sol = ModeSolution(m=m, mp=replace(mp, eps=eps), de=de,
+            sol = ModeSolution(m=m, mp=mp.replace(eps=eps), de=de,
                                amp=Amplitudes(-c[1] / c[0], 1.0, 0.0))
             return bc_residual_order(sol, 1)[0].real
 

@@ -473,8 +473,8 @@ print(json.dumps([codes, "numpy" in sys.modules]))
                                        for line in lines), proc.stderr
 
     def test_no_command_loads_scipy(self, tmp_path):
-        """No command loads scipy, and every command but kernel-check leaves
-        numpy unloaded.
+        """No command loads scipy or dataclasses, and every command but
+        kernel-check leaves numpy unloaded.
         One child process runs the commands in turn and prints, per library,
         the first step after which it is in sys.modules."""
         script = """\
@@ -495,7 +495,7 @@ steps = {
     "kernel-check": ["kernel-check", "--out", csv],
 }
 first = {lib: "import mnwaves" if lib in sys.modules else None
-         for lib in ("numpy", "scipy")}
+         for lib in ("numpy", "scipy", "dataclasses")}
 for name, args in steps.items():
     if name != "validate":
         args += ["--material", material]
@@ -513,8 +513,10 @@ print(json.dumps(first))
         first = json.loads(proc.stdout)
         # only the kernel and specfun modules load numpy, and of the
         # commands only kernel-check runs them; K0 and K1 come from the
-        # package's own table
-        assert first == {"numpy": "kernel-check", "scipy": None}
+        # package's own table; the records are plain classes, so no
+        # command pays for importing dataclasses
+        assert first == {"numpy": "kernel-check", "scipy": None,
+                         "dataclasses": None}
 
     def test_kernel_check_without_scipy(self):
         """kernel-check prints its golden bytes where scipy cannot be

@@ -1,12 +1,12 @@
 """Package-wide checks on the public names of `mnwaves`."""
 
-import dataclasses
 import importlib
 import inspect
 import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import subprocess_env
@@ -41,12 +41,74 @@ def test_no_function_takes_a_dispersion_point(name):
 def test_stress_state_fields_are_required():
     # both stress functions fill every slot, so a default would only hide
     # a slot one of them forgot
-    fields = dataclasses.fields(mnwaves.StressState)
-    assert [f.name for f in fields] == ["u1", "u3", "phi2", "sigma11",
+    params = inspect.signature(mnwaves.StressState).parameters.values()
+    assert [p.name for p in params] == ["u1", "u3", "phi2", "sigma11",
                                         "sigma13", "sigma31", "sigma33",
                                         "pi12", "pi32"]
-    assert all(f.default is dataclasses.MISSING
-               and f.default_factory is dataclasses.MISSING for f in fields)
+    assert all(p.default is inspect.Parameter.empty for p in params)
+
+
+_GRID = np.ones((4, 4), dtype=complex)   # shared, so two fields compare equal
+
+
+_POINT = (1.0, 2.0, 0.5, "elastic", None, 0.0, True)
+
+
+def _point():
+    return mnwaves.DispersionPoint(*_POINT)
+
+
+# per record class: fresh constructor arguments with the same values on
+# every call, and a replace() that its __init__ must reject
+RECORDS = {
+    "MaterialParams": (lambda: (2e9, 1e9, 2e8, 1.0, 1.0, 50.0, 2000.0,
+                                1e-6, 1e-4), None),
+    "DerivedScales": (lambda: (3.0, 2.0, 1.0, 1.5, 0.8, 1e5), {"d": 2.0}),
+    "ValidationOutcome": (lambda: (False, ("rho > 0",)), None),
+    "QuadratureSpec": (lambda: (1e-8,), {"rel_tol": 0.0}),
+    "ScalarField2D": (lambda: (4, 4, 0.5, 0.5, 0.0, _GRID),
+                      {"values": np.full((4, 4), np.nan)}),
+    "ModeParams": (lambda: (2.0, 3.0, 1.5, 0.1), {"eps": -1.0}),
+    "DecayExponents": (lambda: (1.0, 0.5, 1.0, 0.5, 0.2j, 0.3, 0.1j), None),
+    "Amplitudes": (lambda: (1.0, 1.0, 0.5j), None),
+    "StressState": (lambda: tuple(complex(i, -i) for i in range(9)), None),
+    "ModeSolution": (lambda: (
+        mnwaves.MaterialParams(*RECORDS["MaterialParams"][0]()),
+        mnwaves.ModeParams(2.0, 3.0, 1.5, 0.1),
+        mnwaves.Amplitudes(1.0, 1.0, 0.5j),
+        mnwaves.DecayExponents(1.0, 0.5, 1.0, 0.5)), None),
+    "DispersionPoint": (lambda: _POINT, None),
+    "DispersionCurve": (lambda: ((_point(),),),
+                        {"points": (_point(), _point())}),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_a_frozen_value(name):
+    cls = getattr(mnwaves, name)
+    args, bad_change = RECORDS[name]
+    a, b = cls(*args()), cls(*args())
+    if name == "MaterialParams":
+        mnwaves.derive_scales(a)   # the cached scales are not a field
+    first = next(iter(inspect.signature(cls).parameters))
+    for attr in (first, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, 1.0)
+    with pytest.raises(AttributeError):
+        delattr(a, first)
+    assert a == b and not a != b
+    if name == "ScalarField2D":   # a numpy array is unhashable
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    other = type("Other", (cls,), {})(*args())
+    assert a != other and other != a
+    assert a.replace() == a and a.replace() is not a
+    assert repr(a).startswith(f"{name}({first}={getattr(a, first)!r}")
+    if bad_change is not None:
+        with pytest.raises(ValueError):
+            a.replace(**bad_change)
 
 
 # what `mnwaves` exported when its __init__ imported every module eagerly,

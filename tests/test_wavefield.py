@@ -1,6 +1,5 @@
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,14 +158,13 @@ class TestExactShearOracle:
 
     def test_decoupling_slope_in_kappa(self, sample_material):
         # one root collapses onto the shear exponent as kappa -> 0
-        from dataclasses import replace
         sc = derive_scales(sample_material)
         v = 0.3 * sc.c2
         omega = 3.0 * sc.omega_cutoff
         kappas = [2e8 * 0.5 ** t for t in range(4)]
         devs, couplings = [], []
         for kappa in kappas:
-            m = replace(sample_material, kappa=kappa)
+            m = sample_material.replace(kappa=kappa)
             mp = make_mode_params(m, omega / v, omega)
             de = decay_exponents(m, mp)
             roots = exact_shear_exponents(m, mp)
@@ -272,7 +270,7 @@ class TestLocalStresses:
         if case == "decoupled":
             m = poisson_material
             mp = ModeParams(k=2.0, omega=1000.0, v=500.0, eps=0.1)
-            amp = replace(amp, R=0.0)
+            amp = amp.replace(R=0.0)
         elif case == "below_cutoff":
             sc = derive_scales(m)
             omega, v = 0.5 * sc.omega_cutoff, 0.3 * sc.c2
@@ -363,14 +361,13 @@ class TestPdeResidual:
                             sample_material) == (0, 0, 0)
 
     def test_q_branch_rotation_defect_is_order_kappa(self, sample_material):
-        from dataclasses import replace
         sc = derive_scales(sample_material)
         v = 0.3 * sc.c2
         omega = 3.0 * sc.omega_cutoff
         res3 = []
         kappas = [2e8 * 0.5 ** t for t in range(3)]
         for kappa in kappas:
-            m = replace(sample_material, kappa=kappa)
+            m = sample_material.replace(kappa=kappa)
             mp = make_mode_params(m, omega / v, omega)
             de = decay_exponents(m, mp)
             res = pde_residual(Amplitudes(0.0, 1.0, 0.0), de, mp, m)
@@ -469,14 +466,14 @@ class TestBoundaryLayerIntegrals:
 class TestNonlocalStresses:
     def test_couple_stresses_proportional_to_r(self, sample_material,
                                                generic_state):
-        mp = replace(generic_state, eps=0.1)
+        mp = generic_state.replace(eps=0.1)
         de = decay_exponents(sample_material, mp)
         st = nonlocal_stresses(Amplitudes(0.5, 1.0, 0.0), de, mp,
                                sample_material, 0.1, 0.1)
         assert st.pi12 == 0 and st.pi32 == 0
 
     def test_local_limit(self, sample_material, generic_state):
-        mp = replace(generic_state, eps=1e-9)
+        mp = generic_state.replace(eps=1e-9)
         de = decay_exponents(sample_material, mp)
         amp = Amplitudes(0.4 + 0.3j, 1.0, 0.2j)
         z = 0.8 / mp.k
