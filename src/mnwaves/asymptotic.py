@@ -16,11 +16,9 @@ conditions as one expansion in eps: the classical conditions are its O(1)
 terms, the first-order ones its O(eps) terms and the refined ones its
 O(eps^2) terms (`bc_residual_order` with order 0, 1 and 2).
 
-`first_order_elastic_solution` constructs, for a given eps, the mode that
-satisfies the refined conditions through O(eps) exactly (a one-dimensional
-root solve near the classical root).  Applying the classical conditions to
-it leaves an O(eps) defect while the refined conditions leave O(eps^2) --
-the slope study behind `bc_slope_study`.
+`first_order_elastic_solution` is the mode that meets the conditions
+through O(eps) exactly: on it the classical conditions leave O(eps) and the
+refined ones O(eps^2), the slope study of `bc_slope_study`.
 """
 
 from __future__ import annotations
@@ -28,8 +26,8 @@ from __future__ import annotations
 import json
 import math
 
-from .dispersion import (_secular, bracketed_root, elastic_amplitudes,
-                         solve_rayleigh)
+from .dispersion import (_exponents_of_x, _secular, bracketed_root,
+                         elastic_amplitudes, solve_rayleigh)
 from .material import MaterialParams, derive_scales
 from .wavefield import (
     Amplitudes,
@@ -192,46 +190,41 @@ def extra_bc_residual(sol: ModeSolution) -> tuple[complex, complex]:
     return tau11, m12
 
 
-def first_order_elastic_solution(m: MaterialParams, k: float, eps: float,
-                                 v0: float) -> ModeSolution:
+def first_order_elastic_solution(m: MaterialParams, k: float,
+                                 eps: float) -> ModeSolution:
     """Elastic mode satisfying the surface conditions through O(eps) exactly.
 
     With R = 0 (forced by the couple row) and Q = 1, the sigma33 row fixes
-    P = i p(v), and the remaining condition
-
-        sigma31 - (eps/2) d_chi sigma11 = 0   at the surface
-
-    is a real equation in the phase velocity, solved by `bracketed_root`
-    to 1e-13 c2 on [0.8 v0, min(1.1 v0, c2)] around the classical root
-    v0 = `solve_rayleigh(m).v`, which the caller solves once; a ValueError
-    is raised when the row keeps its sign on that bracket.
-    Branch exponents are the leading-order (eps-free) ones of the slow
-    problem at the corrected velocity.  The row is A(v) + eps B(v), so the
-    inverse eps(v) = -A(v)/B(v) is explicit.
+    P = i p, and the order-1 sigma31 row, sigma31 - (eps/2) d_chi sigma11
+    = 0, is a real equation in x = r20^2 that `bracketed_root` narrows to
+    adjacent doubles on the x-image of [0.8 v0, min(1.1 v0, c2)],
+    v0 = `solve_rayleigh(m).v`; a ValueError if it keeps its sign there.
+    The exponents returned are the eps-free ones at v = c2 sqrt(1 - x).
+    The row is A(v) + eps B(v), so eps(v) = -A(v)/B(v) is explicit.
     """
-    sc = derive_scales(m)
+    c2 = derive_scales(m).c2
+    exponents = _exponents_of_x(m)
 
-    def assemble(v: float):
-        mp0 = ModeParams(k=k, omega=v * k, v=v, eps=0.0)
-        de0 = decay_exponents(m, mp0)
-        rows = stress_branch_coeffs(m, de0, k)
+    def amps_and_row(x: float):
+        r10, r20 = exponents(x)
+        de = DecayExponents(r1=r10, r2=r20, r10=r10, r20=r20)  # eps = 0, P, Q
+        rows = stress_branch_coeffs(m, de, k)
         # sigma33 row: c_P (i p) + c_Q = 0, with c_P real and c_Q imaginary
         p = (1j * rows["sigma33"][1] / rows["sigma33"][0]).real
-        return de0, rows, (1j * p, 1.0 + 0j, 0j)
+        amps = (1j * p, 1.0 + 0j, 0j)
+        return amps, _surface_condition(rows, amps, de, eps, 1, 0).real
 
-    def residual(v: float) -> float:
-        de0, rows, amps = assemble(v)
-        return _surface_condition(rows, amps, de0, eps, 1, 0).real
-
-    lo, hi = 0.8 * v0, min(1.1 * v0, sc.c2)
-    flo, fhi = residual(lo), residual(hi)
+    v0 = solve_rayleigh(m).v
+    lo, hi = (1.0 - (v / c2) ** 2 for v in (min(1.1 * v0, c2), 0.8 * v0))
+    flo, fhi = amps_and_row(lo)[1], amps_and_row(hi)[1]
     if flo * fhi > 0.0:
         raise ValueError("no first-order-corrected root near the classical "
                          "one for this eps")
-    v = bracketed_root(residual, lo, hi, flo, fhi, 1e-13 * sc.c2)
-    de0, _, amps = assemble(v)
+    x = bracketed_root(lambda u: amps_and_row(u)[1], lo, hi, flo, fhi, 0.0)
+    v = c2 * math.sqrt(1.0 - x)
     mp = ModeParams(k=k, omega=v * k, v=v, eps=eps)
-    return ModeSolution(m=m, mp=mp, amp=Amplitudes(*amps), de=de0)
+    return ModeSolution(m=m, mp=mp, amp=Amplitudes(*amps_and_row(x)[0]),
+                        de=decay_exponents(m, mp.replace(eps=0.0)))
 
 
 def _loglog_slope(xs, ys) -> float:
@@ -247,19 +240,15 @@ def _loglog_slope(xs, ys) -> float:
             / sum((x - mx) ** 2 for x in lx))
 
 
-def bc_slope_study(m: MaterialParams, k: float, v0: float) -> dict:
-    """Decay rate of classical vs refined residuals on corrected solutions.
-
-    For each eps of SLOPE_EPS_GRID, the first-order-corrected mode near the
-    classical root v0 is built and both condition sets are evaluated on it;
-    the classical defect scales like eps while the refined conditions only
-    miss the O(eps^2) curvature terms.  Returns per-eps magnitudes and
-    log-log slopes.
-    """
+def bc_slope_study(m: MaterialParams, k: float) -> dict:
+    """Largest |residual| of the classical and the refined conditions on
+    `first_order_elastic_solution` at each eps of SLOPE_EPS_GRID, and the
+    log-log slope of each: about 1 (the classical defect is O(eps)) and 2
+    (the refined conditions miss only the O(eps^2) curvature terms)."""
     classical_mags = []
     refined_mags = []
     for eps in SLOPE_EPS_GRID:
-        sol = first_order_elastic_solution(m, k, eps, v0)
+        sol = first_order_elastic_solution(m, k, eps)
         classical = bc_residual_order(sol, 0)
         refined = bc_residual_order(sol, 2)
         classical_mags.append(max(abs(c) for c in classical))
@@ -345,7 +334,7 @@ def residual_report_json(m: MaterialParams, k: float, eps: float) -> str:
             _cpair(equivalence_residual_micropolar(m, v, k)),
         ],
         "normalization": k ** 2 * (m.mu + m.kappa),
-        "slopes": bc_slope_study(m, k, v),
+        "slopes": bc_slope_study(m, k),
         "pde": {
             "res1": _cpair(pde[0]),
             "res2": _cpair(pde[1]),

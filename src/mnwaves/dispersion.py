@@ -85,6 +85,13 @@ def _secular(d, r10, r20, r20_sq):
     return (1.0 + d) ** 2 * r10 * r20 - (r20_sq + d) ** 2
 
 
+def _exponents_of_x(m: MaterialParams):
+    """x -> (r10, r20) = (sqrt(1 - q (1 - x)), sqrt(x)) on x = r20^2 in
+    [0, 1], q = (c2/c1)^2 from the moduli: r20 keeps its digits as v -> c2."""
+    q = (m.mu + m.kappa) / (m.lambda_lame + 2.0 * m.mu + m.kappa)
+    return lambda x: (math.sqrt(1.0 - q * (1.0 - x)), math.sqrt(x))
+
+
 def secular_leading(m: MaterialParams, v: float) -> float:
     """The leading-order elastic-mode secular function at a phase velocity
     0 <= v <= c2, where r10 and r20 are real; any other v is a ValueError.
@@ -167,29 +174,27 @@ def _geomspace(start: float, stop: float, n: int) -> list[float]:
 def solve_rayleigh(m: MaterialParams) -> DispersionPoint:
     """The elastic-mode root of `secular_leading` in (0.01, 1) c2.
 
-    The unknown is x = r20^2 = 1 - (v/c2)^2, with r10^2 = 1 - q (1 - x)
-    and q = (c2/c1)^2, so that r20 keeps its digits as the root nears c2
-    (x -> 0 as kappa/mu grows).  Squared, the relation is (1+d)^4
-    (1 - q (1 - x)) x = (x + d)^4; its trivial root x = 1 (v = 0) divided
-    out, it is the cubic x^3 + (1+4d) x^2 + (1+4d+6d^2 - q (1+d)^4) x
-    - d^4, whose coefficients change sign once, so it has one positive
-    root (Descartes), and that root lies in (0, 1): the cubic is -d^4 at 0
-    and above (1 - d^2)(1 + d)^2 >= 0 at 1, as q < 1 and d <= 1.  The
-    secular function has the cubic's sign on [0, 1) and is -d^2 at x = 0,
-    so one bracket [0, 1 - 0.01^2] holds the sign change, which
-    `bracketed_root` narrows to adjacent doubles; v = c2 sqrt(1 - x).
-    The residual |f(x)| and admissibility, x > 0 (r20 = sqrt(x) decays),
-    are read from that x, not from v, which rounds to c2 once x is below
-    about an ulp of 1.  The leading-order mode is non-dispersive: omega
-    and k of the returned point are NaN metadata, exponents are attached
-    by `sweep`.
+    The unknown is x = r20^2 of `_exponents_of_x` (x -> 0 as kappa/mu
+    grows).  Squared, the relation is (1+d)^4 (1 - q (1 - x)) x = (x + d)^4;
+    its trivial root x = 1 (v = 0) divided out, it is the cubic
+    x^3 + (1+4d) x^2 + (1+4d+6d^2 - q (1+d)^4) x - d^4, whose coefficients
+    change sign once, so it has one positive root (Descartes), and that
+    root lies in (0, 1): the cubic is -d^4 at 0 and above
+    (1 - d^2)(1 + d)^2 >= 0 at 1, as q < 1 and d <= 1.  The secular
+    function has the cubic's sign on [0, 1) and is -d^2 at x = 0, so one
+    bracket [0, 1 - 0.01^2] holds the sign change, which `bracketed_root`
+    narrows to adjacent doubles; v = c2 sqrt(1 - x).  The residual |f(x)|
+    and admissibility, x > 0 (r20 = sqrt(x) decays), are read from that x,
+    not from v, which rounds to c2 once x is below about an ulp of 1.  The
+    leading-order mode is non-dispersive: omega and k of the returned point
+    are NaN metadata, exponents are attached by `sweep`.
     """
     sc = derive_scales(m)
     d = sc.d
-    q = (m.mu + m.kappa) / (m.lambda_lame + 2.0 * m.mu + m.kappa)
+    exponents = _exponents_of_x(m)
 
     def f(x: float) -> float:
-        return _secular(d, math.sqrt(1.0 - q * (1.0 - x)), math.sqrt(x), x)
+        return _secular(d, *exponents(x), x)
 
     hi = 1.0 - _BRACKET_LO ** 2
     f_hi = f(hi)

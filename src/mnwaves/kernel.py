@@ -77,6 +77,14 @@ class ScalarField2D(Record):
         setfield(self, "z0", z0)
         setfield(self, "warnings", warnings)
 
+    def __eq__(self, other):
+        # values as one array, not numpy's elementwise ==; still unhashable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(u, w) if name == "values" else u == w
+                   for name, u, w in zip(self._fields, self._values(),
+                                         other._values()))
+
     @property
     def xs(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.nx)
@@ -97,7 +105,8 @@ def _check_length(a_nl: float, allow_zero: bool = False) -> None:
 
 def kernel_weight(r, a_nl: float):
     """K0(r/a) / (2 pi a^2) at r > 0, a scalar or an array; singular as r -> 0,
-    and a ValueError where 2 pi a^2 or its inverse is not a normal float."""
+    and a ValueError where 2 pi a^2 or its inverse is not a normal float or
+    a weight overflows."""
     _check_length(a_nl)
     area = 2.0 * math.pi * a_nl * a_nl
     if not (sys.float_info.min <= area and sys.float_info.min <= 1.0 / area):
@@ -105,11 +114,16 @@ def kernel_weight(r, a_nl: float):
                          "its inverse is not a normal float")
     # bessel_k0 checks r/a > 0 (so r > 0) in the same pass as its table range
     try:
-        return bessel_k0(r / a_nl) / area
+        k0 = bessel_k0(r / a_nl)
     except ValueError:
         raise ValueError("kernel_weight is singular at r = 0; integrate "
                          "over the cell instead of evaluating at the "
                          "origin") from None
+    # K0 < 745 at every positive double: only below a ~ 8e-154 can w overflow
+    if (area * sys.float_info.max < 745.0
+            and float(np.max(k0)) / area == math.inf):
+        raise ValueError(f"a_nl = {a_nl!r} is out of range: a weight overflows")
+    return k0 / area
 
 
 def _edge_flux(dist, along, width: float, a: float):
@@ -237,11 +251,8 @@ def apply_helmholtz(f: ScalarField2D, a_nl: float) -> ScalarField2D:
     lap = ((v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / f.dx ** 2
            + (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / f.dz ** 2)
     out = v[1:-1, 1:-1] - (a_nl * a_nl) * lap
-    return ScalarField2D(
-        nx=f.nx - 2, nz=f.nz - 2, dx=f.dx, dz=f.dz,
-        x0=f.x0 + f.dx, z0=f.z0 + f.dz,
-        values=out, warnings=f.warnings,
-    )
+    return f.replace(nx=f.nx - 2, nz=f.nz - 2, x0=f.x0 + f.dx,
+                     z0=f.z0 + f.dz, values=out)
 
 
 def gaussian_field(n: int, h: float, width: float) -> ScalarField2D:
@@ -275,11 +286,6 @@ def roundtrip_error(f: ScalarField2D,
 
 def field_to_csv(f: ScalarField2D) -> str:
     """Serialize to `x,z,re,im` rows, z-major, shortest round-trip floats."""
-    lines = ["x,z,re,im"]
-    for iz in range(f.nz):
-        z = float(f.z0 + iz * f.dz)
-        for ix in range(f.nx):
-            x = float(f.x0 + ix * f.dx)
-            v = f.values[iz, ix]
-            lines.append(f"{x!r},{z!r},{float(v.real)!r},{float(v.imag)!r}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{float(x)!r},{float(z)!r},{float(v.real)!r},{float(v.imag)!r}"
+            for z, row in zip(f.zs, f.values) for x, v in zip(f.xs, row))
+    return "\n".join(["x,z,re,im", *rows]) + "\n"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN_DIR, fit_slope, material_draws
-from mnwaves import asymptotic
+from mnwaves import asymptotic, dispersion
 from mnwaves.asymptotic import (
     bc_residual_order,
     boundary_operator,
@@ -26,6 +26,7 @@ from mnwaves.dispersion import (
 from mnwaves.material import derive_scales
 from mnwaves.wavefield import (
     Amplitudes,
+    DecayExponents,
     ModeParams,
     ModeSolution,
     decay_exponents,
@@ -242,8 +243,7 @@ class TestBcResidualRefined:
 
     def test_slope_hierarchy(self, study_material):
         """Classical conditions miss at O(eps); refined ones at O(eps^2)."""
-        study = bc_slope_study(study_material, 2000.0,
-                               solve_rayleigh(study_material).v)
+        study = bc_slope_study(study_material, 2000.0)
         assert study["classical"] >= 0.9
         assert study["refined"] >= 1.8
 
@@ -272,8 +272,7 @@ class TestBcResidualRefined:
 class TestFirstOrderSolution:
     def test_satisfies_first_order_conditions_exactly(self, study_material):
         eps = 0.1
-        sol = first_order_elastic_solution(study_material, 2000.0, eps,
-                                           solve_rayleigh(study_material).v)
+        sol = first_order_elastic_solution(study_material, 2000.0, eps)
         first = bc_residual_order(sol, 0)
         corrected = (_surface_stress(sol, "sigma31")
                      - 0.5 * eps * 1j * _surface_stress(sol, "sigma11"))
@@ -283,21 +282,18 @@ class TestFirstOrderSolution:
 
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
     def test_first_order_row_vanishes(self, study_material, eps):
-        sol = first_order_elastic_solution(study_material, 2000.0, eps,
-                                           solve_rayleigh(study_material).v)
+        sol = first_order_elastic_solution(study_material, 2000.0, eps)
         assert abs(bc_residual_order(sol, 1)[0]) < 1e-10
 
     def test_eps_is_explicit_in_velocity(self, sample_material):
         """At a fixed solved state the order-1 sigma31 row is A + eps B, and
         -A/B at the corrected velocity gives back the eps it was solved at."""
-        v0 = solve_rayleigh(sample_material).v
-
         def row(sol, eps):
             return bc_residual_order(sol.replace(mp=sol.mp.replace(eps=eps)),
                                      1)[0]
 
         for eps in (0.2, 0.1, 0.05, 0.01):
-            sol = first_order_elastic_solution(sample_material, 2000.0, eps, v0)
+            sol = first_order_elastic_solution(sample_material, 2000.0, eps)
             a, half, one = row(sol, 0.0), row(sol, 0.5), row(sol, 1.0)
             b = one - a
             assert abs(half - (a + 0.5 * b)) <= 1e-12 * abs(b)
@@ -326,52 +322,174 @@ class TestFirstOrderSolution:
         want = -(row(v0, 1.0) - row(v0, 0.0)) / slope
         gaps = []
         for eps in (1e-2, 1e-3, 1e-4):
-            v = first_order_elastic_solution(m, k, eps, v0).mp.v
+            v = first_order_elastic_solution(m, k, eps).mp.v
             gaps.append(abs((v - v0) / eps - want) / abs(want))
         assert gaps[1] <= 2e-3, gaps
         assert gaps[0] > 5.0 * gaps[1] > 25.0 * gaps[2], gaps
 
     def test_velocity_shifts_from_classical_root(self, study_material):
         v0 = solve_rayleigh(study_material).v
-        sol = first_order_elastic_solution(study_material, 2000.0, 0.2, v0)
+        sol = first_order_elastic_solution(study_material, 2000.0, 0.2)
         assert sol.mp.v != pytest.approx(v0, rel=1e-6)
 
-    def test_no_search_beyond_the_bracket(self, study_material):
-        """From v0 = root/2 the root lies outside [0.8 v0, 1.1 v0], and no
-        wider bracket is searched, so the solve raises."""
-        v0 = solve_rayleigh(study_material).v
-        near = first_order_elastic_solution(study_material, 2000.0, 0.1, v0)
-        assert not 0.8 * 0.5 * v0 <= near.mp.v <= 1.1 * 0.5 * v0
-        with pytest.raises(ValueError, match="no first-order-corrected root"):
-            first_order_elastic_solution(study_material, 2000.0, 0.1, 0.5 * v0)
-
-    def test_bracket_reaches_c2(self, study_material, monkeypatch):
-        # the bracket top is min(1.1 v0, c2), not 1.1 v0 past c2
-        brackets = []
+    @staticmethod
+    def _record_brackets(monkeypatch) -> list:
+        """Record each (a, b) that the first-order solve hands the root loop,
+        and each x at which it evaluates the row, ends included."""
+        log = []
 
         def recording_root(f, a, b, fa, fb, width):
-            brackets.append((a, b))
+            log.append((a, b))
             return bracketed_root(f, a, b, fa, fb, width)
 
+        def recording_exponents(m):
+            exponents = dispersion._exponents_of_x(m)
+
+            def logged(x):
+                log.append(x)
+                return exponents(x)
+            return logged
+
         monkeypatch.setattr(asymptotic, "bracketed_root", recording_root)
+        monkeypatch.setattr(asymptotic, "_exponents_of_x",
+                            recording_exponents)
+        return log
+
+    def test_no_search_beyond_the_bracket(self, poisson_material,
+                                          monkeypatch):
+        """The bracket is the x-image, x = 1 - (v/c2)^2, of
+        [0.8 v0, min(1.1 v0, c2)], and the row is evaluated nowhere else.
+        With lambda = 0 and kappa = 0, v0 = 0.874 c2, so neither end is
+        c2; at eps = 1 the row keeps its sign there, and the solve raises
+        after evaluating the two ends alone."""
+        m = poisson_material.replace(lambda_lame=0.0)
+        v0 = solve_rayleigh(m).v
+        c2 = derive_scales(m).c2
+        log = self._record_brackets(monkeypatch)
+        sol = first_order_elastic_solution(m, 2000.0, 0.1)
+        lo, hi = 1.0 - (1.1 * v0 / c2) ** 2, 1.0 - (0.8 * v0 / c2) ** 2
+        assert 0.0 < lo and log[:3] == [lo, hi, (lo, hi)]
+        assert all(lo < x < hi for x in log[3:])
+        assert 0.8 * v0 < sol.mp.v < 1.1 * v0
+        log.clear()
+        with pytest.raises(ValueError, match="no first-order-corrected root"):
+            first_order_elastic_solution(m, 2000.0, 1.0)
+        assert log == [lo, hi]
+
+    def test_bracket_reaches_c2(self, study_material, monkeypatch):
+        # 1.1 v0 passes c2, so the bracket starts at x = 0 (v = c2)
+        log = self._record_brackets(monkeypatch)
         v0 = solve_rayleigh(study_material).v
         c2 = derive_scales(study_material).c2
-        sol = first_order_elastic_solution(study_material, 2000.0, 0.05, v0)
-        assert brackets == [(0.8 * v0, c2)]
+        sol = first_order_elastic_solution(study_material, 2000.0, 0.05)
+        brackets = [entry for entry in log if isinstance(entry, tuple)]
+        assert brackets == [(0.0, 1.0 - (0.8 * v0 / c2) ** 2)]
         assert 0.8 * v0 < sol.mp.v < c2
+
+    def test_one_exponent_state_per_solve(self, study_material, monkeypatch):
+        """Each step of the search builds only the P and Q columns from
+        x; `decay_exponents` runs once, for the returned solution."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return decay_exponents(*args)
+
+        monkeypatch.setattr(asymptotic, "decay_exponents", counted)
+        sol = first_order_elastic_solution(study_material, 2000.0, 0.1)
+        assert len(calls) == 1
+        assert calls[0][1] == sol.mp.replace(eps=0.0)
 
     def test_eps_one_raises(self, study_material):
         # a search on [0.05 c2, c2] finds a sign change at 0.666 c2 here,
         # far from the classical 0.964 c2 (eps = 0.5 gives 0.917 c2)
-        v0 = solve_rayleigh(study_material).v
         with pytest.raises(ValueError, match="no first-order-corrected root"):
-            first_order_elastic_solution(study_material, 2000.0, 1.0, v0)
+            first_order_elastic_solution(study_material, 2000.0, 1.0)
 
     def test_no_sign_change_raises(self, study_material):
         # at eps = 2 the corrected row keeps one sign on both brackets
-        v0 = solve_rayleigh(study_material).v
         with pytest.raises(ValueError, match="no first-order-corrected root"):
-            first_order_elastic_solution(study_material, 2000.0, 2.0, v0)
+            first_order_elastic_solution(study_material, 2000.0, 2.0)
+
+
+# eps = 0.2 4^-i for i = 0..8, down to 3.05e-6; local slopes are taken
+# from eps = 0.05 (i = 2) down, past the approach to the asymptotic regime
+FLOOR_EPS = tuple(0.2 * 4.0 ** -i for i in range(9))
+
+
+def _refined_residuals(m, eps_values, roots=None):
+    """Largest |refined residual| of the first-order solution at each eps
+    and k = 1e3.  Given the list to which a recording root loop appends,
+    the branch exponents are rebuilt from the solver's own x = r20^2
+    instead of from the returned v."""
+    out = []
+    for eps in eps_values:
+        sol = first_order_elastic_solution(m, 1e3, eps)
+        if roots is not None:
+            r10, r20 = dispersion._exponents_of_x(m)(roots[-1])
+            sol = sol.replace(de=DecayExponents(r10, r20, r10, r20))
+        out.append(max(abs(c) for c in bc_residual_order(sol, 2)))
+    return out
+
+
+def _local_slopes(eps_values, residuals):
+    return [math.log(r0 / r1) / math.log(e0 / e1)
+            for e0, e1, r0, r1 in zip(eps_values, eps_values[1:],
+                                      residuals, residuals[1:])]
+
+
+def _lambda_mu_material(sample, kappa_mu):
+    """lambda = mu, kappa = kappa_mu mu, the sample gamma, j and rho."""
+    return sample.replace(lambda_lame=sample.mu, kappa=kappa_mu * sample.mu)
+
+
+class TestRefinedResidualFloor:
+    """The refined conditions leave O(eps^2) on the first-order solution,
+    down to a floor set by rounding, not by the solver's stop."""
+
+    @pytest.mark.parametrize("kappa_mu, finest", [(30.0, 8), (482.0, 6)])
+    def test_slope_two_down_to_small_eps(self, sample_material, kappa_mu,
+                                         finest):
+        # to 3.05e-6 at kappa/mu = 30 and 4.9e-5 at 482; a stop at 1e-13 c2
+        # in v left floors of 5.9e-11 and 1.1e-8 there
+        m = _lambda_mu_material(sample_material, kappa_mu)
+        eps = FLOOR_EPS[2:finest + 1]
+        slopes = _local_slopes(eps, _refined_residuals(m, eps))
+        assert min(slopes) >= 1.9, slopes
+
+    @pytest.mark.parametrize("kappa_mu", [1e4, 1e5])
+    def test_floor_at_large_kappa(self, sample_material, kappa_mu,
+                                  monkeypatch):
+        """The floor is the exponents of the returned state, re-derived
+        from v.  x = r20^2 is about d^3/2 here (d = mu/(mu + kappa)), and
+        v = c2 sqrt(1 - x) rounds 1 - x to a multiple of 2^-53, so the
+        re-derived x is off by dx ~ 1e-16 and r20 by dx/(2 sqrt x).  The
+        refined row moves by about that much: 2^-53/(sqrt(2) d^1.5) is
+        7.8e-11 at kappa/mu = 1e4 and 2.5e-9 at 1e5, where 1.0e-10 and
+        5.5e-9 are measured at eps = 3.05e-6.  With the exponents rebuilt
+        from the solver's x the slope stays 2 to the finest eps."""
+        m = _lambda_mu_material(sample_material, kappa_mu)
+        assert _refined_residuals(m, FLOOR_EPS[-1:])[0] <= 1e-8
+        roots = []
+
+        def recording_root(*args):
+            roots.append(bracketed_root(*args))
+            return roots[-1]
+
+        monkeypatch.setattr(asymptotic, "bracketed_root", recording_root)
+        eps = FLOOR_EPS[4:]
+        slopes = _local_slopes(eps, _refined_residuals(m, eps, roots))
+        assert min(slopes) >= 1.9, slopes
+
+    def test_slope_two_over_the_material_draws(self):
+        """Over `material_draws` of seeds 0-2 (123 materials, kappa/mu up
+        to 30) every local slope from eps = 0.05 to 3.05e-6 is at least
+        1.9 (1.94 the lowest)."""
+        eps = FLOOR_EPS[2:]
+        for seed in range(3):
+            for ratios, m in material_draws(seed):
+                slopes = _local_slopes(eps, _refined_residuals(m, eps))
+                assert min(slopes) >= 1.9, (seed, ratios, slopes)
 
 
 class TestReport:

@@ -4,6 +4,7 @@ import itertools
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,20 @@ class TestKernelWeight:
         # (at 3e-155 its inverse is still normal), zero or infinite
         with pytest.raises(ValueError, match="a_nl"):
             kernel_weight(a_nl, a_nl)
+
+    def test_overflowing_weight_is_range_error(self):
+        """At a = 6e-155, 2 pi a^2 and its inverse are normal floats, but
+        near the origin K0(r/a) / (2 pi a^2) passes the largest double: a
+        ValueError, not a RuntimeWarning and inf.  Where the weight fits,
+        at r = 10 a, it is the plain quotient."""
+        a = 6e-155
+        area = 2.0 * math.pi * a * a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                kernel_weight(np.array([1e-170, 1e-160]), a)
+            assert kernel_weight(np.array([10.0 * a]), a)[0] == (
+                bessel_k0(10.0) / area)
 
     def test_small_length_in_range(self):
         a = 1e-150

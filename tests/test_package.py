@@ -100,6 +100,12 @@ def test_record_is_a_frozen_value(name):
     if name == "ScalarField2D":   # a numpy array is unhashable
         with pytest.raises(TypeError):
             hash(a)
+        # values compare as whole arrays, not by identity
+        c, d = (cls(4, 4, 0.5, 0.5, 0.0, np.ones((4, 4))) for _ in range(2))
+        assert c == d and not c != d
+        changed = np.ones((4, 4))
+        changed[2, 1] = 2.0
+        assert c != cls(4, 4, 0.5, 0.5, 0.0, changed)
     else:
         assert hash(a) == hash(b)
     other = type("Other", (cls,), {})(*args())
