@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 import math
 
-from .dispersion import (_exponents_of_x, _secular, bracketed_root,
-                         elastic_amplitudes, solve_rayleigh)
+from .dispersion import (_elastic_amplitudes, _elastic_root, _secular,
+                         bracketed_root)
 from .material import MaterialParams, derive_scales
 from .wavefield import (
     Amplitudes,
@@ -37,7 +37,9 @@ from .wavefield import (
     _branch_sqrt,
     _blayer_closed,
     _branches,
-    _leading_radicands,
+    _decay_exponents_at,
+    _radicands,
+    _x_of_v,
     blayer_integral_closed,
     blayer_integral_quadrature,
     decay_exponents,
@@ -73,9 +75,8 @@ def equivalence_residual_elastic(m: MaterialParams, v: float,
     """
     if not 0.0 < k < math.inf:
         raise ValueError(f"k must be positive and finite, got {k!r}")
-    sc = derive_scales(m)
-    d = sc.d
-    r10_sq, r20sq = _leading_radicands(sc, v)
+    d = derive_scales(m).d
+    r10_sq, r20sq, _, _ = _radicands(m, _x_of_v(m, v))
     r10 = _branch_sqrt(r10_sq)
     if r10 == 0:
         raise ZeroDivisionError("residual is singular: r10 = 0")
@@ -199,14 +200,14 @@ def first_order_elastic_solution(m: MaterialParams, k: float,
     = 0, is a real equation in x = r20^2 that `bracketed_root` narrows to
     adjacent doubles on the x-image of [0.8 v0, min(1.1 v0, c2)],
     v0 = `solve_rayleigh(m).v`; a ValueError if it keeps its sign there.
-    The exponents returned are the eps-free ones at v = c2 sqrt(1 - x).
+    The exponents returned are the eps-free ones at that x, so r20 = sqrt(x).
     The row is A(v) + eps B(v), so eps(v) = -A(v)/B(v) is explicit.
     """
     c2 = derive_scales(m).c2
-    exponents = _exponents_of_x(m)
 
     def amps_and_row(x: float):
-        r10, r20 = exponents(x)
+        r10_sq, _, _, _ = _radicands(m, x)
+        r10, r20 = math.sqrt(r10_sq), math.sqrt(x)
         de = DecayExponents(r1=r10, r2=r20, r10=r10, r20=r20)  # eps = 0, P, Q
         rows = stress_branch_coeffs(m, de, k)
         # sigma33 row: c_P (i p) + c_Q = 0, with c_P real and c_Q imaginary
@@ -214,7 +215,7 @@ def first_order_elastic_solution(m: MaterialParams, k: float,
         amps = (1j * p, 1.0 + 0j, 0j)
         return amps, _surface_condition(rows, amps, de, eps, 1, 0).real
 
-    v0 = solve_rayleigh(m).v
+    v0 = _elastic_root(m)[1].v
     lo, hi = (1.0 - (v / c2) ** 2 for v in (min(1.1 * v0, c2), 0.8 * v0))
     flo, fhi = amps_and_row(lo)[1], amps_and_row(hi)[1]
     if flo * fhi > 0.0:
@@ -224,7 +225,7 @@ def first_order_elastic_solution(m: MaterialParams, k: float,
     v = c2 * math.sqrt(1.0 - x)
     mp = ModeParams(k=k, omega=v * k, v=v, eps=eps)
     return ModeSolution(m=m, mp=mp, amp=Amplitudes(*amps_and_row(x)[0]),
-                        de=decay_exponents(m, mp.replace(eps=0.0)))
+                        de=_decay_exponents_at(m, mp.replace(eps=0.0), x))
 
 
 def _loglog_slope(xs, ys) -> float:
@@ -315,12 +316,14 @@ def residual_report_json(m: MaterialParams, k: float, eps: float) -> str:
     re/im pairs), plus normalization, slopes and pde diagnostic blocks.
     The amplitudes are normalized to Q = 1, and normalization is the
     force-row scale k^2 (mu+kappa) of `bc_residual_order`.  A non-finite
-    value raises ValueError instead of printing NaN or Infinity.
+    value raises ValueError instead of printing NaN or Infinity.  The
+    exponents and amplitudes are taken at the root's x = r20^2.
     """
-    v = solve_rayleigh(m).v
+    x, root = _elastic_root(m)
+    v = root.v
     mp = ModeParams(k=k, omega=v * k, v=v, eps=eps)
-    de = decay_exponents(m, mp)
-    amp = elastic_amplitudes(m, v, eps)
+    de = _decay_exponents_at(m, mp, x)
+    amp = _elastic_amplitudes(derive_scales(m).d, de.r10, de.r20, eps)
     sol = ModeSolution(m=m, mp=mp, amp=amp, de=de)
     pde = pde_residual(amp, de, mp, m)
 

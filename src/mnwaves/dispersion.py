@@ -23,8 +23,9 @@ import math
 from ._record import Record, setfield
 from .material import MaterialParams, derive_scales
 from .wavefield import (Amplitudes, DecayExponents, ModeParams,
-                        _leading_radicands, _micropolar_factor, _r30,
-                        _r30_squared, decay_exponents, leading_exponents)
+                        _branch_sqrt, _decay_exponents_at, _micropolar_factor,
+                        _r30_squared, _radicands, _x_of_v, decay_exponents,
+                        leading_exponents)
 
 __all__ = [
     "CutoffError",
@@ -85,22 +86,15 @@ def _secular(d, r10, r20, r20_sq):
     return (1.0 + d) ** 2 * r10 * r20 - (r20_sq + d) ** 2
 
 
-def _exponents_of_x(m: MaterialParams):
-    """x -> (r10, r20) = (sqrt(1 - q (1 - x)), sqrt(x)) on x = r20^2 in
-    [0, 1], q = (c2/c1)^2 from the moduli: r20 keeps its digits as v -> c2."""
-    q = (m.mu + m.kappa) / (m.lambda_lame + 2.0 * m.mu + m.kappa)
-    return lambda x: (math.sqrt(1.0 - q * (1.0 - x)), math.sqrt(x))
-
-
 def secular_leading(m: MaterialParams, v: float) -> float:
     """The leading-order elastic-mode secular function at a phase velocity
     0 <= v <= c2, where r10 and r20 are real; any other v is a ValueError.
 
-    Radicands and expression have one home each: `_leading_radicands` and
-    `_secular`.
+    Radicands and expression have one home each: `wavefield._radicands`
+    and `_secular`.
     """
     sc = derive_scales(m)
-    r10_sq, r20_sq = _leading_radicands(sc, v)
+    r10_sq, r20_sq, _, _ = _radicands(m, _x_of_v(m, v))
     if not (v >= 0.0 and r20_sq >= 0.0):
         raise ValueError(f"phase velocity must lie in [0, c2] = "
                          f"[0, {sc.c2!r}], got {v!r}")
@@ -171,10 +165,41 @@ def _geomspace(start: float, stop: float, n: int) -> list[float]:
     return [start] + [10.0 ** (i * step + lo) for i in range(1, n - 1)] + [stop]
 
 
+def _elastic_root(m: MaterialParams) -> tuple[float, DispersionPoint]:
+    """x = r20^2 at the elastic root and the point `solve_rayleigh` returns,
+    solved once per material instance and kept on it, as `derive_scales`
+    keeps the scales: the records are frozen, so the memo cannot go stale."""
+    memo = vars(m).get("_elastic_root")
+    if memo is not None:
+        return memo
+    sc = derive_scales(m)
+    d = sc.d
+
+    def f(x: float) -> float:
+        r10_sq, _, _, _ = _radicands(m, x)
+        return _secular(d, math.sqrt(r10_sq), math.sqrt(x), x)
+
+    hi = 1.0 - _BRACKET_LO ** 2
+    f_hi = f(hi)
+    if not f_hi > 0.0:
+        raise NoSurfaceModeError(
+            "no sign change of the secular function between "
+            f"{_BRACKET_LO!r} c2 and c2; no elastic surface mode for this "
+            "material")
+    x = bracketed_root(f, 0.0, hi, -d ** 2, f_hi, 0.0)
+    memo = x, DispersionPoint(
+        omega=math.nan, k=math.nan, v=sc.c2 * math.sqrt(1.0 - x),
+        mode_tag="elastic", exponents=None, secular_residual=abs(f(x)),
+        admissible=x > 0.0,
+    )
+    setfield(m, "_elastic_root", memo)
+    return memo
+
+
 def solve_rayleigh(m: MaterialParams) -> DispersionPoint:
     """The elastic-mode root of `secular_leading` in (0.01, 1) c2.
 
-    The unknown is x = r20^2 of `_exponents_of_x` (x -> 0 as kappa/mu
+    The unknown is x = r20^2 of `wavefield._radicands` (x -> 0 as kappa/mu
     grows).  Squared, the relation is (1+d)^4 (1 - q (1 - x)) x = (x + d)^4;
     its trivial root x = 1 (v = 0) divided out, it is the cubic
     x^3 + (1+4d) x^2 + (1+4d+6d^2 - q (1+d)^4) x - d^4, whose coefficients
@@ -185,30 +210,12 @@ def solve_rayleigh(m: MaterialParams) -> DispersionPoint:
     bracket [0, 1 - 0.01^2] holds the sign change, which `bracketed_root`
     narrows to adjacent doubles; v = c2 sqrt(1 - x).  The residual |f(x)|
     and admissibility, x > 0 (r20 = sqrt(x) decays), are read from that x,
-    not from v, which rounds to c2 once x is below about an ulp of 1.  The
-    leading-order mode is non-dispersive: omega and k of the returned point
-    are NaN metadata, exponents are attached by `sweep`.
+    not from v, which rounds to c2 once x is below about an ulp of 1.  Each
+    material instance solves it once.  The leading-order mode is
+    non-dispersive: omega and k of the returned point are NaN metadata,
+    exponents are attached by `sweep`.
     """
-    sc = derive_scales(m)
-    d = sc.d
-    exponents = _exponents_of_x(m)
-
-    def f(x: float) -> float:
-        return _secular(d, *exponents(x), x)
-
-    hi = 1.0 - _BRACKET_LO ** 2
-    f_hi = f(hi)
-    if not f_hi > 0.0:
-        raise NoSurfaceModeError(
-            "no sign change of the secular function between "
-            f"{_BRACKET_LO!r} c2 and c2; no elastic surface mode for this "
-            "material")
-    x = bracketed_root(f, 0.0, hi, -d ** 2, f_hi, 0.0)
-    return DispersionPoint(
-        omega=math.nan, k=math.nan, v=sc.c2 * math.sqrt(1.0 - x),
-        mode_tag="elastic", exponents=None, secular_residual=abs(f(x)),
-        admissible=x > 0.0,
-    )
+    return _elastic_root(m)[1]
 
 
 def micropolar_velocity(m: MaterialParams, omega: float) -> float:
@@ -228,8 +235,12 @@ def elastic_amplitudes(m: MaterialParams, v: float, eps: float) -> Amplitudes:
         P = i (r20^2 + d)(1 + (r10 - r20)(eps - eps^2 r20)) / ((1 + d) r10),
         R = 0.
     """
-    d = derive_scales(m).d
-    r10, r20 = leading_exponents(m, v)
+    return _elastic_amplitudes(derive_scales(m).d, *leading_exponents(m, v),
+                               eps)
+
+
+def _elastic_amplitudes(d: float, r10: complex, r20: complex,
+                        eps: float) -> Amplitudes:
     if r10 == 0:
         raise ZeroDivisionError("amplitude ratio is singular: r10 = 0")
     corr = eps - eps * eps * r20
@@ -253,7 +264,7 @@ def micropolar_amplitudes(m: MaterialParams, v: float, omega: float,
     d = sc.d
     r10, r20 = leading_exponents(m, v)
     corr = eps - eps * eps * r20
-    r30 = _r30(sc, v, omega)
+    r30 = _branch_sqrt(_r30_squared(sc, v, omega))
     p = (1j * (1.0 + d) * r20 * (1.0 + (r10 - r20) * corr)
          / (r20 * r20 + d))
     r_amp = (-_secular(d, r10, r20, r20 * r20) / (r20 * r20 + d)
@@ -262,10 +273,12 @@ def micropolar_amplitudes(m: MaterialParams, v: float, omega: float,
 
 
 def _solved_point(m: MaterialParams, omega: float, v: float,
-                  mode_tag: str, residual: float) -> DispersionPoint:
+                  mode_tag: str, residual: float,
+                  x: float | None = None) -> DispersionPoint:
     k = omega / v
     mp = ModeParams(k=k, omega=omega, v=v, eps=m.a_nl * k)
-    de = decay_exponents(m, mp)
+    # an elastic row takes the root's own x, not one re-derived from v
+    de = decay_exponents(m, mp) if x is None else _decay_exponents_at(m, mp, x)
     return DispersionPoint(omega=omega, k=k, v=v, mode_tag=mode_tag,
                            exponents=de, secular_residual=residual,
                            admissible=de.admissible)
@@ -288,10 +301,10 @@ def sweep(m: MaterialParams, omega_lo: float, omega_hi: float, n: int,
     omegas = _geomspace(omega_lo, omega_hi, n)
     points: list[DispersionPoint] = []
     if mode_tag == "elastic":
-        root = solve_rayleigh(m)
+        x, root = _elastic_root(m)
         for omega in omegas:
             points.append(_solved_point(m, omega, root.v, "elastic",
-                                        root.secular_residual))
+                                        root.secular_residual, x))
     else:
         sc = derive_scales(m)
         for omega in omegas:
@@ -308,22 +321,18 @@ def sweep(m: MaterialParams, omega_lo: float, omega_hi: float, n: int,
 
 
 def curve_to_csv(curve: DispersionCurve) -> str:
-    """One row per point; r1, r2 print their real parts, r3 both parts."""
-    lines = ["omega,k,v,mode,r1,r2,r3_re,r3_im,secular_residual,admissible"]
+    """One row per point, the real and imaginary part of each exponent;
+    NaN where a row has no exponents or no branch 3."""
+    lines = ["omega,k,v,mode,r1_re,r1_im,r2_re,r2_im,r3_re,r3_im,"
+             "secular_residual,admissible"]
+    missing = complex(math.nan, math.nan)
     for p in curve.points:
-        if p.exponents is None:
-            r1 = r2 = r3re = r3im = math.nan
-        else:
-            r1 = p.exponents.r1.real
-            r2 = p.exponents.r2.real
-            if p.exponents.r3 is None:
-                r3re = r3im = math.nan
-            else:
-                r3re = p.exponents.r3.real
-                r3im = p.exponents.r3.imag
+        de = p.exponents
+        rs = ((missing,) * 3 if de is None
+              else (de.r1, de.r2, missing if de.r3 is None else de.r3))
+        parts = ",".join(f"{r.real!r},{r.imag!r}" for r in rs)
         lines.append(
-            f"{p.omega!r},{p.k!r},{p.v!r},{p.mode_tag},{r1!r},{r2!r},"
-            f"{r3re!r},{r3im!r},{p.secular_residual!r},"
-            f"{'true' if p.admissible else 'false'}"
+            f"{p.omega!r},{p.k!r},{p.v!r},{p.mode_tag},{parts},"
+            f"{p.secular_residual!r},{'true' if p.admissible else 'false'}"
         )
     return "\n".join(lines) + "\n"

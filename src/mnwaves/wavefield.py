@@ -18,8 +18,9 @@ with depth-attenuation exponents
                            * (1 - omega_c^2/omega^2)]
 
 with omega_c^2 = 2 c3^2/j, and their eps = 0 leading-order values r10,
-r20, r30.  Square roots take the Re >= 0 branch (ties resolved to Im > 0)
-so that admissible modes decay with depth.
+r20, r30.  r1, r2, r10 and r20 are computed in x = r20^2 (`_radicands`).
+Square roots take the Re >= 0 branch (ties resolved to Im > 0) so that
+admissible modes decay with depth.
 
 The coupling amplitude s above annihilates neither shear equation exactly;
 `shear_balance_s` gives the value that forces the psi-equation to vanish on
@@ -109,11 +110,11 @@ class DecayExponents(Record):
 
     @property
     def admissible(self) -> bool:
-        if self.r1.real <= 0 or self.r2.real <= 0:
-            return False
-        if self.r3 is not None and self.r3.real < 0:
-            return False
-        return True
+        """The P and Q branches decay: Re r1 > 0 and Re r2 > 0.  Branch 3
+        is exempt: R = 0 on the elastic mode, and r30 = 0 defines the
+        micropolar mode.  At eps = 0 this is the x > 0 of
+        `solve_rayleigh`, as r10^2 = 1 - q (1 - x) > 0 for every x >= 0."""
+        return self.r1.real > 0 and self.r2.real > 0
 
 
 class Amplitudes(Record):
@@ -164,14 +165,28 @@ def _branch_sqrt(z: complex) -> complex:
     return w
 
 
-def _leading_radicands(sc: DerivedScales, v: float) -> tuple[float, float]:
-    """r10^2, r20^2 = 1 - (v/c1)^2, 1 - (v/c2)^2 for a float v."""
-    return 1.0 - (v / sc.c1) ** 2, 1.0 - (v / sc.c2) ** 2
+def _radicands(m: MaterialParams, x: float,
+               eps: float = 0.0) -> tuple[float, float, float, float]:
+    """r10^2, r20^2, r1^2, r2^2 at x = r20^2 = 1 - w, w = (v/c2)^2, with
+    q = (c2/c1)^2 from the moduli: 1 - q w, x, 1 - q w/(1 - eps^2 q w) and
+    (x - eps^2 w)/(1 - eps^2 w).  In x, r20 keeps its digits as v -> c2."""
+    q = (m.mu + m.kappa) / (m.lambda_lame + 2.0 * m.mu + m.kappa)
+    w = 1.0 - x
+    qw = q * w
+    e2 = eps * eps
+    g1, g2 = 1.0 - e2 * qw, 1.0 - e2 * w
+    if g1 == 0.0 or g2 == 0.0:
+        raise ValueError("degenerate state: c_i^2 - eps^2 v^2 vanishes")
+    return 1.0 - qw, x, 1.0 - qw / g1, (x - e2 * w) / g2
+
+
+def _x_of_v(m: MaterialParams, v: float) -> float:
+    return 1.0 - (v / derive_scales(m).c2) ** 2   # x = r20^2 at speed v
 
 
 def leading_exponents(m: MaterialParams, v: float) -> tuple[complex, complex]:
-    """Leading-order r10, r20 at v: `_branch_sqrt` of `_leading_radicands`."""
-    r10_sq, r20_sq = _leading_radicands(derive_scales(m), v)
+    """Leading-order r10, r20 at v: `_branch_sqrt` of `_radicands`."""
+    r10_sq, r20_sq, _, _ = _radicands(m, _x_of_v(m, v))
     return _branch_sqrt(r10_sq), _branch_sqrt(r20_sq)
 
 
@@ -186,32 +201,31 @@ def _r30_squared(sc: DerivedScales, v: float, omega: float) -> float:
     return 1.0 - (v / sc.c4) ** 2 * _micropolar_factor(sc, omega)
 
 
-def _r30(sc: DerivedScales, v: float, omega: float) -> complex:
-    """Leading-order exponent r30 of the micropolar branch."""
-    return _branch_sqrt(_r30_squared(sc, v, omega))
-
-
 def decay_exponents(m: MaterialParams, mp: ModeParams) -> DecayExponents:
     """Depth-attenuation exponents of the three branches, plus coupling s."""
+    return _decay_exponents_at(m, mp, _x_of_v(m, mp.v))
+
+
+def _decay_exponents_at(m: MaterialParams, mp: ModeParams,
+                        x: float) -> DecayExponents:
+    """`decay_exponents` with r1, r2, r10 and r20 taken at x = r20^2, which
+    the elastic root hands over without rounding it through v."""
+    r10, r20, r1, r2 = map(_branch_sqrt, _radicands(m, x, mp.eps))
+    if m.kappa == 0.0:
+        return DecayExponents(r1=r1, r2=r2, r10=r10, r20=r20)
     sc = derive_scales(m)
     v2 = mp.v * mp.v
     e2v2 = mp.eps * mp.eps * v2
-    d1 = sc.c1 ** 2 - e2v2
     d2 = sc.c2 ** 2 - e2v2
     d4 = sc.c4 ** 2 - e2v2
-    if d1 == 0.0 or d2 == 0.0 or d4 == 0.0:
+    if d4 == 0.0:
         raise ValueError("degenerate state: c_i^2 - eps^2 v^2 vanishes")
-    r1 = _branch_sqrt(1.0 - v2 / d1)
-    r2 = _branch_sqrt(1.0 - v2 / d2)
-    r10, r20 = leading_exponents(m, mp.v)
-    if m.kappa == 0.0:
-        return DecayExponents(r1=r1, r2=r2, r10=r10, r20=r20)
     # omega_c^2 = 2 kappa/(rho j) straight from the moduli: squaring the
     # rounded omega_c adds error that the cancellation in r3^2 amplifies
     # where r3 is small
     micro = 1.0 - 2.0 * m.kappa / (m.rho * m.j_inertia * mp.omega * mp.omega)
     r3 = _branch_sqrt(1.0 - (v2 / d4) * micro)
-    r30 = _r30(sc, mp.v, mp.omega)
+    r30 = _branch_sqrt(_r30_squared(sc, mp.v, mp.omega))
     s = (v2 / sc.c3 ** 2) * (1.0 - (d2 / d4) * micro)
     return DecayExponents(r1=r1, r2=r2, r3=r3, s=s, r10=r10, r20=r20, r30=r30)
 

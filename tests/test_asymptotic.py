@@ -342,17 +342,14 @@ class TestFirstOrderSolution:
             log.append((a, b))
             return bracketed_root(f, a, b, fa, fb, width)
 
-        def recording_exponents(m):
-            exponents = dispersion._exponents_of_x(m)
+        radicands = asymptotic._radicands
 
-            def logged(x):
-                log.append(x)
-                return exponents(x)
-            return logged
+        def recording_radicands(m, x, *eps):
+            log.append(x)
+            return radicands(m, x, *eps)
 
         monkeypatch.setattr(asymptotic, "bracketed_root", recording_root)
-        monkeypatch.setattr(asymptotic, "_exponents_of_x",
-                            recording_exponents)
+        monkeypatch.setattr(asymptotic, "_radicands", recording_radicands)
         return log
 
     def test_no_search_beyond_the_bracket(self, poisson_material,
@@ -388,17 +385,28 @@ class TestFirstOrderSolution:
 
     def test_one_exponent_state_per_solve(self, study_material, monkeypatch):
         """Each step of the search builds only the P and Q columns from
-        x; `decay_exponents` runs once, for the returned solution."""
-        calls = []
+        x; one exponent state is built, for the returned solution, at the
+        root x itself: its r20 is sqrt(x) to the bit, not re-derived from
+        v = c2 sqrt(1 - x)."""
+        calls, roots = [], []
+        exponents_at = asymptotic._decay_exponents_at
 
         def counted(*args):
             calls.append(args)
-            return decay_exponents(*args)
+            return exponents_at(*args)
 
-        monkeypatch.setattr(asymptotic, "decay_exponents", counted)
+        def recording_root(*args):
+            roots.append(bracketed_root(*args))
+            return roots[-1]
+
+        monkeypatch.setattr(asymptotic, "_decay_exponents_at", counted)
+        monkeypatch.setattr(asymptotic, "bracketed_root", recording_root)
         sol = first_order_elastic_solution(study_material, 2000.0, 0.1)
+        [x] = roots
         assert len(calls) == 1
-        assert calls[0][1] == sol.mp.replace(eps=0.0)
+        assert calls[0][1:] == (sol.mp.replace(eps=0.0), x)
+        assert sol.de.r20 == math.sqrt(x)
+        assert sol.de.r2 == sol.de.r20 and sol.de.r1 == sol.de.r10
 
     def test_eps_one_raises(self, study_material):
         # a search on [0.05 c2, c2] finds a sign change at 0.666 c2 here,
@@ -417,17 +425,12 @@ class TestFirstOrderSolution:
 FLOOR_EPS = tuple(0.2 * 4.0 ** -i for i in range(9))
 
 
-def _refined_residuals(m, eps_values, roots=None):
+def _refined_residuals(m, eps_values):
     """Largest |refined residual| of the first-order solution at each eps
-    and k = 1e3.  Given the list to which a recording root loop appends,
-    the branch exponents are rebuilt from the solver's own x = r20^2
-    instead of from the returned v."""
+    and k = 1e3, on the state that the solver returns."""
     out = []
     for eps in eps_values:
         sol = first_order_elastic_solution(m, 1e3, eps)
-        if roots is not None:
-            r10, r20 = dispersion._exponents_of_x(m)(roots[-1])
-            sol = sol.replace(de=DecayExponents(r10, r20, r10, r20))
         out.append(max(abs(c) for c in bc_residual_order(sol, 2)))
     return out
 
@@ -457,28 +460,19 @@ class TestRefinedResidualFloor:
         slopes = _local_slopes(eps, _refined_residuals(m, eps))
         assert min(slopes) >= 1.9, slopes
 
-    @pytest.mark.parametrize("kappa_mu", [1e4, 1e5])
-    def test_floor_at_large_kappa(self, sample_material, kappa_mu,
-                                  monkeypatch):
-        """The floor is the exponents of the returned state, re-derived
-        from v.  x = r20^2 is about d^3/2 here (d = mu/(mu + kappa)), and
-        v = c2 sqrt(1 - x) rounds 1 - x to a multiple of 2^-53, so the
-        re-derived x is off by dx ~ 1e-16 and r20 by dx/(2 sqrt x).  The
-        refined row moves by about that much: 2^-53/(sqrt(2) d^1.5) is
-        7.8e-11 at kappa/mu = 1e4 and 2.5e-9 at 1e5, where 1.0e-10 and
-        5.5e-9 are measured at eps = 3.05e-6.  With the exponents rebuilt
-        from the solver's x the slope stays 2 to the finest eps."""
+    @pytest.mark.parametrize("kappa_mu", [482.0, 1e4, 1e5])
+    def test_floor_at_large_kappa(self, sample_material, kappa_mu):
+        """x = r20^2 is about d^3/2 here (d = mu/(mu + kappa)).  The state
+        returned carries the solver's x into its exponents; re-deriving them
+        from v = c2 sqrt(1 - x), which rounds 1 - x to a multiple of 2^-53,
+        put x off by ~1e-16 and r20 by that over 2 sqrt(x), a floor of
+        about 2^-53/(sqrt(2) d^1.5): 1.5e-12 at kappa/mu = 482, 1.0e-10 at
+        1e4 and 5.5e-9 at 1e5 were measured at eps = 3.05e-6.  On the
+        returned state the slope stays 2 to that eps (1.5e-13, 3.3e-14 and
+        1.0e-14 there)."""
         m = _lambda_mu_material(sample_material, kappa_mu)
-        assert _refined_residuals(m, FLOOR_EPS[-1:])[0] <= 1e-8
-        roots = []
-
-        def recording_root(*args):
-            roots.append(bracketed_root(*args))
-            return roots[-1]
-
-        monkeypatch.setattr(asymptotic, "bracketed_root", recording_root)
         eps = FLOOR_EPS[4:]
-        slopes = _local_slopes(eps, _refined_residuals(m, eps, roots))
+        slopes = _local_slopes(eps, _refined_residuals(m, eps))
         assert min(slopes) >= 1.9, slopes
 
     def test_slope_two_over_the_material_draws(self):

@@ -21,8 +21,7 @@ from mnwaves.dispersion import (
     sweep,
 )
 from mnwaves.material import MaterialParams, derive_scales
-from mnwaves.wavefield import (_branch_sqrt, _leading_radicands,
-                               leading_exponents)
+from mnwaves.wavefield import _branch_sqrt, _radicands, leading_exponents
 
 
 def plain_bisection(f, a, b, fa, width):
@@ -165,7 +164,7 @@ class TestSecularLeading:
         for m in materials:
             sc = derive_scales(m)
             for v in [0.0, sc.c2, *rng.uniform(0.0, sc.c2, 20).tolist()]:
-                r10_sq, r20_sq = _leading_radicands(sc, v)
+                r10_sq, r20_sq, _, _ = _radicands(m, 1.0 - (v / sc.c2) ** 2)
                 want = dispersion._secular(sc.d, _branch_sqrt(r10_sq),
                                            _branch_sqrt(r20_sq), r20_sq).real
                 assert secular_leading(m, v) == want, (m, v)
@@ -227,9 +226,10 @@ class TestSolveRayleigh:
             bc_slope_study(m, 2000.0)
 
     def test_no_sign_change_raises(self, sample_material, monkeypatch):
+        # a fresh instance: the shared fixture may already keep its root
         monkeypatch.setattr(dispersion, "_secular", lambda *args: -1.0)
         with pytest.raises(NoSurfaceModeError, match="no elastic surface"):
-            solve_rayleigh(sample_material)
+            solve_rayleigh(sample_material.replace())
 
     @pytest.mark.parametrize("kappa_mu", [1.0, 16.0, 100.0, 482.0, 1000.0,
                                           5000.0, 1e5])
@@ -432,6 +432,26 @@ class TestSweep:
         assert not curve.points[-1].admissible
         assert curve.points[-1].exponents.r2.real == 0.0
 
+    def test_cutoff_edge(self, seed, sample_material):
+        """At omega_c and the first ulps above it, `micropolar_velocity`
+        and `sweep` agree: both propagate with the same finite v, or the
+        one raises `CutoffError` where the other holds a non-propagating
+        row; nothing else is raised."""
+        for m in [sample_material, *(m for _, m in material_draws(seed))]:
+            omega = derive_scales(m).omega_cutoff
+            with pytest.raises(CutoffError):
+                micropolar_velocity(m, omega)
+            for _ in range(5):
+                row = sweep(m, omega, 2.0 * omega, 2, "micropolar").points[0]
+                assert row.omega == omega
+                try:
+                    v = micropolar_velocity(m, omega)
+                except CutoffError:
+                    assert not row.propagating and not row.admissible
+                else:
+                    assert math.isfinite(v) and row.v == v, (m, omega)
+                omega = math.nextafter(omega, math.inf)
+
     def test_micropolar_flags_subcutoff(self, sample_material):
         sc = derive_scales(sample_material)
         curve = sweep(sample_material, 0.5 * sc.omega_cutoff,
@@ -464,12 +484,76 @@ class TestSweep:
         for row in rows[1:]:
             fields = row.split(",")
             assert [fields[i] for i in cols] == ["nan", "nan"], row
-            assert fields[header.index("r2")] != "nan", row
+            assert fields[header.index("r2_re")] != "nan", row
+
+    def test_csv_prints_both_parts_of_every_exponent(self, sample_material):
+        """Each exponent has an _re and an _im column; where non-locality
+        turns r2 imaginary the row prints r2_re = 0.0 and the imaginary
+        part, which a real-part column alone hid."""
+        curve = sweep(sample_material, 1e5, 1e7, 7, "elastic")
+        header, *rows = curve_to_csv(curve).splitlines()
+        assert header == ("omega,k,v,mode,r1_re,r1_im,r2_re,r2_im,r3_re,"
+                          "r3_im,secular_residual,admissible")
+        for point, row in zip(curve.points, rows):
+            fields = dict(zip(header.split(","), row.split(",")))
+            de = point.exponents
+            for name in ("r1", "r2", "r3"):
+                r = getattr(de, name)
+                assert fields[name + "_re"] == repr(r.real), row
+                assert fields[name + "_im"] == repr(r.imag), row
+        last = dict(zip(header.split(","), rows[-1].split(",")))
+        assert last["r2_re"] == "0.0" and float(last["r2_im"]) > 0.0
+        assert last["admissible"] == "false"
 
     def test_deterministic(self, sample_material):
         a = sweep(sample_material, 1e5, 1e6, 5, "elastic")
         b = sweep(sample_material, 1e5, 1e6, 5, "elastic")
         assert curve_to_csv(a) == curve_to_csv(b)
+
+
+class TestElasticRowsAtTheRoot:
+    # (kappa/mu, omega in rad/s) with lambda = mu and the sample gamma, j,
+    # rho and a; whether the row is admissible
+    TABLE = ((1e3, 1e5, False), (1e4, 1e3, False), (1e5, 1e3, False),
+             (1e5, 1.0, True))
+
+    @staticmethod
+    def _check_rows(m, curve, x):
+        """r2^2 = (x - eps^2 w)/(1 - eps^2 w), w = 1 - x, at the root's x,
+        within 1e-12 relative; admissible exactly where Re r2 > 0."""
+        w = 1.0 - x
+        for point in curve.points:
+            e2 = (m.a_nl * point.k) ** 2
+            want = (x - e2 * w) / (1.0 - e2 * w)
+            r2 = point.exponents.r2
+            assert abs(r2 * r2 - want) <= 1e-12 * abs(want), (m, point)
+            assert point.admissible == (r2.real > 0.0), (m, point)
+
+    def test_rows_over_the_material_draws(self, root_solves):
+        """Over `material_draws` seeds 0-2 and eps = a k from 1e-4 to 0.5,
+        where r2 turns imaginary once eps^2 (1 - x) > x (Eringen's
+        non-local shear dispersion), every elastic row carries the
+        exponents of the root's own x."""
+        for seed in range(3):
+            for _, m in material_draws(seed):
+                c2 = derive_scales(m).c2
+                curve = sweep(m, 1e-4 * c2 / m.a_nl, 0.5 * c2 / m.a_nl, 9)
+                [(*_, x, _)] = root_solves
+                self._check_rows(m, curve, x)
+                root_solves.clear()
+
+    @pytest.mark.parametrize("kappa_mu, omega, admissible", TABLE)
+    def test_rows_near_c2(self, sample_material, root_solves, kappa_mu,
+                          omega, admissible):
+        """Where x is 5e-10 to 5e-16, v = c2 sqrt(1 - x) keeps too few of
+        its digits: at kappa/mu = 1e5 it gives back x = 6.7e-16, not 5.0e-16,
+        and r2 with it.  The rows take x from the root instead."""
+        m = sample_material.replace(lambda_lame=sample_material.mu,
+                                    kappa=kappa_mu * sample_material.mu)
+        curve = sweep(m, omega, 2.0 * omega, 2)
+        [(*_, x, _)] = root_solves
+        self._check_rows(m, curve, x)
+        assert curve.points[0].admissible == admissible
 
 
 class TestCurveInvariants:
@@ -591,21 +675,26 @@ class TestBracketedRoot:
             bracketed_root(lambda x: x, 1.0, 2.0, 1.0, 2.0, 1e-6)
 
     def test_report_evaluation_budget(self, root_solves, sample_material):
-        """One `mnw residuals` report (eps = 0.1) solves seven roots, each
-        to adjacent doubles in x = r20^2: the classical one, for the report
-        and inside each of the three first-order solves, and the three
-        first-order ones.  They take 15 evaluations each and 11, 11 and 13
-        where plain bisection on the same brackets takes 52 and 53, 53 and
-        54; each stays within the 2n + 1 of `bracketed_root`."""
-        residual_report_json(sample_material, 0.1 / sample_material.a_nl,
-                             0.1)
-        assert len(root_solves) == 7
-        assert sum(call[1:3] == (0.0, 1.0 - 0.01 ** 2)
-                   for call in root_solves) == 4
+        """One `mnw residuals` report (eps = 0.1) solves four roots, each
+        to adjacent doubles in x = r20^2: the classical one, once, kept on
+        the material for the report and its three first-order solves, and
+        the three first-order ones.  They take 15 evaluations and 11, 11
+        and 13 where plain bisection on the same brackets takes 52 and 53,
+        53 and 54; each stays within the 2n + 1 of `bracketed_root`.  A
+        second report on the same material solves no classical root."""
+        m = sample_material.replace()   # a fresh instance keeps no root
+        residual_report_json(m, 0.1 / m.a_nl, 0.1)
+        assert len(root_solves) == 4
+        assert [call[1:3] == (0.0, 1.0 - 0.01 ** 2)
+                for call in root_solves] == [True, False, False, False]
         for f, a, b, fa, _, width, _, evals in root_solves:
             assert width == 0.0
             _, n = plain_bisection(f, a, b, fa, width)
             assert evals <= 2 * n + 1, (a, b, evals, n)
+        residual_report_json(m, 0.1 / m.a_nl, 0.1)
+        assert len(root_solves) == 7
+        assert not any(call[1:3] == (0.0, 1.0 - 0.01 ** 2)
+                       for call in root_solves[4:])
 
     def test_roots_agree_with_plain_bisection(self, seed, root_solves,
                                               sample_material,
@@ -621,13 +710,19 @@ class TestBracketedRoot:
         (29 measured over the 12 300 solves of seeds 0-299, 14.5 on
         average); every root stays within the 2n + 1 of `bracketed_root`,
         n those of plain bisection (the first-order roots took 14.6 on
-        average and at most 46 over seeds 0-49, where n is 44-70)."""
-        cases = [sample_material, poisson_material, study_material,
+        average and at most 46 over seeds 0-49, where n is 44-70).  Each
+        material solves its elastic root once; its three first-order
+        solves reuse it."""
+        # fresh instances, so that no root is kept from an earlier test
+        cases = [sample_material.replace(), poisson_material.replace(),
+                 study_material.replace(),
                  *(m for _, m in material_draws(seed))]
         for m in cases:
             solve_rayleigh(m)
             bc_slope_study(m, 2000.0)
-        assert len(root_solves) == 7 * len(cases)
+        assert len(root_solves) == 4 * len(cases)
+        assert sum(call[1:3] == (0.0, 1.0 - 0.01 ** 2)
+                   for call in root_solves) == len(cases)
         for f, a, b, fa, _, width, x, evals in root_solves:
             assert width == 0.0
             want, n = plain_bisection(f, a, b, fa, width)

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import exact_shear_exponents, fit_slope, make_mode_params
+from conftest import (exact_shear_exponents, fit_slope, make_mode_params,
+                      material_draws)
 from mnwaves.dispersion import elastic_amplitudes, solve_rayleigh
 from mnwaves.material import derive_scales
 from mnwaves.wavefield import (
     Amplitudes,
+    DecayExponents,
     ModeParams,
     _blayer_closed,
     blayer_closed_form,
@@ -56,6 +58,37 @@ class TestDecayExponents:
         assert abs(de.r1 - de.r10) <= 1e-14 * abs(de.r10)
         assert abs(de.r2 - de.r20) <= 1e-14 * abs(de.r20)
         assert abs(de.r3 - de.r30) <= 1e-14 * abs(de.r30)
+
+    def test_zero_eps_is_leading_order_to_the_bit(self, seed,
+                                                  sample_material):
+        """At eps = 0 the full radicands reduce to the leading-order ones
+        in the same arithmetic, so r1 == r10 and r2 == r20 bitwise: over
+        2000 seeded v in (0.01, 0.999) c2 on the sample material and 50 on
+        each `material_draws` material.  The two forms in v that this
+        replaces differed on 108 and 420 of the sample's 2000 at seed
+        2024."""
+        rng = np.random.default_rng(seed)
+        cases = [(sample_material, 2000)]
+        cases += [(m, 50) for _, m in material_draws(seed)]
+        for m, n in cases:
+            c2 = derive_scales(m).c2
+            for frac in rng.uniform(0.01, 0.999, n).tolist():
+                v = frac * c2
+                de = decay_exponents(m, ModeParams(k=1.0, omega=v, v=v,
+                                                   eps=0.0))
+                assert de.r1 == de.r10 and de.r2 == de.r20, (m, v)
+
+    def test_admissible_needs_p_and_q_to_decay(self):
+        """Re r1 > 0 and Re r2 > 0; branch 3 is exempt (R = 0 on the
+        elastic mode, r30 = 0 on the micropolar mode), so a purely
+        imaginary r3 leaves a state admissible."""
+        one = 1.0 + 0j
+        assert DecayExponents(one, one, one, one, r3=2j, s=0j,
+                              r30=0j).admissible
+        assert DecayExponents(one, one, one, one).admissible
+        assert not DecayExponents(one, 0.5j, one, one).admissible
+        assert not DecayExponents(0.5j, one, one, one, r3=one, s=0j,
+                                  r30=one).admissible
 
     def test_decoupled_limit(self, poisson_material):
         mp = ModeParams(k=1.0, omega=500.0, v=500.0, eps=0.0)
