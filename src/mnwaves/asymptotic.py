@@ -38,8 +38,7 @@ from .wavefield import (
     _blayer_closed,
     _branches,
     _decay_exponents_at,
-    _radicands,
-    _x_of_v,
+    _r10_squared,
     blayer_integral_closed,
     blayer_integral_quadrature,
     decay_exponents,
@@ -75,9 +74,9 @@ def equivalence_residual_elastic(m: MaterialParams, v: float,
     """
     if not 0.0 < k < math.inf:
         raise ValueError(f"k must be positive and finite, got {k!r}")
-    d = derive_scales(m).d
-    r10_sq, r20sq, _, _ = _radicands(m, _x_of_v(m, v))
-    r10 = _branch_sqrt(r10_sq)
+    sc = derive_scales(m)
+    d, r20sq = sc.d, 1.0 - (v / sc.c2) ** 2
+    r10 = _branch_sqrt(_r10_squared(m, r20sq))
     if r10 == 0:
         raise ZeroDivisionError("residual is singular: r10 = 0")
     bracket = ((1.0 + d) ** 2 * r10 * r10
@@ -206,8 +205,7 @@ def first_order_elastic_solution(m: MaterialParams, k: float,
     c2 = derive_scales(m).c2
 
     def amps_and_row(x: float):
-        r10_sq, _, _, _ = _radicands(m, x)
-        r10, r20 = math.sqrt(r10_sq), math.sqrt(x)
+        r10, r20 = math.sqrt(_r10_squared(m, x)), math.sqrt(x)
         de = DecayExponents(r1=r10, r2=r20, r10=r10, r20=r20)  # eps = 0, P, Q
         rows = stress_branch_coeffs(m, de, k)
         # sigma33 row: c_P (i p) + c_Q = 0, with c_P real and c_Q imaginary

@@ -24,8 +24,7 @@ from ._record import Record, setfield
 from .material import MaterialParams, derive_scales
 from .wavefield import (Amplitudes, DecayExponents, ModeParams,
                         _branch_sqrt, _decay_exponents_at, _micropolar_factor,
-                        _r30_squared, _radicands, _x_of_v, decay_exponents,
-                        leading_exponents)
+                        _r10_squared, _r30_squared, leading_exponents)
 
 __all__ = [
     "CutoffError",
@@ -90,15 +89,15 @@ def secular_leading(m: MaterialParams, v: float) -> float:
     """The leading-order elastic-mode secular function at a phase velocity
     0 <= v <= c2, where r10 and r20 are real; any other v is a ValueError.
 
-    Radicands and expression have one home each: `wavefield._radicands`
-    and `_secular`.
+    Radicands and expression have one home each: `wavefield._r10_squared`
+    with x = r20^2, and `_secular`.
     """
     sc = derive_scales(m)
-    r10_sq, r20_sq, _, _ = _radicands(m, _x_of_v(m, v))
-    if not (v >= 0.0 and r20_sq >= 0.0):
+    x = 1.0 - (v / sc.c2) ** 2
+    if not (v >= 0.0 and x >= 0.0):
         raise ValueError(f"phase velocity must lie in [0, c2] = "
                          f"[0, {sc.c2!r}], got {v!r}")
-    return _secular(sc.d, math.sqrt(r10_sq), math.sqrt(r20_sq), r20_sq)
+    return _secular(sc.d, math.sqrt(_r10_squared(m, x)), math.sqrt(x), x)
 
 
 def bracketed_root(f, a: float, b: float, fa: float, fb: float,
@@ -167,8 +166,7 @@ def _geomspace(start: float, stop: float, n: int) -> list[float]:
 
 def _elastic_root(m: MaterialParams) -> tuple[float, DispersionPoint]:
     """x = r20^2 at the elastic root and the point `solve_rayleigh` returns,
-    solved once per material instance and kept on it, as `derive_scales`
-    keeps the scales: the records are frozen, so the memo cannot go stale."""
+    kept on the material instance: records are frozen, so it cannot go stale."""
     memo = vars(m).get("_elastic_root")
     if memo is not None:
         return memo
@@ -176,8 +174,7 @@ def _elastic_root(m: MaterialParams) -> tuple[float, DispersionPoint]:
     d = sc.d
 
     def f(x: float) -> float:
-        r10_sq, _, _, _ = _radicands(m, x)
-        return _secular(d, math.sqrt(r10_sq), math.sqrt(x), x)
+        return _secular(d, math.sqrt(_r10_squared(m, x)), math.sqrt(x), x)
 
     hi = 1.0 - _BRACKET_LO ** 2
     f_hi = f(hi)
@@ -199,7 +196,7 @@ def _elastic_root(m: MaterialParams) -> tuple[float, DispersionPoint]:
 def solve_rayleigh(m: MaterialParams) -> DispersionPoint:
     """The elastic-mode root of `secular_leading` in (0.01, 1) c2.
 
-    The unknown is x = r20^2 of `wavefield._radicands` (x -> 0 as kappa/mu
+    The unknown is x = r20^2 of `wavefield._r10_squared` (x -> 0 as kappa/mu
     grows).  Squared, the relation is (1+d)^4 (1 - q (1 - x)) x = (x + d)^4;
     its trivial root x = 1 (v = 0) divided out, it is the cubic
     x^3 + (1+4d) x^2 + (1+4d+6d^2 - q (1+d)^4) x - d^4, whose coefficients
@@ -235,8 +232,7 @@ def elastic_amplitudes(m: MaterialParams, v: float, eps: float) -> Amplitudes:
         P = i (r20^2 + d)(1 + (r10 - r20)(eps - eps^2 r20)) / ((1 + d) r10),
         R = 0.
     """
-    return _elastic_amplitudes(derive_scales(m).d, *leading_exponents(m, v),
-                               eps)
+    return _elastic_amplitudes(derive_scales(m).d, *leading_exponents(m, v), eps)
 
 
 def _elastic_amplitudes(d: float, r10: complex, r20: complex,
@@ -273,12 +269,10 @@ def micropolar_amplitudes(m: MaterialParams, v: float, omega: float,
 
 
 def _solved_point(m: MaterialParams, omega: float, v: float,
-                  mode_tag: str, residual: float,
-                  x: float | None = None) -> DispersionPoint:
+                  mode_tag: str, residual: float, x: float) -> DispersionPoint:
     k = omega / v
     mp = ModeParams(k=k, omega=omega, v=v, eps=m.a_nl * k)
-    # an elastic row takes the root's own x, not one re-derived from v
-    de = decay_exponents(m, mp) if x is None else _decay_exponents_at(m, mp, x)
+    de = _decay_exponents_at(m, mp, x)
     return DispersionPoint(omega=omega, k=k, v=v, mode_tag=mode_tag,
                            exponents=de, secular_residual=residual,
                            admissible=de.admissible)
@@ -316,7 +310,8 @@ def sweep(m: MaterialParams, omega_lo: float, omega_hi: float, n: int,
                 continue
             v = micropolar_velocity(m, omega)
             points.append(_solved_point(m, omega, v, "micropolar",
-                                        abs(_r30_squared(sc, v, omega))))
+                                        abs(_r30_squared(sc, v, omega)),
+                                        1.0 - (v / sc.c2) ** 2))
     return DispersionCurve(points=tuple(points))
 
 

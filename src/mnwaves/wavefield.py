@@ -18,9 +18,8 @@ with depth-attenuation exponents
                            * (1 - omega_c^2/omega^2)]
 
 with omega_c^2 = 2 c3^2/j, and their eps = 0 leading-order values r10,
-r20, r30.  r1, r2, r10 and r20 are computed in x = r20^2 (`_radicands`).
-Square roots take the Re >= 0 branch (ties resolved to Im > 0) so that
-admissible modes decay with depth.
+r20, r30.  Square roots take the Re >= 0 branch (ties resolved to Im > 0)
+so that admissible modes decay with depth.
 
 The coupling amplitude s above annihilates neither shear equation exactly;
 `shear_balance_s` gives the value that forces the psi-equation to vanish on
@@ -110,10 +109,9 @@ class DecayExponents(Record):
 
     @property
     def admissible(self) -> bool:
-        """The P and Q branches decay: Re r1 > 0 and Re r2 > 0.  Branch 3
-        is exempt: R = 0 on the elastic mode, and r30 = 0 defines the
-        micropolar mode.  At eps = 0 this is the x > 0 of
-        `solve_rayleigh`, as r10^2 = 1 - q (1 - x) > 0 for every x >= 0."""
+        """Re r1 > 0 and Re r2 > 0: the P and Q branches decay.  Branch 3 is
+        exempt, as R = 0 on the elastic mode and r30 = 0 defines the
+        micropolar one.  At eps = 0 it is `solve_rayleigh`'s x > 0."""
         return self.r1.real > 0 and self.r2.real > 0
 
 
@@ -165,29 +163,21 @@ def _branch_sqrt(z: complex) -> complex:
     return w
 
 
-def _radicands(m: MaterialParams, x: float,
-               eps: float = 0.0) -> tuple[float, float, float, float]:
-    """r10^2, r20^2, r1^2, r2^2 at x = r20^2 = 1 - w, w = (v/c2)^2, with
-    q = (c2/c1)^2 from the moduli: 1 - q w, x, 1 - q w/(1 - eps^2 q w) and
-    (x - eps^2 w)/(1 - eps^2 w).  In x, r20 keeps its digits as v -> c2."""
-    q = (m.mu + m.kappa) / (m.lambda_lame + 2.0 * m.mu + m.kappa)
-    w = 1.0 - x
-    qw = q * w
-    e2 = eps * eps
-    g1, g2 = 1.0 - e2 * qw, 1.0 - e2 * w
-    if g1 == 0.0 or g2 == 0.0:
-        raise ValueError("degenerate state: c_i^2 - eps^2 v^2 vanishes")
-    return 1.0 - qw, x, 1.0 - qw / g1, (x - e2 * w) / g2
+def _q(m: MaterialParams) -> float:
+    """q = (c2/c1)^2 from the moduli: (mu + kappa)/(lambda + 2 mu + kappa)."""
+    return (m.mu + m.kappa) / (m.lambda_lame + 2.0 * m.mu + m.kappa)
 
 
-def _x_of_v(m: MaterialParams, v: float) -> float:
-    return 1.0 - (v / derive_scales(m).c2) ** 2   # x = r20^2 at speed v
+def _r10_squared(m: MaterialParams, x: float) -> float:
+    """r10^2 = 1 - q (1 - x) at x = r20^2 = 1 - (v/c2)^2: in x, r20 keeps
+    its digits as v -> c2."""
+    return 1.0 - _q(m) * (1.0 - x)
 
 
 def leading_exponents(m: MaterialParams, v: float) -> tuple[complex, complex]:
-    """Leading-order r10, r20 at v: `_branch_sqrt` of `_radicands`."""
-    r10_sq, r20_sq, _, _ = _radicands(m, _x_of_v(m, v))
-    return _branch_sqrt(r10_sq), _branch_sqrt(r20_sq)
+    """Leading-order r10, r20 at v: `_branch_sqrt` of r10^2 and x."""
+    x = 1.0 - (v / derive_scales(m).c2) ** 2
+    return _branch_sqrt(_r10_squared(m, x)), _branch_sqrt(x)
 
 
 def _micropolar_factor(sc: DerivedScales, omega: float) -> float:
@@ -203,19 +193,25 @@ def _r30_squared(sc: DerivedScales, v: float, omega: float) -> float:
 
 def decay_exponents(m: MaterialParams, mp: ModeParams) -> DecayExponents:
     """Depth-attenuation exponents of the three branches, plus coupling s."""
-    return _decay_exponents_at(m, mp, _x_of_v(m, mp.v))
+    return _decay_exponents_at(m, mp, 1.0 - (mp.v / derive_scales(m).c2) ** 2)
 
 
 def _decay_exponents_at(m: MaterialParams, mp: ModeParams,
                         x: float) -> DecayExponents:
-    """`decay_exponents` with r1, r2, r10 and r20 taken at x = r20^2, which
-    the elastic root hands over without rounding it through v."""
-    r10, r20, r1, r2 = map(_branch_sqrt, _radicands(m, x, mp.eps))
+    """`decay_exponents` at x = r20^2 = 1 - w, not rounded through v, with
+    r1^2 = 1 - q w/(1 - eps^2 q w) and r2^2 = (x - eps^2 w)/(1 - eps^2 w)."""
+    w, e2 = 1.0 - x, mp.eps * mp.eps
+    qw = _q(m) * w
+    g1, g2 = 1.0 - e2 * qw, 1.0 - e2 * w
+    if g1 == 0.0 or g2 == 0.0:
+        raise ValueError("degenerate state: c_i^2 - eps^2 v^2 vanishes")
+    r1, r2 = _branch_sqrt(1.0 - qw / g1), _branch_sqrt((x - e2 * w) / g2)
+    r10, r20 = _branch_sqrt(_r10_squared(m, x)), _branch_sqrt(x)
     if m.kappa == 0.0:
         return DecayExponents(r1=r1, r2=r2, r10=r10, r20=r20)
     sc = derive_scales(m)
     v2 = mp.v * mp.v
-    e2v2 = mp.eps * mp.eps * v2
+    e2v2 = e2 * v2
     d2 = sc.c2 ** 2 - e2v2
     d4 = sc.c4 ** 2 - e2v2
     if d4 == 0.0:

@@ -342,14 +342,14 @@ class TestFirstOrderSolution:
             log.append((a, b))
             return bracketed_root(f, a, b, fa, fb, width)
 
-        radicands = asymptotic._radicands
+        r10_squared = asymptotic._r10_squared
 
-        def recording_radicands(m, x, *eps):
+        def recording_r10_squared(m, x):
             log.append(x)
-            return radicands(m, x, *eps)
+            return r10_squared(m, x)
 
         monkeypatch.setattr(asymptotic, "bracketed_root", recording_root)
-        monkeypatch.setattr(asymptotic, "_radicands", recording_radicands)
+        monkeypatch.setattr(asymptotic, "_r10_squared", recording_r10_squared)
         return log
 
     def test_no_search_beyond_the_bracket(self, poisson_material,
@@ -468,11 +468,13 @@ class TestRefinedResidualFloor:
         put x off by ~1e-16 and r20 by that over 2 sqrt(x), a floor of
         about 2^-53/(sqrt(2) d^1.5): 1.5e-12 at kappa/mu = 482, 1.0e-10 at
         1e4 and 5.5e-9 at 1e5 were measured at eps = 3.05e-6.  On the
-        returned state the slope stays 2 to that eps (1.5e-13, 3.3e-14 and
-        1.0e-14 there)."""
+        returned state every local slope from eps = 0.05 is at least 2.0,
+        and the floor at 3.05e-6 is 1.5e-13, 3.3e-14 and 1.0e-14."""
         m = _lambda_mu_material(sample_material, kappa_mu)
-        eps = FLOOR_EPS[4:]
-        slopes = _local_slopes(eps, _refined_residuals(m, eps))
+        eps = FLOOR_EPS[2:]
+        residuals = _refined_residuals(m, eps)
+        assert residuals[-1] <= 1e-12, residuals
+        slopes = _local_slopes(eps, residuals)
         assert min(slopes) >= 1.9, slopes
 
     def test_slope_two_over_the_material_draws(self):

@@ -96,6 +96,15 @@ class TestDecayExponents:
         assert de.decoupled
         assert de.r3 is None and de.s is None
 
+    def test_decoupled_state_has_no_branch_3_degeneracy(self,
+                                                        poisson_material):
+        """kappa = 0 has no branch 3, so c4^2 = eps^2 v^2 is no degeneracy."""
+        v = derive_scales(poisson_material).c4
+        mp = ModeParams(k=1.0, omega=v, v=v, eps=1.0)
+        assert v ** 2 - mp.eps * mp.eps * (v * v) == 0.0  # c4^2 - eps^2 v^2
+        de = decay_exponents(poisson_material, mp)
+        assert de.decoupled and de.admissible
+
     def test_generic_sextuple_annihilates_own_equations(self, sample_material,
                                                         generic_state):
         de = decay_exponents(sample_material, generic_state)
