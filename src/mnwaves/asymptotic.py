@@ -190,6 +190,20 @@ def extra_bc_residual(sol: ModeSolution) -> tuple[complex, complex]:
     return tau11, m12
 
 
+def _first_order_row(m: MaterialParams, eps: float, x: float) -> tuple:
+    """(row, p): the order-1 sigma31 row at x = r20^2 on the searched state
+    (R = 0, Q = 1, P = i p from the sigma33 row), in real arithmetic with the
+    operation order of `stress_branch_coeffs` and `_surface_condition`."""
+    lam, mu, kap = m.lambda_lame, m.mu, m.kappa
+    mk, big = mu + kap, lam + 2.0 * mu + kap
+    d = mu / mk
+    dp = 1.0 + d
+    r10, r20 = math.sqrt(_r10_squared(m, x)), math.sqrt(x)
+    p = r20 * dp / ((big * r10 * r10 - lam) / mk)  # c_P (i p) + c_Q = 0
+    comp = -(big - lam * r10 * r10) / mk * p + r20 * dp  # Im sigma11
+    return r10 * dp * p - (0.0 + d + r20 * r20) + 0.5 * eps * comp, p
+
+
 def first_order_elastic_solution(m: MaterialParams, k: float,
                                  eps: float) -> ModeSolution:
     """Elastic mode satisfying the surface conditions through O(eps) exactly.
@@ -199,31 +213,23 @@ def first_order_elastic_solution(m: MaterialParams, k: float,
     = 0, is a real equation in x = r20^2 that `bracketed_root` narrows to
     adjacent doubles on the x-image of [0.8 v0, min(1.1 v0, c2)],
     v0 = `solve_rayleigh(m).v`; a ValueError if it keeps its sign there.
-    The exponents returned are the eps-free ones at that x, so r20 = sqrt(x).
-    The row is A(v) + eps B(v), so eps(v) = -A(v)/B(v) is explicit.
+    The search evaluates the row as A(x) + eps B(x) (`_first_order_row`);
+    the exponents returned are the eps-free ones at x, so r20 = sqrt(x).
     """
     c2 = derive_scales(m).c2
-
-    def amps_and_row(x: float):
-        r10, r20 = math.sqrt(_r10_squared(m, x)), math.sqrt(x)
-        de = DecayExponents(r1=r10, r2=r20, r10=r10, r20=r20)  # eps = 0, P, Q
-        rows = stress_branch_coeffs(m, de, k)
-        # sigma33 row: c_P (i p) + c_Q = 0, with c_P real and c_Q imaginary
-        p = (1j * rows["sigma33"][1] / rows["sigma33"][0]).real
-        amps = (1j * p, 1.0 + 0j, 0j)
-        return amps, _surface_condition(rows, amps, de, eps, 1, 0).real
-
     v0 = _elastic_root(m)[1].v
     lo, hi = (1.0 - (v / c2) ** 2 for v in (min(1.1 * v0, c2), 0.8 * v0))
-    flo, fhi = amps_and_row(lo)[1], amps_and_row(hi)[1]
+    flo, fhi = (_first_order_row(m, eps, u)[0] for u in (lo, hi))
     if flo * fhi > 0.0:
         raise ValueError("no first-order-corrected root near the classical "
                          "one for this eps")
-    x = bracketed_root(lambda u: amps_and_row(u)[1], lo, hi, flo, fhi, 0.0)
+    x = bracketed_root(lambda u: _first_order_row(m, eps, u)[0],
+                       lo, hi, flo, fhi, 0.0)
     v = c2 * math.sqrt(1.0 - x)
     mp = ModeParams(k=k, omega=v * k, v=v, eps=eps)
-    return ModeSolution(m=m, mp=mp, amp=Amplitudes(*amps_and_row(x)[0]),
-                        de=_decay_exponents_at(m, mp.replace(eps=0.0), x))
+    p = _first_order_row(m, eps, x)[1]
+    return ModeSolution(m=m, mp=mp, amp=Amplitudes(1j * p, 1.0 + 0j, 0j),
+                        de=_decay_exponents_at(m, v, mp.omega, 0.0, x))
 
 
 def _loglog_slope(xs, ys) -> float:
@@ -320,7 +326,7 @@ def residual_report_json(m: MaterialParams, k: float, eps: float) -> str:
     x, root = _elastic_root(m)
     v = root.v
     mp = ModeParams(k=k, omega=v * k, v=v, eps=eps)
-    de = _decay_exponents_at(m, mp, x)
+    de = _decay_exponents_at(m, v, mp.omega, eps, x)
     amp = _elastic_amplitudes(derive_scales(m).d, de.r10, de.r20, eps)
     sol = ModeSolution(m=m, mp=mp, amp=amp, de=de)
     pde = pde_residual(amp, de, mp, m)

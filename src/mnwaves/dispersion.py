@@ -22,8 +22,8 @@ import math
 
 from ._record import Record, setfield
 from .material import MaterialParams, derive_scales
-from .wavefield import (Amplitudes, DecayExponents, ModeParams,
-                        _branch_sqrt, _decay_exponents_at, _micropolar_factor,
+from .wavefield import (Amplitudes, DecayExponents, _branch_sqrt,
+                        _check_mode, _decay_exponents_at, _micropolar_factor,
                         _r10_squared, _r30_squared, leading_exponents)
 
 __all__ = [
@@ -271,8 +271,9 @@ def micropolar_amplitudes(m: MaterialParams, v: float, omega: float,
 def _solved_point(m: MaterialParams, omega: float, v: float,
                   mode_tag: str, residual: float, x: float) -> DispersionPoint:
     k = omega / v
-    mp = ModeParams(k=k, omega=omega, v=v, eps=m.a_nl * k)
-    de = _decay_exponents_at(m, mp, x)
+    eps = m.a_nl * k
+    _check_mode(k, omega, v, eps)
+    de = _decay_exponents_at(m, v, omega, eps, x)
     return DispersionPoint(omega=omega, k=k, v=v, mode_tag=mode_tag,
                            exponents=de, secular_residual=residual,
                            admissible=de.admissible)

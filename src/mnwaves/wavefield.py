@@ -55,22 +55,27 @@ __all__ = [
 ]
 
 
+def _check_mode(k: float, omega: float, v: float, eps: float) -> None:
+    """The checks of `ModeParams`, for callers that pass plain numbers."""
+    if not 0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k!r}")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    if not abs(v - omega / k) <= 1e-14 * abs(v):
+        raise ValueError("v must equal omega/k")
+    if not v > 0:  # omega/k underflowed to zero
+        raise ValueError(f"v must be positive, got {v!r}")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+
+
 class ModeParams(Record):
     def __init__(self,
                  k: float,      # 1/m
                  omega: float,  # rad/s
                  v: float,      # m/s, = omega/k
                  eps: float):   # dimensionless non-locality, a*k
-        for name, value in (("k", k), ("omega", omega)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got "
-                                 f"{value!r}")
-        if not abs(v - omega / k) <= 1e-14 * abs(v):
-            raise ValueError("v must equal omega/k")
-        if not v > 0:  # omega/k underflowed to zero
-            raise ValueError(f"v must be positive, got {v!r}")
-        if not 0 <= eps < math.inf:
-            raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+        _check_mode(k, omega, v, eps)
         setfield(self, "k", k)
         setfield(self, "omega", omega)
         setfield(self, "v", v)
@@ -193,24 +198,27 @@ def _r30_squared(sc: DerivedScales, v: float, omega: float) -> float:
 
 def decay_exponents(m: MaterialParams, mp: ModeParams) -> DecayExponents:
     """Depth-attenuation exponents of the three branches, plus coupling s."""
-    return _decay_exponents_at(m, mp, 1.0 - (mp.v / derive_scales(m).c2) ** 2)
+    return _decay_exponents_at(m, mp.v, mp.omega, mp.eps,
+                               1.0 - (mp.v / derive_scales(m).c2) ** 2)
 
 
-def _decay_exponents_at(m: MaterialParams, mp: ModeParams,
+def _decay_exponents_at(m: MaterialParams, v: float, omega: float, eps: float,
                         x: float) -> DecayExponents:
-    """`decay_exponents` at x = r20^2 = 1 - w, not rounded through v, with
+    """`decay_exponents` on a checked state at x = r20^2 = 1 - w, not via v:
     r1^2 = 1 - q w/(1 - eps^2 q w) and r2^2 = (x - eps^2 w)/(1 - eps^2 w)."""
-    w, e2 = 1.0 - x, mp.eps * mp.eps
+    w, e2 = 1.0 - x, eps * eps
+    if not math.isfinite(e2):
+        raise ValueError(f"eps = {eps!r} is too large: eps^2 overflows")
     qw = _q(m) * w
     g1, g2 = 1.0 - e2 * qw, 1.0 - e2 * w
     if g1 == 0.0 or g2 == 0.0:
         raise ValueError("degenerate state: c_i^2 - eps^2 v^2 vanishes")
     r1, r2 = _branch_sqrt(1.0 - qw / g1), _branch_sqrt((x - e2 * w) / g2)
-    r10, r20 = _branch_sqrt(_r10_squared(m, x)), _branch_sqrt(x)
+    r10, r20 = _branch_sqrt(1.0 - qw), _branch_sqrt(x)  # r10^2 = 1 - q w
     if m.kappa == 0.0:
         return DecayExponents(r1=r1, r2=r2, r10=r10, r20=r20)
     sc = derive_scales(m)
-    v2 = mp.v * mp.v
+    v2 = v * v
     e2v2 = e2 * v2
     d2 = sc.c2 ** 2 - e2v2
     d4 = sc.c4 ** 2 - e2v2
@@ -219,9 +227,9 @@ def _decay_exponents_at(m: MaterialParams, mp: ModeParams,
     # omega_c^2 = 2 kappa/(rho j) straight from the moduli: squaring the
     # rounded omega_c adds error that the cancellation in r3^2 amplifies
     # where r3 is small
-    micro = 1.0 - 2.0 * m.kappa / (m.rho * m.j_inertia * mp.omega * mp.omega)
+    micro = 1.0 - 2.0 * m.kappa / (m.rho * m.j_inertia * omega * omega)
     r3 = _branch_sqrt(1.0 - (v2 / d4) * micro)
-    r30 = _branch_sqrt(_r30_squared(sc, mp.v, mp.omega))
+    r30 = _branch_sqrt(_r30_squared(sc, v, omega))
     s = (v2 / sc.c3 ** 2) * (1.0 - (d2 / d4) * micro)
     return DecayExponents(r1=r1, r2=r2, r3=r3, s=s, r10=r10, r20=r20, r30=r30)
 

@@ -404,9 +404,43 @@ class TestFirstOrderSolution:
         sol = first_order_elastic_solution(study_material, 2000.0, 0.1)
         [x] = roots
         assert len(calls) == 1
-        assert calls[0][1:] == (sol.mp.replace(eps=0.0), x)
+        assert calls[0][1:] == (sol.mp.v, sol.mp.omega, 0.0, x)
         assert sol.de.r20 == math.sqrt(x)
         assert sol.de.r2 == sol.de.r20 and sol.de.r1 == sol.de.r10
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.01])
+    def test_row_is_the_generic_evaluator_to_the_bit(self, sample_material,
+                                                     study_material, eps,
+                                                     monkeypatch):
+        """At every x the search evaluates, `_first_order_row` is the real
+        part of `bc_residual_order(sol_x, 1)[0]` to the bit, sol_x the
+        searched state at x: R = 0, Q = 1, P = i p from the sigma33 row,
+        exponents at eps = 0."""
+        materials = [sample_material, study_material]
+        materials += [m for seed in (0, 1, 2) for _, m in material_draws(seed)]
+        k, checked = 2000.0, 0
+        for m in materials:
+            log = self._record_brackets(monkeypatch)
+            try:
+                first_order_elastic_solution(m, k, eps)
+            except (ValueError, dispersion.NoSurfaceModeError):
+                pass
+            monkeypatch.undo()
+            for x in (entry for entry in log if not isinstance(entry, tuple)):
+                row, p = asymptotic._first_order_row(m, eps, x)
+                c2 = derive_scales(m).c2
+                v = c2 * math.sqrt(1.0 - x)
+                mp = ModeParams(k=k, omega=v * k, v=v, eps=0.0)
+                de = asymptotic._decay_exponents_at(m, v, mp.omega, 0.0, x)
+                c33 = stress_branch_coeffs(m, de, k)["sigma33"]
+                want_p = (1j * c33[1] / c33[0]).real
+                sol = ModeSolution(m=m, mp=mp.replace(eps=eps), de=de,
+                                   amp=Amplitudes(1j * want_p, 1.0 + 0j, 0j))
+                want = bc_residual_order(sol, 1)[0].real
+                assert (row, p) == (want, want_p), (m, x)
+                assert math.copysign(1.0, row) == math.copysign(1.0, want)
+                checked += 1
+        assert checked > 10 * len(materials)
 
     def test_eps_one_raises(self, study_material):
         # a search on [0.05 c2, c2] finds a sign change at 0.666 c2 here,

@@ -453,6 +453,21 @@ class TestSweep:
                     assert math.isfinite(v) and row.v == v, (m, omega)
                 omega = math.nextafter(omega, math.inf)
 
+    @pytest.mark.parametrize("mode", ["elastic", "micropolar"])
+    def test_eps_squared_overflow_raises(self, sample_material, mode):
+        """eps = a k reaches 1e158 at omega = 1e165, where eps^2 overflows:
+        a ValueError, not a row of NaN exponents.  At 1e160 eps^2 is finite
+        and every printed exponent is a number."""
+        with pytest.raises(ValueError, match=r"eps\^2 overflows"):
+            sweep(sample_material, 1.0, 1e165, 2, mode)
+        de = sweep(sample_material, 1.0, 1e160, 2, mode).points[-1].exponents
+        assert all(cmath.isfinite(r) for r in (de.r1, de.r2, de.r3))
+
+    def test_rows_keep_the_mode_checks(self, sample_material):
+        # omega/k of a subnormal k is not v: rejected as ModeParams rejects it
+        with pytest.raises(ValueError, match="v must equal omega/k"):
+            sweep(sample_material, 1e-320, 1.0, 2, "elastic")
+
     def test_micropolar_flags_subcutoff(self, sample_material):
         sc = derive_scales(sample_material)
         curve = sweep(sample_material, 0.5 * sc.omega_cutoff,
