@@ -224,7 +224,7 @@ def first_order_elastic_solution(m: MaterialParams, k: float,
         raise ValueError("no first-order-corrected root near the classical "
                          "one for this eps")
     x = bracketed_root(lambda u: _first_order_row(m, eps, u)[0],
-                       lo, hi, flo, fhi, 0.0)
+                       lo, hi, flo, fhi)
     v = c2 * math.sqrt(1.0 - x)
     mp = ModeParams(k=k, omega=v * k, v=v, eps=eps)
     p = _first_order_row(m, eps, x)[1]

@@ -22,8 +22,8 @@ import math
 
 from ._record import Record, setfield
 from .material import MaterialParams, derive_scales
-from .wavefield import (Amplitudes, DecayExponents, _branch_sqrt,
-                        _check_mode, _decay_exponents_at, _micropolar_factor,
+from .wavefield import (Amplitudes, DecayExponents, _check_mode,
+                        _decay_exponents_at, _micropolar_factor,
                         _r10_squared, _r30_squared, leading_exponents)
 
 __all__ = [
@@ -100,40 +100,39 @@ def secular_leading(m: MaterialParams, v: float) -> float:
     return _secular(sc.d, math.sqrt(_r10_squared(m, x)), math.sqrt(x), x)
 
 
-def bracketed_root(f, a: float, b: float, fa: float, fb: float,
-                   width: float) -> float:
-    """Midpoint of a sign-change bracket [a, b] of f (fa = f(a) and
-    fb = f(b) of opposite signs) narrowed until it is at most width wide,
-    or, where no double lies strictly inside it, on adjacent doubles, as
-    width 0 asks; an exact zero of f ends the search.
+def bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f in a sign-change bracket [a, b] (fa = f(a) and
+    fb = f(b) of opposite signs): an exact zero of f, or one of the
+    adjacent doubles the bracket is narrowed to (their rounded midpoint).
 
     Each step is an Illinois step (regula falsi that halves the stored
-    value of an end kept twice in a row), moved at least width/2 inside
-    the bracket so that a root within width/2 of an end is closed off by
-    the next step; a step that would not fall strictly inside is a
-    midpoint instead.  The bracket must keep up with bisection at half
-    pace: after 2j evaluations it may be at most 2^-j of its first width,
-    and while it is wider the steps are midpoints.  So where plain
-    bisection takes n evaluations this takes at most 2n + 1, on any f.
+    value of an end kept twice in a row; Dowell & Jarratt, BIT 11, 1971).
+    One that rounds onto an end takes the double next to that end, so a
+    root within an ulp of an end is closed off by the next step; a NaN one
+    (infinite values) is a midpoint.  The bracket must keep up with
+    bisection at half pace: after 2j evaluations it may be at most 2^-j of
+    its first width, and while it is wider the steps are midpoints.  So
+    where plain bisection takes n evaluations this takes at most 2n + 1.
     """
     if fa == 0.0 or fb == 0.0:
         return a if fa == 0.0 else b
     if (fa < 0.0) == (fb < 0.0):
         raise ValueError("f(a) and f(b) must differ in sign")
-    half = 0.5 * width
     budget = b - a     # widest bracket allowed before the next step
     kept = 0           # end kept by the last step: -1 for a, +1 for b
     steps = 0
-    while b - a > width:
-        w = b - a
+    while True:
         x = 0.5 * (a + b)
-        if w <= budget:
-            # max before min, so a NaN step (inf values) falls on a + half
-            step = min(b - half, max(a + half, a - fa * w / (fb - fa)))
+        if b - a <= budget:
+            step = a - fa * (b - a) / (fb - fa)
+            if step <= a:
+                step = math.nextafter(a, b)
+            elif step >= b:
+                step = math.nextafter(b, a)
             if a < step < b:
                 x = step
         if not a < x < b:
-            break
+            return x    # a and b are adjacent doubles
         fx = f(x)
         if fx == 0.0:
             return x
@@ -150,7 +149,6 @@ def bracketed_root(f, a: float, b: float, fa: float, fb: float,
         steps += 1
         if steps % 2 == 0:
             budget *= 0.5
-    return 0.5 * (a + b)
 
 
 def _geomspace(start: float, stop: float, n: int) -> list[float]:
@@ -183,7 +181,7 @@ def _elastic_root(m: MaterialParams) -> tuple[float, DispersionPoint]:
             "no sign change of the secular function between "
             f"{_BRACKET_LO!r} c2 and c2; no elastic surface mode for this "
             "material")
-    x = bracketed_root(f, 0.0, hi, -d ** 2, f_hi, 0.0)
+    x = bracketed_root(f, 0.0, hi, -d ** 2, f_hi)
     memo = x, DispersionPoint(
         omega=math.nan, k=math.nan, v=sc.c2 * math.sqrt(1.0 - x),
         mode_tag="elastic", exponents=None, secular_residual=abs(f(x)),
@@ -205,10 +203,11 @@ def solve_rayleigh(m: MaterialParams) -> DispersionPoint:
     (1 - d^2)(1 + d)^2 >= 0 at 1, as q < 1 and d <= 1.  The secular
     function has the cubic's sign on [0, 1) and is -d^2 at x = 0, so one
     bracket [0, 1 - 0.01^2] holds the sign change, which `bracketed_root`
-    narrows to adjacent doubles; v = c2 sqrt(1 - x).  The residual |f(x)|
-    and admissibility, x > 0 (r20 = sqrt(x) decays), are read from that x,
-    not from v, which rounds to c2 once x is below about an ulp of 1.  Each
-    material instance solves it once.  The leading-order mode is
+    narrows, in about 14 evaluations and at most 30, to adjacent doubles
+    where the computed f changes sign; v = c2 sqrt(1 - x).  The residual
+    |f(x)| and admissibility, x > 0 (r20 = sqrt(x) decays), are read from
+    that x, not from v, which rounds to c2 once x is below about an ulp of
+    1.  Each material instance solves it once.  The leading-order mode is
     non-dispersive: omega and k of the returned point are NaN metadata,
     exponents are attached by `sweep`.
     """
@@ -251,20 +250,32 @@ def micropolar_amplitudes(m: MaterialParams, v: float, omega: float,
     frequency omega (positive and finite), normalized to Q = 1:
 
         P = i (1 + d) r20 (1 + (r10 - r20)(eps - eps^2 r20)) / (r20^2 + d),
-        R = [(r20^2 + d)^2 - (1 + d)^2 r10 r20] / (r20^2 + d)
-            * (1 + (r30 - r20)(eps - eps^2 r20)).
+        R = [(1 + d)^2 r10 r20 - (r20^2 + d)^2]
+            / ((r20^2 + d)(s0 (1 - d) + d))
+            * (1 + (r30 - r20)(eps - eps^2 r20)),
+
+    s0 the coupling of the eps = 0 state.  At eps = 0, where r3 = r30 = 0
+    on the mode, this R is what the sigma31 row of `stress_branch_coeffs`
+    asks.  kappa = 0 is a ValueError (no s0), and s0 (1 - d) + d = 0 a
+    ZeroDivisionError.
     """
     if not 0.0 < omega < math.inf:
         raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    if not m.kappa > 0:
+        raise ValueError("micropolar_amplitudes requires kappa > 0")
     sc = derive_scales(m)
     d = sc.d
-    r10, r20 = leading_exponents(m, v)
+    de = _decay_exponents_at(m, v, omega, 0.0, 1.0 - (v / sc.c2) ** 2)
+    r10, r20 = de.r10, de.r20
+    coupling = de.s * (1.0 - d) + d
+    if coupling == 0:
+        raise ZeroDivisionError("amplitude ratio is singular: "
+                                "s0 (1 - d) + d = 0")
     corr = eps - eps * eps * r20
-    r30 = _branch_sqrt(_r30_squared(sc, v, omega))
     p = (1j * (1.0 + d) * r20 * (1.0 + (r10 - r20) * corr)
          / (r20 * r20 + d))
-    r_amp = (-_secular(d, r10, r20, r20 * r20) / (r20 * r20 + d)
-             * (1.0 + (r30 - r20) * corr))
+    r_amp = (_secular(d, r10, r20, r20 * r20) / ((r20 * r20 + d) * coupling)
+             * (1.0 + (de.r30 - r20) * corr))
     return Amplitudes(P=p, Q=1.0 + 0j, R=r_amp)
 
 

@@ -220,6 +220,8 @@ def _decay_exponents_at(m: MaterialParams, v: float, omega: float, eps: float,
     sc = derive_scales(m)
     v2 = v * v
     e2v2 = e2 * v2
+    if not math.isfinite(e2v2):
+        raise ValueError(f"eps = {eps!r} is too large: eps^2 v^2 overflows")
     d2 = sc.c2 ** 2 - e2v2
     d4 = sc.c4 ** 2 - e2v2
     if d4 == 0.0:

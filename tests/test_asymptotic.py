@@ -338,9 +338,9 @@ class TestFirstOrderSolution:
         and each x at which it evaluates the row, ends included."""
         log = []
 
-        def recording_root(f, a, b, fa, fb, width):
+        def recording_root(f, a, b, fa, fb):
             log.append((a, b))
-            return bracketed_root(f, a, b, fa, fb, width)
+            return bracketed_root(f, a, b, fa, fb)
 
         r10_squared = asymptotic._r10_squared
 
@@ -395,8 +395,8 @@ class TestFirstOrderSolution:
             calls.append(args)
             return exponents_at(*args)
 
-        def recording_root(*args):
-            roots.append(bracketed_root(*args))
+        def recording_root(f, a, b, fa, fb):
+            roots.append(bracketed_root(f, a, b, fa, fb))
             return roots[-1]
 
         monkeypatch.setattr(asymptotic, "_decay_exponents_at", counted)

@@ -385,11 +385,14 @@ class TestArgumentHandling:
         ["blayer", "--eps", "1e300"],
         ["dispersion", "--omega-min", "1", "--omega-max", "1e165", "--num",
          "2"],
+        ["dispersion", "--omega-min", "1", "--omega-max", "1e160", "--num",
+         "2"],
     ], ids=["dispersion-num-1", "dispersion-omega-inf", "residuals-eps-inf",
             "blayer-eps-inf", "residuals-eps-overflow",
             "residuals-eps-underflow", "dispersion-omega-extremes",
             "dispersion-tol-unknown-option", "blayer-eps-overflow",
-            "dispersion-eps-squared-overflow"])
+            "dispersion-eps-squared-overflow",
+            "dispersion-eps-v-squared-overflow"])
     def test_bad_numbers_are_bad_input(self, args, capsys, recwarn):
         code, out, err = run_cli([*args, "--material", SAMPLE], capsys)
         assert code == 1

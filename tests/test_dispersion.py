@@ -7,7 +7,8 @@ import pytest
 
 from conftest import material_draws
 from mnwaves import asymptotic, dispersion
-from mnwaves.asymptotic import bc_slope_study, residual_report_json
+from mnwaves.asymptotic import (bc_residual_order, bc_slope_study,
+                                residual_report_json)
 from mnwaves.dispersion import (
     CutoffError,
     NoSurfaceModeError,
@@ -21,20 +22,21 @@ from mnwaves.dispersion import (
     sweep,
 )
 from mnwaves.material import MaterialParams, derive_scales
-from mnwaves.wavefield import _branch_sqrt, _r10_squared, leading_exponents
+from mnwaves.wavefield import (ModeParams, ModeSolution, _branch_sqrt,
+                               _r10_squared, decay_exponents,
+                               leading_exponents)
 
 
-def plain_bisection(f, a, b, fa, width):
-    """Midpoint of a sign-change bracket [a, b] of f (fa = f(a)) halved until
-    at most width wide, and the number of evaluations of f.  Written apart
+def plain_bisection(f, a, b, fa):
+    """Midpoint of a sign-change bracket [a, b] of f (fa = f(a)) halved down
+    to adjacent doubles, and the number of evaluations of f.  Written apart
     from the library: the oracle's root loop and the reference that
-    `bracketed_root` is checked against.  With no double strictly inside
-    the bracket it stops on adjacent doubles, as width 0 asks."""
+    `bracketed_root` is checked against."""
     evals = 0
-    while b - a > width:
+    while True:
         mid = 0.5 * (a + b)
         if not a < mid < b:
-            break
+            return mid, evals
         fm = f(mid)
         evals += 1
         if fm == 0.0:
@@ -43,7 +45,15 @@ def plain_bisection(f, a, b, fa, width):
             a, fa = mid, fm
         else:
             b = mid
-    return 0.5 * (a + b), evals
+
+
+def on_sign_change(f, x):
+    """Whether x is an exact zero of f or one of two adjacent doubles where
+    the computed f changes sign."""
+    fx = f(x)
+    return fx == 0.0 or any(
+        (f(y) < 0.0) != (fx < 0.0)
+        for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)))
 
 
 def _poly_mul(*polys):
@@ -95,7 +105,8 @@ def _sturm_count(p, a, b):
 
 def classical_rayleigh_oracle(c1_over_c2: float, lo=0.5, hi=0.9999,
                               tol=1e-12) -> float:
-    """Bisection on the classical Rayleigh function 4 r10 r20 - (1+r20^2)^2.
+    """Bisection on the classical Rayleigh function 4 r10 r20 - (1+r20^2)^2,
+    halved until at most tol wide.
 
     Independent of the library path: its own function, its own bisection.
     Returns v/c2.
@@ -107,17 +118,23 @@ def classical_rayleigh_oracle(c1_over_c2: float, lo=0.5, hi=0.9999,
 
     flo = f(lo)
     assert flo * f(hi) < 0.0
-    return plain_bisection(f, lo, hi, flo, tol)[0]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if (f(mid) < 0.0) == (flo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @pytest.fixture
 def root_solves(monkeypatch):
     """Record every call of the library root loop, from both of its callers,
-    as (f, a, b, fa, fb, width, result, evaluations)."""
+    as (f, a, b, fa, fb, result, evaluations)."""
     calls = []
     loop = dispersion.bracketed_root
 
-    def recording(f, a, b, fa, fb, width):
+    def recording(f, a, b, fa, fb):
         evals = 0
 
         def counted(x):
@@ -125,8 +142,8 @@ def root_solves(monkeypatch):
             evals += 1
             return f(x)
 
-        x = loop(counted, a, b, fa, fb, width)
-        calls.append((f, a, b, fa, fb, width, x, evals))
+        x = loop(counted, a, b, fa, fb)
+        calls.append((f, a, b, fa, fb, x, evals))
         return x
 
     monkeypatch.setattr(dispersion, "bracketed_root", recording)
@@ -382,30 +399,53 @@ class TestAmplitudeRatios:
         # R carries the secular expression, nonzero off the elastic root
         assert abs(amp.R) > 1e-3
 
-    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
-    def test_micropolar_amplitudes_match_docstring(self, seed, eps,
-                                                   sample_material):
-        # P = i (1+d) r20 (1 + (r10 - r20) c) / (r20^2 + d),
-        # R = [(r20^2 + d)^2 - (1+d)^2 r10 r20] / (r20^2 + d)
-        #     * (1 + (r30 - r20) c), c = eps - eps^2 r20; on the mode and off
+    @pytest.mark.parametrize("ratio", [1.5, 3.0, 10.0])
+    def test_micropolar_amplitudes_meet_sigma31_row(self, seed, ratio,
+                                                    sample_material):
+        """At eps = 0 the micropolar mode at omega = ratio omega_c meets
+        the classical sigma31 row, |sigma31| <= 1e-14 max(1, |P|, |R|),
+        over the sample material and `material_draws`: about 3e-16 on the
+        sample, where the R of R = -secular/(r20^2 + d), without the
+        coupling factor 1/(s0 (1 - d) + d), left 5.55e-2, 3.40e-2 and
+        3.05e-2.  sigma33 and Pi32 are not asserted: r3, from a
+        rounding-sized radicand, reads about 1e-8 where r30 = 0.  At
+        eps > 0, P and R are the eps = 0 ones times 1 + (r10 - r20) c and
+        1 + (r30 - r20) c, c = eps - eps^2 r20."""
         for m in [sample_material, *(m for _, m in material_draws(seed))]:
-            sc = derive_scales(m)
-            for omega in (1.5 * sc.omega_cutoff, 3.0 * sc.omega_cutoff):
-                for v in (micropolar_velocity(m, omega), 0.5 * sc.c2):
-                    r10 = cmath.sqrt(1.0 - (v / sc.c1) ** 2)
-                    r20 = cmath.sqrt(1.0 - (v / sc.c2) ** 2)
-                    r30 = cmath.sqrt(1.0 - (v / sc.c4) ** 2
-                                     * (1.0 - (sc.omega_cutoff / omega) ** 2))
-                    c = eps - eps * eps * r20
-                    base = r20 * r20 + sc.d
-                    want_p = (1j * (1.0 + sc.d) * r20 * (1.0 + (r10 - r20) * c)
-                              / base)
-                    want_r = ((base ** 2 - (1.0 + sc.d) ** 2 * r10 * r20)
-                              / base * (1.0 + (r30 - r20) * c))
-                    amp = micropolar_amplitudes(m, v, omega, eps)
-                    assert amp.P == pytest.approx(want_p, rel=1e-12)
-                    assert amp.R == pytest.approx(want_r, rel=1e-12)
-                    assert amp.Q == 1.0
+            omega = ratio * derive_scales(m).omega_cutoff
+            v = micropolar_velocity(m, omega)
+            mp = ModeParams(k=omega / v, omega=omega, v=v, eps=0.0)
+            amp = micropolar_amplitudes(m, v, omega, 0.0)
+            de = decay_exponents(m, mp)
+            sigma31 = bc_residual_order(ModeSolution(m, mp, amp, de), 0)[0]
+            scale = max(1.0, abs(amp.P), abs(amp.R))
+            assert abs(sigma31) <= 1e-14 * scale, (m, ratio, sigma31)
+            assert amp.Q == 1.0
+            for eps in (0.05, 0.2):
+                c = eps - eps * eps * de.r20
+                got = micropolar_amplitudes(m, v, omega, eps)
+                assert got.P == pytest.approx(
+                    amp.P * (1.0 + (de.r10 - de.r20) * c), rel=1e-12)
+                assert got.R == pytest.approx(
+                    amp.R * (1.0 + (de.r30 - de.r20) * c), rel=1e-12)
+
+    def test_micropolar_amplitudes_need_coupling(self, sample_material,
+                                                 monkeypatch):
+        """kappa = 0 has no coupling s0: a ValueError.  Where
+        s0 (1 - d) + d = 0 (here d = 1/2 and s0 forced to -1) R is
+        singular: a ZeroDivisionError, as r10 = 0 is for P."""
+        omega = 3.0 * derive_scales(sample_material).omega_cutoff
+        v = micropolar_velocity(sample_material, omega)
+        with pytest.raises(ValueError, match="kappa > 0"):
+            micropolar_amplitudes(sample_material.replace(kappa=0.0), v,
+                                  omega, 0.0)
+        m = sample_material.replace(kappa=sample_material.mu)
+        exponents_at = dispersion._decay_exponents_at
+        monkeypatch.setattr(
+            dispersion, "_decay_exponents_at",
+            lambda *args: exponents_at(*args).replace(s=-1.0))
+        with pytest.raises(ZeroDivisionError, match="singular"):
+            micropolar_amplitudes(m, 0.5 * derive_scales(m).c2, omega, 0.0)
 
     @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0])
     def test_micropolar_needs_frequency(self, sample_material, omega):
@@ -455,13 +495,16 @@ class TestSweep:
 
     @pytest.mark.parametrize("mode", ["elastic", "micropolar"])
     def test_eps_squared_overflow_raises(self, sample_material, mode):
-        """eps = a k reaches 1e158 at omega = 1e165, where eps^2 overflows:
-        a ValueError, not a row of NaN exponents.  At 1e160 eps^2 is finite
-        and every printed exponent is a number."""
+        """eps = a k reaches 1e158 at omega = 1e165, where eps^2 overflows,
+        and eps^2 v^2 = (a omega)^2 overflows at 1e160, where eps^2 does
+        not: each a ValueError, not a row of NaN exponents or a NaN s.  At
+        1e158 every exponent and s is a number."""
         with pytest.raises(ValueError, match=r"eps\^2 overflows"):
             sweep(sample_material, 1.0, 1e165, 2, mode)
-        de = sweep(sample_material, 1.0, 1e160, 2, mode).points[-1].exponents
-        assert all(cmath.isfinite(r) for r in (de.r1, de.r2, de.r3))
+        with pytest.raises(ValueError, match=r"eps\^2 v\^2 overflows"):
+            sweep(sample_material, 1.0, 1e160, 2, mode)
+        de = sweep(sample_material, 1.0, 1e158, 2, mode).points[-1].exponents
+        assert all(cmath.isfinite(r) for r in (de.r1, de.r2, de.r3, de.s))
 
     def test_rows_keep_the_mode_checks(self, sample_material):
         # omega/k of a subnormal k is not v: rejected as ModeParams rejects it
@@ -602,18 +645,33 @@ def steep_flat_kinked(rng):
     return r, cases
 
 
+# Materials, as {seed: indices into material_draws(seed)}, on which one
+# first-order solve of bc_slope_study(m, 2000) took 31-46 evaluations
+# before an interpolated step that rounds onto an end took the double next
+# to it: each such step had turned into a midpoint, 19-37 in a row.  These
+# are all 54 such solves over seeds 0-49; each now takes at most 26.
+TAIL_DRAWS = {
+    0: (5, 27), 1: (6,), 2: (26,), 4: (40,), 5: (19,), 7: (8, 24),
+    9: (4, 34), 11: (11,), 12: (39,), 14: (3, 38), 16: (19,),
+    18: (5, 34, 40), 19: (17,), 25: (11, 14, 18), 27: (6, 10),
+    28: (2, 15, 26), 31: (30,), 33: (25, 36, 37), 34: (27,), 35: (3,),
+    37: (14, 29), 38: (11, 37), 39: (9, 18, 23, 27), 40: (10, 11, 15),
+    42: (3, 8), 45: (29, 34), 46: (1, 22), 48: (17, 33), 49: (23, 37),
+}
+
+
 class TestBracketedRoot:
-    def test_synthetic_functions(self, seed):
-        """The result lies within width of the sign change (or is an exact
-        zero of f, as where (x - r)^51 underflows), every step lies at
-        least width/2 inside the current bracket, and the evaluations stay
-        within 2n + 1, n those of plain bisection on the same bracket."""
+    def test_adjacent_doubles_at_width_zero(self, seed):
+        """The result is an exact zero of f (as where (x - r)^51
+        underflows) or lies on adjacent doubles where f changes sign,
+        every step lies strictly inside the current bracket, and the
+        evaluations stay within 2n + 1, n those of plain bisection to
+        adjacent doubles, on the infinite and jump cases too."""
         rng = np.random.default_rng(seed)
         for _ in range(40):
             r, cases = steep_flat_kinked(rng)
             a = r - float(rng.uniform(1e-3, 1.0))
             b = r + float(rng.uniform(1e-3, 1.0))
-            width = (b - a) * 10.0 ** float(rng.uniform(-15.0, -1.0))
             for name, f in cases.items():
                 steps = []
 
@@ -622,48 +680,12 @@ class TestBracketedRoot:
                     return f(x)
 
                 fa, fb = f(a), f(b)
-                x = bracketed_root(logged, a, b, fa, fb, width)
-                label = (name, r, a, b, width)
-                assert f(x) == 0.0 or abs(x - r) <= width, label
+                x = bracketed_root(logged, a, b, fa, fb)
+                label = (name, r, a, b)
+                assert on_sign_change(f, x), label
                 # plain bisection's count on a function with no exact zero
                 _, n = plain_bisection(lambda u: -1.0 if u < r else 1.0,
-                                       a, b, -1.0, width)
-                assert len(steps) <= 2 * n + 1, (label, len(steps), n)
-                lo, hi, flo = a, b, fa
-                for u in steps:
-                    assert lo + 0.5 * width <= u <= hi - 0.5 * width, label
-                    if (f(u) < 0.0) == (flo < 0.0):
-                        lo, flo = u, f(u)
-                    else:
-                        hi = u
-
-    def test_adjacent_doubles_at_width_zero(self, seed):
-        """With width 0 the result is an exact zero of f or lies on
-        adjacent doubles where f changes sign, every step lies strictly
-        inside the current bracket, and the evaluations stay within
-        2n + 1, n those of plain bisection to adjacent doubles."""
-        rng = np.random.default_rng(seed)
-        for _ in range(40):
-            r, cases = steep_flat_kinked(rng)
-            a = r - float(rng.uniform(1e-3, 1.0))
-            b = r + float(rng.uniform(1e-3, 1.0))
-            for name, f in cases.items():
-                steps = []
-
-                def logged(x):
-                    steps.append(x)
-                    return f(x)
-
-                fa, fb = f(a), f(b)
-                x = bracketed_root(logged, a, b, fa, fb, 0.0)
-                label = (name, r, a, b)
-                fx = f(x)
-                assert fx == 0.0 or any(
-                    (f(y) < 0.0) != (fx < 0.0)
-                    for y in (math.nextafter(x, -math.inf),
-                              math.nextafter(x, math.inf))), label
-                _, n = plain_bisection(lambda u: -1.0 if u < r else 1.0,
-                                       a, b, -1.0, 0.0)
+                                       a, b, -1.0)
                 assert len(steps) <= 2 * n + 1, (label, len(steps), n)
                 lo, hi, flo = a, b, fa
                 for u in steps:
@@ -680,15 +702,15 @@ class TestBracketedRoot:
             calls.append(x)
             return x - 0.5
 
-        assert bracketed_root(f, 0.0, 1.0, -0.5, 0.5, 1e-12) == 0.5
+        assert bracketed_root(f, 0.0, 1.0, -0.5, 0.5) == 0.5
         assert calls == [0.5]
-        assert bracketed_root(f, 0.5, 1.0, 0.0, 0.5, 1e-12) == 0.5
-        assert bracketed_root(f, 0.0, 0.5, -0.5, 0.0, 1e-12) == 0.5
+        assert bracketed_root(f, 0.5, 1.0, 0.0, 0.5) == 0.5
+        assert bracketed_root(f, 0.0, 0.5, -0.5, 0.0) == 0.5
         assert calls == [0.5]
 
     def test_same_signs_rejected(self):
         with pytest.raises(ValueError, match="sign"):
-            bracketed_root(lambda x: x, 1.0, 2.0, 1.0, 2.0, 1e-6)
+            bracketed_root(lambda x: x, 1.0, 2.0, 1.0, 2.0)
 
     def test_report_evaluation_budget(self, root_solves, sample_material):
         """One `mnw residuals` report (eps = 0.1) solves four roots, each
@@ -703,9 +725,8 @@ class TestBracketedRoot:
         assert len(root_solves) == 4
         assert [call[1:3] == (0.0, 1.0 - 0.01 ** 2)
                 for call in root_solves] == [True, False, False, False]
-        for f, a, b, fa, _, width, _, evals in root_solves:
-            assert width == 0.0
-            _, n = plain_bisection(f, a, b, fa, width)
+        for f, a, b, fa, _, _, evals in root_solves:
+            _, n = plain_bisection(f, a, b, fa)
             assert evals <= 2 * n + 1, (a, b, evals, n)
         residual_report_json(m, 0.1 / m.a_nl, 0.1)
         assert len(root_solves) == 7
@@ -716,33 +737,35 @@ class TestBracketedRoot:
                                               sample_material,
                                               poisson_material,
                                               study_material):
-        """Over the fixture materials and the sampled material space, every
-        root, the elastic one and the first-order ones alike (width 0, in
-        x = r20^2), sits, like plain bisection's on the same bracket, where
-        the computed f changes sign; that happens only within f's rounding
-        (a few ulps of its O(1) terms, ~2e-15) over its slope of the exact
-        root, so the two agree within 2e-14 (1.9e-15 and 2.2e-15 measured
-        over seeds 0-49).  The elastic root takes at most 30 evaluations
-        (29 measured over the 12 300 solves of seeds 0-299, 14.5 on
-        average); every root stays within the 2n + 1 of `bracketed_root`,
-        n those of plain bisection (the first-order roots took 14.6 on
-        average and at most 46 over seeds 0-49, where n is 44-70).  Each
-        material solves its elastic root once; its three first-order
-        solves reuse it."""
+        """Over the fixture materials, the sampled material space and the
+        materials of TAIL_DRAWS, every root, the elastic one and the
+        first-order ones alike (in x = r20^2), is an exact zero of f or
+        lies on adjacent doubles where the computed f changes sign, as
+        plain bisection's on the same bracket does; that happens only
+        within f's rounding (a few ulps of its O(1) terms, ~2e-15) over its
+        slope of the exact root, so the two agree within 2e-14 (1.9e-15
+        and 2.2e-15 measured over seeds 0-49).  Every root takes at most
+        30 evaluations: the elastic one took 14.4 on average and at most 29
+        over seeds 0-49 (29 too over the 12 300 solves of seeds 0-299), the
+        first-order ones 14.2 and 26, where n is 44-70; and every root
+        stays within the 2n + 1 of `bracketed_root`, n those of plain
+        bisection.  Each material solves its elastic root once; its three
+        first-order solves reuse it."""
         # fresh instances, so that no root is kept from an earlier test
         cases = [sample_material.replace(), poisson_material.replace(),
                  study_material.replace(),
                  *(m for _, m in material_draws(seed))]
+        for tail_seed, draws in TAIL_DRAWS.items():
+            materials = list(material_draws(tail_seed))
+            cases.extend(materials[i][1] for i in draws)
         for m in cases:
             solve_rayleigh(m)
             bc_slope_study(m, 2000.0)
         assert len(root_solves) == 4 * len(cases)
         assert sum(call[1:3] == (0.0, 1.0 - 0.01 ** 2)
                    for call in root_solves) == len(cases)
-        for f, a, b, fa, _, width, x, evals in root_solves:
-            assert width == 0.0
-            want, n = plain_bisection(f, a, b, fa, width)
+        for f, a, b, fa, _, x, evals in root_solves:
+            assert on_sign_change(f, x), (a, b, x)
+            want, n = plain_bisection(f, a, b, fa)
             assert abs(x - want) <= 2e-14, (a, b, x, want)
-            assert evals <= 2 * n + 1, (a, b, evals, n)
-            if (a, b) == (0.0, 1.0 - 0.01 ** 2):
-                assert evals <= 30, (a, b, evals)
+            assert evals <= min(30, 2 * n + 1), (a, b, evals, n)
